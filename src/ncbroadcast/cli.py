@@ -53,6 +53,17 @@ def _policy_list(text: str) -> list[str]:
     return names
 
 
+def _require_at_least(value: int, minimum: int, flag: str) -> None:
+    if value < minimum:
+        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+
+
+def _check_simulation_args(args) -> None:
+    _require_at_least(args.trials, 2, "--trials")  # the sample stddev needs two
+    if args.mode == "codec":
+        _require_at_least(args.packet_len, 1, "--packet-len")
+
+
 def _write_manifest(out: Path, command: str, argv: list[str], params: dict, outputs: list[Path]) -> None:
     lines = [f"tool=ncbroadcast {__version__}", f"command={command}", f"argv={shlex.join(argv)}"]
     lines += [f"{key}={value}" for key, value in params.items()]
@@ -87,8 +98,9 @@ def cmd_check_lr(args, argv) -> int:
                     rows.append((F, K, p, "config", 0, 0, "", "invalid"))
                     print(f"F={F} K={K} p={p}: invalid ({exc})")
                     continue
-                ok, violations = check_lr_optimality(config, args.tolerance)
-                report = audit_inequalities(config, args.tolerance)
+                values, _ = solve_optimal(config)
+                ok, violations = check_lr_optimality(config, values, args.tolerance)
+                report = audit_inequalities(config, values, args.tolerance)
                 cell_ok = ok and report.passed
                 failed |= not cell_ok
                 rows.append((
@@ -135,6 +147,7 @@ def cmd_oracle(args, argv) -> int:
 
 def cmd_simulate(args, argv) -> int:
     config = validate_config(args.file_size, args.window, args.receivers, args.p)
+    _check_simulation_args(args)
     stats = run_experiment(
         config, args.policy, args.trials, RngSpec(args.seed),
         mode=args.mode, packet_len=args.packet_len,
@@ -160,6 +173,7 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_sweep(args, argv) -> int:
+    _check_simulation_args(args)
     valid, skipped = [], []
     for K in args.windows:
         try:
@@ -168,6 +182,8 @@ def cmd_sweep(args, argv) -> int:
         except ConfigError as exc:
             skipped.append(K)
             print(f"skipping window {K}: {exc}", file=sys.stderr)
+    if not valid:
+        raise ConfigError(f"no valid window among --windows {','.join(map(str, args.windows))}")
     cells = sweep_coding_window(
         args.file_size, args.receivers, args.p, args.policies, valid,
         args.trials, RngSpec(args.seed), mode=args.mode, packet_len=args.packet_len,
@@ -196,6 +212,9 @@ def cmd_sweep(args, argv) -> int:
 
 
 def cmd_codec_validate(args, argv) -> int:
+    _require_at_least(args.window, 1, "--window")
+    _require_at_least(args.packet_len, 1, "--packet-len")
+    _require_at_least(args.batches, 0, "--batches")
     report = run_codec_validation(args.window, args.packet_len, args.batches, args.seed)
     if report.n_batches == 0:
         print("no batches requested; nothing to validate")

@@ -4,89 +4,131 @@ The absorbing structure makes the balance equations solvable in a single
 backward pass: grouping states by x0 + x1 and walking the groups in
 decreasing order, every successor of a state other than its own
 self-loop (eliminated algebraically by the 1 / (1 - p_stay) factor)
-already holds its final value.  No fixed-point iteration and no stopping
-tolerance enter the computation; the only float error is accumulation in
-64-bit arithmetic.
+already holds its final value.  Each group is one anti-diagonal of the
+table and is computed as a handful of array expressions.  No fixed-point
+iteration and no stopping tolerance enter the computation; the only
+float error is accumulation in 64-bit arithmetic.
 
 Value tables are dense (F+1) x (F+1) float arrays indexed [x0, x1];
-policy tables are int8 arrays holding ``mdp.Action`` values.
+policy tables are int8 arrays holding ``mdp.Action`` values.  The same
+sweep minimizes (solve_optimal) or evaluates a stack of policy tables
+(evaluate_policy, enumerate_policies_oracle).
 """
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import Action, State, StateKind, classify
-from .model import SystemConfig
+from .mdp import Action, State
+from .model import ConfigError, SystemConfig
+
+MAX_STATES = 1 << 23  # (F+1)^2 cap of every table: admits F <= 2895
+_ORACLE_CHUNK = 1 << 12  # policies evaluated per batched sweep
 
 
 class OracleCapacityError(ValueError):
     """Raised when a brute-force enumeration would exceed its policy cap."""
 
 
-def _require_two_receivers(config: SystemConfig) -> None:
+class _Kinds(NamedTuple):
+    """``mdp.classify`` of every state, as boolean masks over the [x0, x1] grid."""
+
+    only_0: np.ndarray     # receiver 1 holds the whole file
+    only_1: np.ndarray     # receiver 0 holds the whole file
+    same: np.ndarray       # both unfinished, equal batch ids
+    r0_behind: np.ndarray  # decision: receiver 0 expects the earlier batch
+    decision: np.ndarray
+
+
+def _kinds(config: SystemConfig) -> _Kinds:
+    """Classify the whole grid; the entry point of every table computation."""
     if config.N != 2:
         raise ValueError(f"exact solving covers N=2 only, got N={config.N}")
+    F, K = config.F, config.K
+    if (F + 1) ** 2 > MAX_STATES:
+        raise ConfigError(f"F={F} gives {(F + 1) ** 2} states, over the cap of {MAX_STATES} for exact solving")
+    x0 = np.arange(F + 1)[:, None]
+    x1 = np.arange(F + 1)[None, :]
+    unfinished = (x0 < F) & (x1 < F)
+    h0, h1 = x0 // K, x1 // K
+    return _Kinds(
+        only_0=(x0 < F) & (x1 == F),
+        only_1=(x0 == F) & (x1 < F),
+        same=unfinished & (h0 == h1),
+        r0_behind=unfinished & (h0 < h1),
+        decision=unfinished & (h0 != h1),
+    )
+
+
+def _states(mask: np.ndarray) -> list[State]:
+    return list(zip(*(axis.tolist() for axis in np.nonzero(mask))))
 
 
 def decision_states(config: SystemConfig) -> list[State]:
     """All states offering a serve-least/serve-most choice, in lexicographic order."""
-    F = config.F
-    return [
-        (x0, x1)
-        for x0 in range(F + 1)
-        for x1 in range(F + 1)
-        if classify((x0, x1), config).is_decision
-    ]
+    return _states(_kinds(config).decision)
 
 
-def decision_action_values(s: State, values: np.ndarray, config: SystemConfig) -> tuple[float, float]:
-    """Values of serving the lagging vs. the leading receiver at a decision state.
+def _lookahead(advance_0, advance_1, r0_behind, config: SystemConfig):
+    """(serve_least, serve_most) one-step values from the successors' values.
 
-    Both are one-step lookaheads into `values`, which must already hold
-    final entries for the successors of s.  Returns (serve_least, serve_most).
+    `advance_i` holds the value of the state where receiver i gained a
+    packet; the arrays may have any common shape.
     """
-    kind = classify(s, config)
-    if not kind.is_decision:
-        raise ValueError(f"state {s} offers no decision")
-    x0, x1 = s
+    lag = np.where(r0_behind, advance_0, advance_1)
+    lead = np.where(r0_behind, advance_1, advance_0)
     p, q = config.p, config.q
-    advance_0 = values[x0 + 1, x1]
-    advance_1 = values[x0, x1 + 1]
-    if kind is StateKind.RECEIVER_0_BEHIND:
-        lag, lead = advance_0, advance_1
-    else:
-        lag, lead = advance_1, advance_0
     denom = 1.0 - q * q
-    v_least = (1.0 + p * lag + p * q * lead) / denom
-    v_most = (1.0 + p * q * lag + p * lead) / denom
-    return v_least, v_most
+    return (1.0 + p * lag + p * q * lead) / denom, (1.0 + p * q * lag + p * lead) / denom
 
 
-def _backward_sweep(config, pick):
-    """Shared sweep; `pick(s, v_least, v_most) -> (value, action)` resolves decisions."""
+def _advances(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """values[x0+1, x1] and values[x0, x1+1] over the grid, clamped at F (a finished receiver)."""
+    step = np.minimum(np.arange(1, values.shape[0] + 1), values.shape[0] - 1)
+    return values[step, :], values[:, step]
+
+
+def decision_action_values(values: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Values of serving the lagging vs. the leading receiver, over the whole grid.
+
+    Both are one-step lookaheads into the final table `values`.  Returns
+    (serve_least, serve_most) grids, NaN wherever there is no decision.
+    """
+    kinds = _kinds(config)
+    v_least, v_most = _lookahead(*_advances(values), kinds.r0_behind, config)
+    return np.where(kinds.decision, v_least, np.nan), np.where(kinds.decision, v_most, np.nan)
+
+
+def _sweep(config: SystemConfig, policies: np.ndarray | None = None) -> np.ndarray:
+    """Backward induction over the anti-diagonals x0 + x1 = 2F-1, ..., 0.
+
+    `policies` is a (P, F+1, F+1) stack of legal policy tables, each
+    evaluated; without it the sweep minimizes over the actions and P is
+    1.  Returns the (P, F+1, F+1) value tables.
+    """
+    kinds = _kinds(config)
     F, p, q = config.F, config.p, config.q
-    values = np.zeros((F + 1, F + 1))
-    actions = np.zeros((F + 1, F + 1), dtype=np.int8)
+    values = np.zeros((1 if policies is None else len(policies), F + 1, F + 1))
     for total in range(2 * F - 1, -1, -1):
-        for x0 in range(max(0, total - F), min(F, total) + 1):
-            x1 = total - x0
-            kind = classify((x0, x1), config)
-            if kind is StateKind.ONLY_0_UNFINISHED:
-                values[x0, x1] = (1.0 + p * values[x0 + 1, x1]) / p
-            elif kind is StateKind.ONLY_1_UNFINISHED:
-                values[x0, x1] = (1.0 + p * values[x0, x1 + 1]) / p
-            elif kind is StateKind.SAME_BATCH:
-                values[x0, x1] = (
-                    1.0
-                    + p * q * (values[x0 + 1, x1] + values[x0, x1 + 1])
-                    + p * p * values[x0 + 1, x1 + 1]
-                ) / (1.0 - q * q)
-            else:
-                v_least, v_most = decision_action_values((x0, x1), values, config)
-                values[x0, x1], actions[x0, x1] = pick((x0, x1), v_least, v_most)
-    return values, actions
+        x0 = np.arange(max(0, total - F), min(F, total) + 1)
+        x1 = total - x0
+        up0, up1 = np.minimum(x0 + 1, F), np.minimum(x1 + 1, F)
+        advance_0, advance_1 = values[:, up0, x1], values[:, x0, up1]
+        v_least, v_most = _lookahead(advance_0, advance_1, kinds.r0_behind[x0, x1], config)
+        decided = (np.minimum(v_least, v_most) if policies is None
+                   else np.where(policies[:, x0, x1] == Action.SERVE_LEAST, v_least, v_most))
+        values[:, x0, x1] = np.select(
+            [kinds.only_0[x0, x1], kinds.only_1[x0, x1], kinds.same[x0, x1]],
+            [
+                (1.0 + p * advance_0) / p,
+                (1.0 + p * advance_1) / p,
+                (1.0 + p * q * (advance_0 + advance_1) + p * p * values[:, up0, up1]) / (1.0 - q * q),
+            ],
+            decided,
+        )
+    return values
 
 
 def solve_optimal(config: SystemConfig, tie_tolerance: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -96,64 +138,42 @@ def solve_optimal(config: SystemConfig, tie_tolerance: float = 1e-9) -> tuple[np
     within `tie_tolerance` are resolved toward SERVE_LEAST so the policy
     table is canonical.
     """
-    _require_two_receivers(config)
-
-    def pick(s, v_least, v_most):
-        value = v_least if v_least <= v_most else v_most
-        if v_least <= v_most + tie_tolerance:
-            return value, Action.SERVE_LEAST
-        return value, Action.SERVE_MOST
-
-    return _backward_sweep(config, pick)
-
-
-def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
-    """Expected-slots table of a fixed policy (same sweep, no minimization)."""
-    _require_two_receivers(config)
-    policy = np.asarray(policy)
-    if policy.shape != (config.F + 1, config.F + 1):
-        raise ValueError(f"policy table must be {(config.F + 1,) * 2}, got {policy.shape}")
-    for x0 in range(config.F + 1):
-        for x1 in range(config.F + 1):
-            if Action(int(policy[x0, x1])) not in _legal_for(classify((x0, x1), config)):
-                raise ValueError(f"illegal policy entry {policy[x0, x1]} at state {(x0, x1)}")
-
-    def pick(s, v_least, v_most):
-        a = Action(int(policy[s]))
-        return (v_least if a is Action.SERVE_LEAST else v_most), a
-
-    values, _ = _backward_sweep(config, pick)
-    return values
-
-
-def _legal_for(kind: StateKind) -> set[Action]:
-    if kind.is_decision:
-        return {Action.SERVE_LEAST, Action.SERVE_MOST}
-    return {Action.NO_DECISION}
+    values = _sweep(config)[0]
+    v_least, v_most = decision_action_values(values, config)
+    choice = np.where(v_least <= v_most + tie_tolerance, Action.SERVE_LEAST, Action.SERVE_MOST)
+    actions = np.where(np.isnan(v_least), Action.NO_DECISION, choice).astype(np.int8)
+    return values, actions
 
 
 def lr_policy_table(config: SystemConfig) -> np.ndarray:
     """The least-received rule as a policy table: SERVE_LEAST wherever there is a choice."""
-    _require_two_receivers(config)
-    table = np.zeros((config.F + 1, config.F + 1), dtype=np.int8)
-    for s in decision_states(config):
-        table[s] = Action.SERVE_LEAST
-    return table
+    return np.where(_kinds(config).decision, Action.SERVE_LEAST, Action.NO_DECISION).astype(np.int8)
 
 
-def check_lr_optimality(config: SystemConfig, tolerance: float = 1e-9) -> tuple[bool, list[State]]:
+def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
+    """Expected-slots table of a fixed policy (same sweep, no minimization)."""
+    policy = np.asarray(policy)
+    if policy.shape != (config.F + 1, config.F + 1):
+        raise ValueError(f"policy table must be {(config.F + 1,) * 2}, got {policy.shape}")
+    choices = np.isin(policy, (Action.SERVE_LEAST, Action.SERVE_MOST))
+    illegal = np.argwhere(np.where(_kinds(config).decision, ~choices, policy != Action.NO_DECISION))
+    if len(illegal):
+        s = tuple(illegal[0].tolist())
+        raise ValueError(f"illegal policy entry {policy[s]} at state {s}")
+    return _sweep(config, policy[None])[0]
+
+
+def check_lr_optimality(
+    config: SystemConfig, values: np.ndarray, tolerance: float = 1e-9
+) -> tuple[bool, list[State]]:
     """Certify serve-least beats serve-most at every decision state.
 
-    Passes iff v_least < v_most + tolerance throughout the optimal table;
-    returns the violating states otherwise.
+    `values` is the optimal table of `config` (``solve_optimal(config)[0]``).
+    Passes iff v_least < v_most + tolerance throughout; returns the
+    violating states otherwise.
     """
-    _require_two_receivers(config)
-    values, _ = solve_optimal(config)
-    violations = []
-    for s in decision_states(config):
-        v_least, v_most = decision_action_values(s, values, config)
-        if not v_least < v_most + tolerance:
-            violations.append(s)
+    v_least, v_most = decision_action_values(values, config)
+    violations = _states(_kinds(config).decision & ~(v_least < v_most + tolerance))
     return (not violations, violations)
 
 
@@ -183,28 +203,18 @@ class AuditReport:
         raise KeyError(name)
 
 
-class _Tally:
-    def __init__(self, name: str, tolerance: float):
-        self.name = name
-        self.tolerance = tolerance
-        self.examined = 0
-        self.violations = 0
-        self.worst = float("inf")
-
-    def expect(self, margin: float) -> None:
-        self.examined += 1
-        self.worst = min(self.worst, margin)
-        if margin < -self.tolerance:
-            self.violations += 1
-
-    def finish(self) -> AuditCheck:
-        worst = float(self.worst) if self.examined else float("nan")
-        return AuditCheck(self.name, self.examined, self.violations, worst)
+def _worst(*margins: np.ndarray) -> float:
+    return float(min(m.min() for m in margins)) if margins[0].size else float("nan")
 
 
-def audit_inequalities(config: SystemConfig, tolerance: float = 1e-9) -> AuditReport:
+def _tally(name: str, margins: np.ndarray, tolerance: float) -> AuditCheck:
+    return AuditCheck(name, margins.size, int((margins < -tolerance).sum()), _worst(margins))
+
+
+def audit_inequalities(config: SystemConfig, values: np.ndarray, tolerance: float = 1e-9) -> AuditReport:
     """Numerically verify the structural properties of the optimal table.
 
+    `values` is the optimal table of `config` (``solve_optimal(config)[0]``).
     Checks, each over index ranges materialized from the config:
       edge_closed_form         V(x0, F) equals (F - x0) / p           (margin: -|error|)
       corner_sandwich          V(F-1, F) < V(F-1, F-1) < V(F-2, F)
@@ -213,75 +223,55 @@ def audit_inequalities(config: SystemConfig, tolerance: float = 1e-9) -> AuditRe
       balance_preference       V(x0, x1) < V(x0-1, x1+1): imbalance costs time
       decision_sign_equivalence  at decision states the serve-most minus
         serve-least gap and the lead-advance minus lag-advance value gap
-        carry the same sign (margin: the smaller of the two gaps)
+        carry the same sign (margin: the smaller of the two gaps).  The
+        lookahead formulas make this an identity,
+        v_most - v_least = p^2 / (1 - q^2) * (lead - lag),
+        so the check guards the lookahead and the table against each other.
       neighbor_implication     whenever both advanced neighbors of a decision
         state prefer serve-least, so does the state itself
 
     Inequality margins are slack (right side minus left side); a margin
     below -tolerance counts as a violation.
     """
-    _require_two_receivers(config)
-    values, _ = solve_optimal(config)
+    kinds = _kinds(config)
     F, K, b, p = config.F, config.K, config.b, config.p
     last_band_start = b * K  # first packet index of the final batch
+    x0 = np.arange(F + 1)[:, None]
+    x1 = np.arange(F + 1)[None, :]
 
-    edge = _Tally("edge_closed_form", tolerance)
-    for x0 in range(F + 1):
-        edge.expect(-abs(values[x0, F] - (F - x0) / p))
+    edge = -np.abs(values[:, F] - (F - np.arange(F + 1)) / p)
 
-    sandwich = _Tally("corner_sandwich", tolerance)
-    if F >= 2:
-        sandwich.expect(values[F - 1, F - 1] - values[F - 1, F])
-        sandwich.expect(values[F - 2, F] - values[F - 1, F - 1])
-
-    mono_x0 = _Tally("monotone_in_x0", tolerance)
-    mono_x1 = _Tally("monotone_in_x1", tolerance)
-    for x1 in range(last_band_start + 1, F + 1):
-        for x0 in range(0, F):
-            if x0 + 1 <= x1:
-                mono_x0.expect(values[x0, x1] - values[x0 + 1, x1])
-                mono_x1.expect(values[x0, x1 - 1] - values[x0, x1])
-
-    balance = _Tally("balance_preference", tolerance)
-    for x1 in range(last_band_start, F):
-        for x0 in range(1, F):
-            if x0 <= x1 - 1:
-                balance.expect(values[x0 - 1, x1 + 1] - values[x0, x1])
-
-    signs = _Tally("decision_sign_equivalence", tolerance)
-    prefer = {}  # decision state -> serve-most minus serve-least gap
-    for s in decision_states(config):
-        x0, x1 = s
-        v_least, v_most = decision_action_values(s, values, config)
-        gap = v_most - v_least
-        prefer[s] = gap
-        if classify(s, config) is StateKind.RECEIVER_0_BEHIND:
-            neighbor_gap = values[x0, x1 + 1] - values[x0 + 1, x1]
-        else:
-            neighbor_gap = values[x0 + 1, x1] - values[x0, x1 + 1]
-        confident_mismatch = (gap > tolerance and neighbor_gap < -tolerance) or (
-            gap < -tolerance and neighbor_gap > tolerance
-        )
-        signs.examined += 1
-        signs.worst = min(signs.worst, gap, neighbor_gap)
-        if confident_mismatch:
-            signs.violations += 1
-
-    implication = _Tally("neighbor_implication", tolerance)
-    for (x0, x1), _gap in prefer.items():
-        right = prefer.get((x0 + 1, x1))
-        up = prefer.get((x0, x1 + 1))
-        if right is None or up is None:
-            continue
-        if right > tolerance and up > tolerance:
-            implication.expect(prefer[(x0, x1)])
-
-    return AuditReport(
-        tuple(
-            t.finish()
-            for t in (edge, sandwich, mono_x0, mono_x1, balance, signs, implication)
-        )
+    sandwich = np.array(
+        [values[F - 1, F - 1] - values[F - 1, F], values[F - 2, F] - values[F - 1, F - 1]] if F >= 2 else []
     )
+
+    i, j = np.nonzero((x1 > last_band_start) & (x0 < x1))
+    mono_x0 = values[i, j] - values[i + 1, j]
+    mono_x1 = values[i, j - 1] - values[i, j]
+
+    i, j = np.nonzero((x1 >= last_band_start) & (x1 < F) & (x0 >= 1) & (x0 < x1))
+    balance = values[i - 1, j + 1] - values[i, j]
+
+    v_least, v_most = decision_action_values(values, config)
+    prefer = v_most - v_least  # serve-most minus serve-least gap; NaN off decisions
+    advance_0, advance_1 = _advances(values)
+    gap = prefer[kinds.decision]
+    neighbor_gap = np.where(kinds.r0_behind, advance_1 - advance_0, advance_0 - advance_1)[kinds.decision]
+    mismatch = ((gap > tolerance) & (neighbor_gap < -tolerance)) | ((gap < -tolerance) & (neighbor_gap > tolerance))
+    signs = AuditCheck("decision_sign_equivalence", gap.size, int(mismatch.sum()), _worst(gap, neighbor_gap))
+
+    prefer_0, prefer_1 = _advances(prefer)  # NaN compares false, so non-decision neighbors drop out
+    implied = kinds.decision & (prefer_0 > tolerance) & (prefer_1 > tolerance)
+
+    return AuditReport((
+        _tally("edge_closed_form", edge, tolerance),
+        _tally("corner_sandwich", sandwich, tolerance),
+        _tally("monotone_in_x0", mono_x0, tolerance),
+        _tally("monotone_in_x1", mono_x1, tolerance),
+        _tally("balance_preference", balance, tolerance),
+        signs,
+        _tally("neighbor_implication", prefer[implied], tolerance),
+    ))
 
 
 @dataclass(frozen=True)
@@ -304,23 +294,26 @@ def enumerate_policies_oracle(
 
     Independent, brute-force certification path: it never consults
     solve_optimal.  Raises OracleCapacityError when 2**D exceeds the cap,
-    where D is the number of decision states.
+    where D is the number of decision states.  Bit D-1-k of policy n set
+    means SERVE_MOST at decision state k; policies are swept in fixed-size batches.
     """
-    _require_two_receivers(config)
     ds = decision_states(config)
-    if len(ds) >= policy_cap.bit_length():  # i.e. 2**D > policy_cap, without the huge power
-        raise OracleCapacityError(
-            f"{len(ds)} decision states give 2**{len(ds)} policies, over the cap {policy_cap}"
-        )
-    n_policies = 2 ** len(ds)
+    D = len(ds)
+    if D >= policy_cap.bit_length():  # i.e. 2**D > policy_cap, without the huge power
+        raise OracleCapacityError(f"{D} decision states give 2**{D} policies, over the cap {policy_cap}")
+    n_policies = 2**D
     base = lr_policy_table(config)
-    results = []
-    for bits in itertools.product((Action.SERVE_LEAST, Action.SERVE_MOST), repeat=len(ds)):
-        table = base.copy()
-        for s, a in zip(ds, bits):
-            table[s] = a
-        value = float(evaluate_policy(config, table)[0, 0])
-        results.append((value, tuple(int(a) for a in bits)))
+    cells = np.flatnonzero(base)  # the decision states, in the order of ds
+    msb_first = np.arange(D - 1, -1, -1)
+    origin = np.empty(n_policies)
+    for start in range(0, n_policies, _ORACLE_CHUNK):
+        n = np.arange(start, min(start + _ORACLE_CHUNK, n_policies))
+        stack = np.repeat(base[None], len(n), axis=0)
+        most = (n[:, None] >> msb_first) & 1
+        stack.reshape(len(n), -1)[:, cells] = np.where(most, Action.SERVE_MOST, Action.SERVE_LEAST)
+        origin[n] = _sweep(config, stack)[:, 0, 0]
+    assignments = itertools.product((int(Action.SERVE_LEAST), int(Action.SERVE_MOST)), repeat=D)
+    results = list(zip(origin.tolist(), assignments))
     lr_value = results[0][0]  # first assignment is all-SERVE_LEAST
     ranked = tuple(sorted(results))
     best_value, best_assignment = ranked[0]

@@ -33,10 +33,6 @@ class SystemConfig:
     q: float
     b: int
 
-    @property
-    def n_batches(self) -> int:
-        return self.b + 1
-
 
 def validate_config(F: int, K: int, N: int, p: float) -> SystemConfig:
     """Check raw parameters and derive q and b.

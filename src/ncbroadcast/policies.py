@@ -19,7 +19,6 @@ class SchedulerInput:
     """Receivers that can use this slot: connected and not yet finished."""
 
     eligible: list[tuple[int, int]]  # (receiver id, batch id)
-    slot: int = 0
 
 
 @dataclass

@@ -102,7 +102,7 @@ def run_trial(
         row = flags[cursor]
         cursor += 1
         eligible = [(i, received[i] // K) for i in range(N) if row[i] and received[i] < F]
-        inp = SchedulerInput(eligible, slot)
+        inp = SchedulerInput(eligible)
         if is_conflict_slot(inp):
             conflicts += 1
         chosen, state = select(inp, state)

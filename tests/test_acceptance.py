@@ -69,7 +69,8 @@ def test_c3_sandwich_and_monotonicity_families():
     for F in GRID_F:
         for K in GRID_K:
             for p in GRID_P:
-                rep = audit_inequalities(validate_config(F, K, 2, p), tolerance=1e-9)
+                cfg = validate_config(F, K, 2, p)
+                rep = audit_inequalities(cfg, solve_optimal(cfg)[0], tolerance=1e-9)
                 for name in ("corner_sandwich", "monotone_in_x0", "monotone_in_x1", "balance_preference"):
                     violations += rep.by_name(name).violations
     elapsed = time.perf_counter() - start
@@ -84,9 +85,10 @@ def test_c4_lr_optimality_and_sign_equivalence():
         for K in GRID_K:
             for p in GRID_P:
                 cfg = validate_config(F, K, 2, p)
-                ok_cell, viol = check_lr_optimality(cfg, tolerance=1e-9)
+                values = solve_optimal(cfg)[0]
+                ok_cell, viol = check_lr_optimality(cfg, values, tolerance=1e-9)
                 lr_violations += len(viol)
-                sign_violations += audit_inequalities(cfg).by_name(
+                sign_violations += audit_inequalities(cfg, values).by_name(
                     "decision_sign_equivalence"
                 ).violations
     ok = lr_violations == 0 and sign_violations == 0

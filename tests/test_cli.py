@@ -57,6 +57,18 @@ class TestSolve:
 
 
 class TestCheckLr:
+    def test_csv_matches_golden_report(self, tmp_path):
+        # Frozen output of an earlier release: invalid cells, the -0.0 edge
+        # margins and the nan margins of vacuous checks, byte for byte.
+        proc = run_cli(
+            ["check-lr", "--file-sizes", "4,8,12", "--windows", "1,2,3,4,12", "--ps", "0.1,0.5,1.0",
+             "--out", "report.csv"],
+            tmp_path,
+        )
+        assert proc.returncode == 0
+        golden = Path(__file__).parent / "data" / "check_lr_golden.csv"
+        assert (tmp_path / "report.csv").read_bytes() == golden.read_bytes()
+
     def test_grid_passes(self, tmp_path):
         proc = run_cli(
             ["check-lr", "--file-sizes", "8,12", "--windows", "2,4", "--ps", "0.1,0.9",
@@ -176,6 +188,33 @@ class TestCodecValidate:
         proc = run_cli(["codec-validate", "--batches", "0"], tmp_path)
         assert proc.returncode == 0
         assert "nothing to validate" in proc.stdout
+
+
+BAD_INPUTS = {
+    "simulate-trials-0": ["simulate", "--file-size", "4", "--window", "2", "--p", "0.5", "--trials", "0"],
+    "simulate-trials-1": ["simulate", "--file-size", "4", "--window", "2", "--p", "0.5", "--trials", "1"],
+    "sweep-trials-0": ["sweep", "--file-size", "4", "--windows", "2", "--p", "0.5", "--trials", "0"],
+    "sweep-trials-1": ["sweep", "--file-size", "4", "--windows", "2", "--p", "0.5", "--trials", "1"],
+    "simulate-codec-packet-len-0": ["simulate", "--file-size", "4", "--window", "2", "--p", "0.5",
+                                    "--trials", "4", "--mode", "codec", "--packet-len", "0"],
+    "sweep-codec-packet-len-0": ["sweep", "--file-size", "4", "--windows", "2", "--p", "0.5",
+                                 "--trials", "4", "--mode", "codec", "--packet-len", "0"],
+    "codec-validate-window-0": ["codec-validate", "--window", "0", "--batches", "3"],
+    "codec-validate-packet-len-0": ["codec-validate", "--packet-len", "0", "--batches", "3"],
+    "codec-validate-negative-batches": ["codec-validate", "--window", "4", "--packet-len", "8", "--batches", "-5"],
+    "sweep-no-valid-window": ["sweep", "--file-size", "6", "--windows", "4,5", "--p", "0.5", "--trials", "4"],
+    "solve-oversized": ["solve", "--file-size", "100000", "--window", "1", "--p", "0.5"],
+    "check-lr-oversized": ["check-lr", "--file-sizes", "100000", "--windows", "1", "--ps", "0.5"],
+    "oracle-oversized": ["oracle", "--file-size", "100000", "--window", "1", "--p", "0.5"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_with_one_error_line(tmp_path, args):
+    proc = run_cli(args, tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [proc.stderr.splitlines()[-1]]
 
 
 def test_version_flag(tmp_path):

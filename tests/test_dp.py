@@ -9,6 +9,7 @@ dominates everywhere, so the minimum is attained by it at all states).
 """
 
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncbroadcast.dp import (
+    MAX_STATES,
     OracleCapacityError,
     audit_inequalities,
     check_lr_optimality,
@@ -27,7 +29,7 @@ from ncbroadcast.dp import (
     write_table_csv,
 )
 from ncbroadcast.mdp import Action, classify, reward, transitions
-from ncbroadcast.model import validate_config
+from ncbroadcast.model import ConfigError, validate_config
 
 
 def linear_solve_policy(cfg, policy):
@@ -153,6 +155,32 @@ class TestEvaluatePolicy:
             evaluate_policy(cfg, table)
 
 
+class TestDecisionStates:
+    @pytest.mark.parametrize(
+        "F,K,p", [(1, 1, 0.5), (2, 1, 0.3), (4, 4, 0.5), (6, 3, 0.5), (12, 4, 0.9), (12, 1, 1.0), (15, 5, 0.2)]
+    )
+    def test_match_scalar_classification(self, F, K, p):
+        cfg = validate_config(F, K, 2, p)
+        reference = [
+            (x0, x1) for x0 in range(F + 1) for x1 in range(F + 1) if classify((x0, x1), cfg).is_decision
+        ]
+        assert decision_states(cfg) == reference
+
+
+class TestSizeGuard:
+    def test_oversized_table_refused_before_allocating(self):
+        cfg = validate_config(100_000, 1, 2, 0.5)
+        start = time.perf_counter()
+        for call in (solve_optimal, decision_states, enumerate_policies_oracle):
+            with pytest.raises(ConfigError, match="states, over the cap"):
+                call(cfg)
+        assert time.perf_counter() - start < 1.0
+
+    def test_paper_scale_file_is_admitted(self):
+        assert (2500 + 1) ** 2 <= MAX_STATES
+        assert decision_states(validate_config(2500, 2500, 2, 0.5)) == []
+
+
 class TestLrPolicyTable:
     def test_entries(self):
         cfg = validate_config(6, 3, 2, 0.5)
@@ -167,35 +195,46 @@ class TestLrPolicyTable:
 class TestCheckLrOptimality:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.6, 0.9])
     def test_holds_across_p(self, p):
-        ok, violations = check_lr_optimality(validate_config(12, 4, 2, p))
+        cfg = validate_config(12, 4, 2, p)
+        ok, violations = check_lr_optimality(cfg, solve_optimal(cfg)[0])
         assert ok and violations == []
 
     def test_vacuous_without_decision_states(self):
-        ok, violations = check_lr_optimality(validate_config(4, 4, 2, 0.5))
+        cfg = validate_config(4, 4, 2, 0.5)
+        ok, violations = check_lr_optimality(cfg, solve_optimal(cfg)[0])
         assert ok and violations == []
+
+    def test_reports_the_state_whose_lagging_successor_got_worse(self):
+        cfg = validate_config(6, 3, 2, 0.5)
+        values = solve_optimal(cfg)[0]
+        values[2, 4] += 100.0  # lag successor of (1, 4), lead successor of (2, 3)
+        assert check_lr_optimality(cfg, values) == (False, [(1, 4)])
 
 
 class TestAudit:
     @pytest.mark.parametrize("F,K,p", [(12, 4, 0.5), (8, 2, 0.8)])
     def test_zero_violations(self, F, K, p):
-        report = audit_inequalities(validate_config(F, K, 2, p))
+        cfg = validate_config(F, K, 2, p)
+        report = audit_inequalities(cfg, solve_optimal(cfg)[0])
         assert report.passed
         for check in report.checks:
             assert check.violations == 0
 
     def test_edge_value_exact(self):
-        report = audit_inequalities(validate_config(12, 4, 2, 0.5))
+        cfg = validate_config(12, 4, 2, 0.5)
+        report = audit_inequalities(cfg, solve_optimal(cfg)[0])
         edge = report.by_name("edge_closed_form")
         assert edge.examined == 13
         assert edge.worst_margin == pytest.approx(0.0, abs=1e-9)
 
     def test_decision_checks_cover_all_decision_states(self):
         cfg = validate_config(12, 4, 2, 0.5)
-        report = audit_inequalities(cfg)
+        report = audit_inequalities(cfg, solve_optimal(cfg)[0])
         assert report.by_name("decision_sign_equivalence").examined == len(decision_states(cfg))
 
     def test_vacuous_checks_report_nan_margin(self):
-        report = audit_inequalities(validate_config(2, 2, 2, 0.5))
+        cfg = validate_config(2, 2, 2, 0.5)
+        report = audit_inequalities(cfg, solve_optimal(cfg)[0])
         signs = report.by_name("decision_sign_equivalence")
         assert signs.examined == 0
         assert np.isnan(signs.worst_margin)

@@ -9,7 +9,6 @@ def test_validate_derives_q_and_b():
     assert (cfg.F, cfg.K, cfg.N) == (12, 4, 2)
     assert cfg.q == 0.5
     assert cfg.b == 2
-    assert cfg.n_batches == 3
 
 
 def test_single_batch_perfect_channel():
