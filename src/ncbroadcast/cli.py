@@ -19,6 +19,7 @@ from .dp import (
     OracleCapacityError,
     audit_inequalities,
     check_lr_optimality,
+    check_table_size,
     decision_states,
     enumerate_policies_oracle,
     solve_optimal,
@@ -35,6 +36,9 @@ from .sim import (
     sweep_coding_window,
     write_stats_csv,
 )
+
+
+_ORACLE_MAX_CAP = 2**20  # default --cap of oracle, and the largest it accepts
 
 
 def _int_list(text: str) -> list[int]:
@@ -87,6 +91,8 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_check_lr(args, argv) -> int:
+    for F in args.file_sizes:
+        check_table_size(F)  # refuse the grid before any cell prints
     rows = []
     failed = False
     for F in args.file_sizes:
@@ -134,6 +140,8 @@ def cmd_check_lr(args, argv) -> int:
 
 
 def cmd_oracle(args, argv) -> int:
+    if not 1 <= args.cap <= _ORACLE_MAX_CAP:
+        raise ConfigError(f"--cap must be between 1 and {_ORACLE_MAX_CAP}, got {args.cap}")
     config = validate_config(args.file_size, args.window, 2, args.p)
     result = enumerate_policies_oracle(config, policy_cap=args.cap)
     print(
@@ -258,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--file-size", type=int, required=True)
     oracle.add_argument("--window", type=int, required=True)
     oracle.add_argument("--p", type=float, required=True)
-    oracle.add_argument("--cap", type=int, default=2**20, help="refuse instances with more policies than this")
+    oracle.add_argument(
+        "--cap", type=int, default=_ORACLE_MAX_CAP,
+        help=f"refuse instances with more policies than this (1 to {_ORACLE_MAX_CAP})",
+    )
     oracle.set_defaults(func=cmd_oracle)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo completion time for one policy")

@@ -32,6 +32,12 @@ class OracleCapacityError(ValueError):
     """Raised when a brute-force enumeration would exceed its policy cap."""
 
 
+def check_table_size(F: int) -> None:
+    """Raise ConfigError when the (F+1)^2 table of a file of F packets passes MAX_STATES."""
+    if F > 0 and (F + 1) ** 2 > MAX_STATES:
+        raise ConfigError(f"F={F} gives {(F + 1) ** 2} states, over the cap of {MAX_STATES} for exact solving")
+
+
 class _Kinds(NamedTuple):
     """``mdp.classify`` of every state, as boolean masks over the [x0, x1] grid."""
 
@@ -47,8 +53,7 @@ def _kinds(config: SystemConfig) -> _Kinds:
     if config.N != 2:
         raise ValueError(f"exact solving covers N=2 only, got N={config.N}")
     F, K = config.F, config.K
-    if (F + 1) ** 2 > MAX_STATES:
-        raise ConfigError(f"F={F} gives {(F + 1) ** 2} states, over the cap of {MAX_STATES} for exact solving")
+    check_table_size(F)
     x0 = np.arange(F + 1)[:, None]
     x1 = np.arange(F + 1)[None, :]
     unfinished = (x0 < F) & (x1 < F)

@@ -59,9 +59,3 @@ def batch_id(x: int, config: SystemConfig) -> int:
         raise ValueError(f"received count {x} outside [0, {config.F}]")
     return x // config.K
 
-
-def batch_packet_range(i: int, config: SystemConfig) -> tuple[int, int]:
-    """First and last packet index covered by batch i."""
-    if not 0 <= i <= config.b:
-        raise ValueError(f"batch index {i} outside [0, {config.b}]")
-    return i * config.K, (i + 1) * config.K - 1

@@ -9,7 +9,10 @@ whole byte vectors at once.
 An encoded packet carries its batch index, K coefficients and the
 combined payload.  A decoder ingests packets one by one, keeping its
 rows in reduced row-echelon form, and can hand back the original K
-packets as soon as its rank reaches K.
+packets as soon as its rank reaches K.  Codec validation instead encodes
+a chunk of batches at once and row-reduces their K x (K+L) blocks
+together, falling back to the packet-by-packet decoder for the rare batch
+whose first K packets are not independent.
 """
 
 from dataclasses import dataclass
@@ -54,6 +57,16 @@ def gf_inv(a: int) -> int:
 # Full product table for vectorized row operations: _MUL[c, v] multiplies
 # every byte of v by the scalar c.
 _MUL = np.array([[gf_mul(a, b) for b in range(256)] for a in range(256)], dtype=np.uint8)
+_MUL_FLAT = _MUL.ravel()  # _MUL_FLAT[(c << 8) | v] == _MUL[c, v]
+# _INV[a] is the inverse of a; the entry for 0 is 0, for blocks that have no pivot.
+_INV = np.array([0] + [gf_inv(a) for a in range(1, 256)], dtype=np.uint8)
+
+# run_codec_validation encodes and row-reduces up to _BATCH_CHUNK batches
+# together, fewer when their K x (K+L) blocks would pass _CHUNK_BYTES: each
+# elimination step builds temporaries of about 11 bytes per block byte.  The
+# report does not depend on either constant.
+_BATCH_CHUNK = 64
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -78,13 +91,22 @@ def _packet_matrix(packets) -> np.ndarray:
     return mat
 
 
-def combine_packets(coefficients, packets) -> np.ndarray:
-    """Bytewise field combination sum_i c_i * packet_i."""
-    mat = _packet_matrix(packets)
-    coeffs = np.asarray(coefficients, dtype=np.uint8)
-    if coeffs.shape != (mat.shape[0],):
-        raise ValueError(f"expected {mat.shape[0]} coefficients, got {coeffs.shape}")
-    return np.bitwise_xor.reduce(_MUL[coeffs[:, None], mat], axis=0)
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise product of two broadcastable uint8 arrays.
+
+    One flat lookup with a 16-bit index, about three times faster than
+    indexing _MUL with the two arrays on 64 KB operands.
+    """
+    return _MUL_FLAT.take((a.astype(np.uint16) << 8) | b)
+
+
+def _combine(coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Bytewise field combination sum_k c[..., k] * rows[..., k, :].
+
+    Shapes (..., K) and (..., K, L) give (..., L) through one (..., K, L)
+    product.
+    """
+    return np.bitwise_xor.reduce(_mul(coefficients[..., :, None], rows), axis=-2)
 
 
 def encode(packets, rng: np.random.Generator, batch: int = 0) -> CodedPacket:
@@ -100,7 +122,7 @@ def encode(packets, rng: np.random.Generator, batch: int = 0) -> CodedPacket:
     coeffs = rng.integers(0, 256, size=mat.shape[0], dtype=np.uint8)
     while not coeffs.any():
         coeffs = rng.integers(0, 256, size=mat.shape[0], dtype=np.uint8)
-    return CodedPacket(batch, coeffs, np.bitwise_xor.reduce(_MUL[coeffs[:, None], mat], axis=0))
+    return CodedPacket(batch, coeffs, _combine(coeffs, mat))
 
 
 class DecoderState:
@@ -193,16 +215,92 @@ def expected_extra_packets(window: int) -> float:
     return total
 
 
+def _reduce_blocks(blocks: np.ndarray, window: int) -> np.ndarray:
+    """Gauss-Jordan-reduce a (B, K, K+L) stack in place; True where full rank.
+
+    Step c takes, in every block at once, the first row at or below row c
+    with a nonzero entry in column c, swaps it up to row c, scales it to a
+    unit pivot and clears column c from every other row.  A full-rank block
+    ends as [I | S], S the decoded source.  Blocks without a pivot in some
+    column come out in no particular form and are only flagged.
+    """
+    at = np.arange(blocks.shape[0])
+    full = np.ones(blocks.shape[0], dtype=bool)
+    for c in range(window):
+        nonzero = blocks[:, c:, c] != 0
+        full &= nonzero.any(axis=1)
+        pivot = c + nonzero.argmax(axis=1)
+        row = blocks[at, pivot]
+        blocks[at, pivot] = blocks[:, c]
+        row = _mul(_INV[row[:, c]][:, None], row)
+        blocks[:, c] = row
+        factors = blocks[:, :, c].copy()
+        factors[:, c] = 0
+        # columns before c are already zero in the pivot row of a full-rank block
+        blocks[:, :, c:] ^= _mul(factors[:, :, None], row[:, None, c:])
+    return full
+
+
 def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int = 0) -> CodecValidationReport:
-    """Encode/decode `n_batches` random batches and collect rank statistics."""
+    """Encode/decode `n_batches` random batches and collect rank statistics.
+
+    Each batch draws its K x L source and then all K of its coefficient
+    rows in one call.  Batches go through in chunks of up to _BATCH_CHUNK
+    (fewer when _CHUNK_BYTES binds): the chunk is encoded at once,
+    row-reduced at once, and the batches up to the first one that is not
+    full rank are checked against their sources in one comparison.  Full
+    rank excludes an all-zero row, so these are exactly the batches
+    decoded from their first K packets.  The first batch that is not
+    (about 0.4% of them) is decoded as a receiver would: its nonzero rows
+    go into a DecoderState, then `encode` draws further packets from the
+    generator state right after that batch's draws until the rank is K,
+    and chunking resumes with the next batch.  The report therefore does
+    not depend on the chunk size.
+
+    Stream note: one draw of K coefficient rows equals K draws of one row
+    when K % 4 == 0 or K == 1, so for those K the report, and with it the
+    codec-validate output, is identical to that of drawing and ingesting
+    packet by packet (C9 and the CLI default use K=16).  For other K the
+    coefficient stream differs and so do the reports of a given seed; the
+    statistics they estimate do not.
+    """
+    if window < 1 or packet_len < 1:
+        raise ValueError("window and packet length must be positive")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     failures = 0
     extras_total = 0
     exact = 0
-    for _ in range(n_batches):
-        source = rng.integers(0, 256, size=(window, packet_len), dtype=np.uint8)
+    done = 0
+    chunk = max(1, min(_BATCH_CHUNK, _CHUNK_BYTES // (window * (window + packet_len))))
+    while done < n_batches:
+        count = min(chunk, n_batches - done)
+        sources = np.empty((count, window, packet_len), dtype=np.uint8)
+        coeffs = np.empty((count, window, window), dtype=np.uint8)
+        states = []  # generator state after each batch's draws
+        for b in range(count):
+            sources[b] = rng.integers(0, 256, size=(window, packet_len), dtype=np.uint8)
+            coeffs[b] = rng.integers(0, 256, size=(window, window), dtype=np.uint8)
+            states.append(rng.bit_generator.state)
+        payloads = np.empty_like(sources)
+        for i in range(window):
+            payloads[:, i] = _combine(coeffs[:, i], sources)
+        blocks = np.concatenate((coeffs, payloads), axis=2)
+        full = _reduce_blocks(blocks, window)
+        decoded = count if full.all() else int(full.argmin())
+        failures += int((blocks[:decoded, :, window:] != sources[:decoded]).any(axis=(1, 2)).sum())
+        exact += decoded
+        done += decoded
+        if decoded == count:
+            continue
+        # The batches drawn after this one are dropped and drawn again.
+        rng.bit_generator.state = states[decoded]
+        source = sources[decoded]
         decoder = DecoderState(0, window, packet_len)
         received = 0
+        for row, payload in zip(coeffs[decoded], payloads[decoded]):
+            if row.any():  # an all-zero row stands for a draw that encode redraws
+                received += 1
+                decoder.ingest(CodedPacket(0, row, payload))
         while decoder.rank < window:
             received += 1
             decoder.ingest(encode(source, rng))
@@ -211,6 +309,7 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
         recovered = decoder.recover()
         if any(recovered[i] != source[i].tobytes() for i in range(window)):
             failures += 1
+        done += 1
     return CodecValidationReport(
         n_batches=n_batches,
         window=window,

@@ -80,6 +80,17 @@ class TestCheckLr:
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
         assert header == "F,K,p,check,examined,violations,worst_margin,status"
 
+    def test_oversized_file_refused_before_any_cell(self, tmp_path):
+        proc = run_cli(
+            ["check-lr", "--file-sizes", "4,100000", "--windows", "1", "--ps", "0.5", "--out", "report.csv"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.splitlines()[-1]]
+        assert proc.stderr.startswith("error: F=100000")
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_cell_reported_not_fatal(self, tmp_path):
         proc = run_cli(
             ["check-lr", "--file-sizes", "8", "--windows", "3,4", "--ps", "0.5"], tmp_path
@@ -99,6 +110,13 @@ class TestOracle:
         proc = run_cli(["oracle", "--file-size", "2", "--window", "1", "--p", "0.5"], tmp_path)
         assert proc.returncode == 0
         assert "4 policies; LR optimal" in proc.stdout
+
+    @pytest.mark.parametrize("cap", ["0", str(2**20 + 1)], ids=["below-1", "above-default"])
+    def test_cap_out_of_range_is_usage_error(self, tmp_path, cap):
+        proc = run_cli(["oracle", "--file-size", "2", "--window", "1", "--p", "0.5", "--cap", cap], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: --cap must be between 1 and {2**20}, got {cap}\n"
 
     def test_capacity_refusal(self, tmp_path):
         proc = run_cli(["oracle", "--file-size", "100", "--window", "2", "--p", "0.5"], tmp_path)

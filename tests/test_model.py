@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ncbroadcast.model import ConfigError, batch_id, batch_packet_range, validate_config
+from ncbroadcast.model import ConfigError, SystemConfig, batch_id, validate_config
+
+
+def batch_packet_range(i: int, config: SystemConfig) -> tuple[int, int]:
+    """First and last packet index covered by batch i."""
+    if not 0 <= i <= config.b:
+        raise ValueError(f"batch index {i} outside [0, {config.b}]")
+    return i * config.K, (i + 1) * config.K - 1
 
 
 def test_validate_derives_q_and_b():

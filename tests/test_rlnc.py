@@ -5,15 +5,19 @@ long-multiplication oracle that reduces by 0x11D explicitly, so the
 log/antilog tables never certify themselves.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncbroadcast import rlnc
 from ncbroadcast.rlnc import (
     REDUCTION_POLY,
+    CodecValidationReport,
     CodedPacket,
     DecoderState,
-    combine_packets,
+    _combine,
     encode,
     expected_extra_packets,
     gf_inv,
@@ -37,6 +41,49 @@ def gf_mul_reference(a: int, b: int) -> int:
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def combine_packets(coefficients, packets) -> np.ndarray:
+    """Bytewise field combination sum_i c_i * packet_i, through the codec's kernel."""
+    return _combine(np.asarray(coefficients, dtype=np.uint8), packets)
+
+
+def per_packet_validation(window, packet_len, n_batches, seed=0):
+    """Reference for run_codec_validation: every packet drawn by encode and ingested on its own."""
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    failures = extras_total = exact = 0
+    for _ in range(n_batches):
+        source = gen.integers(0, 256, size=(window, packet_len), dtype=np.uint8)
+        decoder = DecoderState(0, window, packet_len)
+        received = 0
+        while decoder.rank < window:
+            received += 1
+            decoder.ingest(encode(source, gen))
+        extras_total += received - window
+        exact += received == window
+        recovered = decoder.recover()
+        if any(recovered[i] != source[i].tobytes() for i in range(window)):
+            failures += 1
+    return CodecValidationReport(
+        n_batches=n_batches,
+        window=window,
+        packet_len=packet_len,
+        roundtrip_failures=failures,
+        mean_extra_packets=extras_total / n_batches if n_batches else 0.0,
+        exact_rank_fraction=exact / n_batches if n_batches else 0.0,
+    )
+
+
+def counting_encode(monkeypatch):
+    """Route run_codec_validation's per-packet draws through a call counter."""
+    calls = [0]
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(rlnc, "encode", wrapped)
+    return calls
 
 
 class TestFieldArithmetic:
@@ -77,6 +124,16 @@ class TestFieldArithmetic:
 
 
 class TestEncode:
+    def test_combine_matches_long_multiplication(self):
+        gen = rng(11)
+        coeffs = gen.integers(0, 256, size=(3, 5, 4), dtype=np.uint8)
+        rows = gen.integers(0, 256, size=(3, 1, 4, 6), dtype=np.uint8)
+        expected = np.zeros((3, 5, 6), dtype=np.uint8)
+        for b, i, k, j in np.ndindex(3, 5, 4, 6):
+            expected[b, i, j] ^= gf_mul_reference(int(coeffs[b, i, k]), int(rows[b, 0, k, j]))
+        assert (_combine(coeffs, rows) == expected).all()
+        assert (_combine(coeffs[1, 2], rows[1, 0]) == expected[1, 2]).all()
+
     def test_unit_coefficients_reproduce_a_source_packet(self):
         packets = rng(1).integers(0, 256, size=(4, 16), dtype=np.uint8)
         unit = np.array([1, 0, 0, 0], dtype=np.uint8)
@@ -182,6 +239,43 @@ class TestRankStatistics:
         for i in range(1, 17):
             dependence_free *= 1.0 - 256.0**-i
         assert report.exact_rank_fraction == pytest.approx(dependence_free, abs=0.002)
+
+    @pytest.mark.parametrize("window", [1, 4, 8, 16, 20, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_decoding_matches_per_packet_loop(self, window, seed):
+        # one draw of K rows equals K one-row draws when K % 4 == 0 or K == 1
+        block = run_codec_validation(window, 8, 150, seed)
+        assert astuple(block) == astuple(per_packet_validation(window, 8, 150, seed))
+
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize(
+        "chunk",
+        [("_BATCH_CHUNK", 1), ("_BATCH_CHUNK", 7), ("_CHUNK_BYTES", 1), None],
+        ids=["batch-chunk-1", "batch-chunk-7", "chunk-bytes-1", "default"],
+    )
+    def test_fallback_batches_match_per_packet_loop(self, monkeypatch, window, chunk):
+        # K=4 meets rank-deficient batches, K=1 all-zero coefficient rows;
+        # 2001 batches is a multiple of neither 7 nor the default chunk of 64.
+        expected = per_packet_validation(window, 8, 2001, seed=4)
+        if chunk:
+            monkeypatch.setattr(rlnc, *chunk)
+        fallback_draws = counting_encode(monkeypatch)
+        report = run_codec_validation(window, 8, 2001, seed=4)
+        assert astuple(report) == astuple(expected)
+        assert fallback_draws[0] > 0
+        assert report.roundtrip_ok
+
+    @pytest.mark.parametrize("window", [2, 3, 5])
+    def test_changed_stream_keeps_statistics(self, window):
+        # K % 4 != 0: the coefficient stream differs from per-packet draws
+        n = 10_000
+        report = run_codec_validation(window, 8, n, seed=6)
+        assert report.roundtrip_failures == 0
+        variance = 0.0
+        for r in range(window):
+            dep = (256.0**r - 1.0) / (256.0**window - 1.0)
+            variance += dep / (1.0 - dep) ** 2  # extra draws at rank r are geometric
+        assert abs(report.mean_extra_packets - expected_extra_packets(window)) < 4 * (variance / n) ** 0.5
 
     def test_empty_validation(self):
         report = run_codec_validation(4, 8, 0)
