@@ -1,8 +1,12 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ncbroadcast.dp import solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
+from ncbroadcast.policies import POLICY_NAMES
 from ncbroadcast.sim import (
     RngSpec,
     completion_times,
@@ -11,6 +15,8 @@ from ncbroadcast.sim import (
     stats_from_times,
     sweep_coding_window,
 )
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "sim_golden.csv"
 
 
 class TestSingleReceiver:
@@ -146,3 +152,30 @@ class TestSweep:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             run_trial(validate_config(8, 4, 2, 0.5), "fifo", RngSpec(0), 0)
+
+
+def golden_table() -> str:
+    """Both counts of every trial on the pinned grid, as CSV text.
+
+    tests/data/sim_golden.csv holds this text as the engine produced it
+    when the file was made; regenerate it only with a declared stream change.
+    """
+    lines = ["policy,mode,N,F,K,p,seed,trial,completion_slots,conflict_slots"]
+    modes = ("ideal", "codec")
+    grid = itertools.chain(
+        itertools.product(POLICY_NAMES, modes, (1, 2, 5, 63, 64, 65), (8,), (1, 2, 8), (0.2, 0.6, 1.0), (0, 7), (0, 1)),
+        # long enough to use more than one block of flags and of rs uniforms
+        itertools.product(POLICY_NAMES, modes, (5,), (600,), (1, 5), (0.2,), (0,), (0,)),
+        itertools.product(POLICY_NAMES, ("ideal",), (65,), (600,), (1, 5), (0.2,), (0,), (0,)),
+    )
+    for policy, mode, N, F, K, p, seed, trial in grid:
+        result = run_trial(validate_config(F, K, N, p), policy, RngSpec(seed), trial, mode=mode)
+        lines.append(
+            f"{policy},{mode},{N},{F},{K},{p!r},{seed},{trial},{result.completion_slots},{result.conflict_slots}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_engine_matches_golden_table():
+    # N = 63, 64 and 65 straddle the width of one machine word
+    assert golden_table().encode() == GOLDEN_CSV.read_bytes()
