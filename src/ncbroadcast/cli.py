@@ -30,6 +30,7 @@ from .policies import POLICY_NAMES
 from .rlnc import expected_extra_packets, run_codec_validation
 from .sim import (
     DEFAULT_PACKET_LEN,
+    MAX_RECEIVERS,
     RngSpec,
     SweepCell,
     run_experiment,
@@ -274,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="Monte Carlo completion time for one policy")
     simulate.add_argument("--policy", choices=POLICY_NAMES, default="lr")
-    simulate.add_argument("--receivers", "-N", "--N", type=int, default=2, help="number of receivers")
+    simulate.add_argument(
+        "--receivers", "-N", "--N", type=int, default=2, help=f"number of receivers (at most {MAX_RECEIVERS})"
+    )
     simulate.add_argument("--file-size", type=int, required=True)
     simulate.add_argument("--window", type=int, required=True)
     simulate.add_argument("--p", type=float, required=True)
@@ -287,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="compare policies across coding window sizes")
     sweep.add_argument("--policies", type=_policy_list, default=list(POLICY_NAMES))
-    sweep.add_argument("--receivers", "-N", "--N", type=int, default=2)
+    sweep.add_argument(
+        "--receivers", "-N", "--N", type=int, default=2, help=f"number of receivers (at most {MAX_RECEIVERS})"
+    )
     sweep.add_argument("--file-size", type=int, required=True)
     sweep.add_argument("--windows", type=_int_list, required=True, help="comma list of K values")
     sweep.add_argument("--p", type=float, required=True)

@@ -15,7 +15,6 @@ sweep minimizes (solve_optimal) or evaluates a stack of policy tables
 (evaluate_policy, enumerate_policies_oracle).
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -289,13 +288,12 @@ class OracleResult:
     best_assignment: tuple[int, ...]        # actions over decision_states attaining it
     lr_value: float                         # V(0,0) of serve-least-everywhere
     lr_matches_best: bool
-    ranked: tuple[tuple[float, tuple[int, ...]], ...]  # ascending by V(0,0)
 
 
 def enumerate_policies_oracle(
     config: SystemConfig, policy_cap: int = 2**20, tolerance: float = 1e-9
 ) -> OracleResult:
-    """Evaluate every deterministic stationary policy and rank them by V(0,0).
+    """Evaluate every deterministic stationary policy and keep the best V(0,0).
 
     Independent, brute-force certification path: it never consults
     solve_optimal.  Raises OracleCapacityError when 2**D exceeds the cap,
@@ -317,19 +315,20 @@ def enumerate_policies_oracle(
         most = (n[:, None] >> msb_first) & 1
         stack.reshape(len(n), -1)[:, cells] = np.where(most, Action.SERVE_MOST, Action.SERVE_LEAST)
         origin[n] = _sweep(config, stack)[:, 0, 0]
-    assignments = itertools.product((int(Action.SERVE_LEAST), int(Action.SERVE_MOST)), repeat=D)
-    results = list(zip(origin.tolist(), assignments))
-    lr_value = results[0][0]  # first assignment is all-SERVE_LEAST
-    ranked = tuple(sorted(results))
-    best_value, best_assignment = ranked[0]
+    # Among equal values take the smallest assignment tuple; SERVE_MOST < SERVE_LEAST,
+    # so that is the policy with the largest n.
+    best = n_policies - 1 - int(np.argmin(origin[::-1]))
+    best_value = float(origin[best])
+    lr_value = float(origin[0])  # policy 0 is all-SERVE_LEAST
     return OracleResult(
         decision_states=tuple(ds),
         n_policies=n_policies,
         best_value=best_value,
-        best_assignment=best_assignment,
+        best_assignment=tuple(
+            int(Action.SERVE_MOST if best >> bit & 1 else Action.SERVE_LEAST) for bit in msb_first.tolist()
+        ),
         lr_value=lr_value,
         lr_matches_best=abs(lr_value - best_value) <= tolerance,
-        ranked=ranked,
     )
 
 

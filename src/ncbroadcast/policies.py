@@ -1,97 +1,68 @@
-"""Batch-selection rules used by the broadcast simulator.
+"""Batch-selection rules of the broadcast simulator, as integer kernels.
 
 A rule only matters at a conflict slot, i.e. when at least two connected,
-unfinished receivers expect different batches; every rule transmits the
-single common batch otherwise.  Selection is over batches: serving a
-batch serves every connected receiver that expects it.
+unfinished receivers expect different batches; the simulator sends the
+single common batch otherwise.  A kernel sees a conflict slot as its
+hits: (batch, bits) pairs in ascending batch order, bit i of bits set
+when receiver i is connected and expects that batch.  Serving a batch
+serves every connected receiver that expects it.
 """
-
-from collections import Counter
-from dataclasses import dataclass
-
-import numpy as np
 
 POLICY_NAMES = ("lr", "rrnc", "rs")
 
 
-@dataclass
-class SchedulerInput:
-    """Receivers that can use this slot: connected and not yet finished."""
-
-    eligible: list[tuple[int, int]]  # (receiver id, batch id)
+def lr_pick(hits: list[tuple[int, int]]) -> int:
+    """Least-received rule: the smallest batch id among connected receivers."""
+    return hits[0][0]
 
 
-@dataclass
-class SchedulerState:
-    """Per-trial mutable policy state; never share across trials.
+def rrnc_pick(hits: list[tuple[int, int]], rr_last: int) -> tuple[int, int]:
+    """Round-robin over receiver ids; returns (batch, new rr_last).
 
-    rr_last is the receiver picked at the previous conflict slot (rrnc);
-    rng drives the batch draw at conflict slots (rs).
+    The pick is the smallest connected receiver id strictly greater than
+    rr_last, the previous pick (-1 before the first conflict slot),
+    wrapping to the smallest connected id when none is greater.
     """
-
-    kind: str
-    rr_last: int | None = None
-    rng: np.random.Generator | None = None
-
-
-def is_conflict_slot(inp: SchedulerInput) -> bool:
-    return len({batch for _, batch in inp.eligible}) >= 2
-
-
-def lr_select(inp: SchedulerInput) -> int | None:
-    """Least-received rule: the smallest batch id among eligible receivers."""
-    if not inp.eligible:
-        return None
-    return min(batch for _, batch in inp.eligible)
+    connected = 0
+    for _, bits in hits:
+        connected |= bits
+    later = connected >> (rr_last + 1) << (rr_last + 1)
+    lowest = (later or connected) & -(later or connected)
+    for batch, bits in hits:
+        if bits & lowest:
+            return batch, lowest.bit_length() - 1
 
 
-def rrnc_select(inp: SchedulerInput, state: SchedulerState) -> tuple[int | None, SchedulerState]:
-    """Round-robin over receiver ids, advancing only at conflict slots.
+def rs_pick(hits: list[tuple[int, int]], u: float) -> int:
+    """Random rule: batch i with probability (#connected at i) / (#connected).
 
-    At a conflict slot the pick is the smallest eligible receiver id
-    strictly greater than the previous pick, wrapping to the smallest
-    eligible id when none is greater (or at the first conflict slot).
+    Inverse CDF of the uniform u over batch ids in increasing order.
     """
-    if not inp.eligible:
-        return None, state
-    batch_of = dict(inp.eligible)
-    if len(set(batch_of.values())) == 1:
-        return next(iter(batch_of.values())), state
-    ids = sorted(batch_of)
-    later = [r for r in ids if state.rr_last is not None and r > state.rr_last]
-    pick = later[0] if later else ids[0]
-    state.rr_last = pick
-    return batch_of[pick], state
-
-
-def rs_select(inp: SchedulerInput, state: SchedulerState) -> tuple[int | None, SchedulerState]:
-    """Random rule: batch i drawn with probability (#eligible at i) / (#eligible).
-
-    One uniform variate per conflict slot, inverse-CDF over batch ids in
-    increasing order; non-conflict slots consume no randomness.
-    """
-    if not inp.eligible:
-        return None, state
-    counts = Counter(batch for _, batch in inp.eligible)
-    if len(counts) == 1:
-        return next(iter(counts)), state
-    u = state.rng.random()
-    total = len(inp.eligible)
+    total = 0
+    for _, bits in hits:
+        total += bits.bit_count()
     acc = 0.0
-    batches = sorted(counts)
-    for batch in batches:
-        acc += counts[batch] / total
+    for batch, bits in hits:
+        acc += bits.bit_count() / total
         if u < acc:
-            return batch, state
-    return batches[-1], state  # u landed in the rounding tail
+            return batch
+    return hits[-1][0]  # u landed in the rounding tail
 
 
-def select(inp: SchedulerInput, state: SchedulerState) -> tuple[int | None, SchedulerState]:
-    """Dispatch on state.kind; returns (batch or None, state)."""
-    if state.kind == "lr":
-        return lr_select(inp), state
-    if state.kind == "rrnc":
-        return rrnc_select(inp, state)
-    if state.kind == "rs":
-        return rs_select(inp, state)
-    raise ValueError(f"unknown policy {state.kind!r}; expected one of {POLICY_NAMES}")
+def conflict_rule(policy: str, uniforms):
+    """One trial's rule, mapping the hits of a conflict slot to a batch; rrnc
+    keeps rr_last between calls and rs takes one value of uniforms per call."""
+    if policy == "lr":
+        return lr_pick
+    if policy == "rs":
+        return lambda hits: rs_pick(hits, next(uniforms))
+    if policy == "rrnc":
+        rr_last = -1
+
+        def pick(hits):
+            nonlocal rr_last
+            batch, rr_last = rrnc_pick(hits, rr_last)
+            return batch
+
+        return pick
+    raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")

@@ -1,18 +1,20 @@
 """Monte Carlo engine for N-receiver broadcast over per-slot ON/OFF channels.
 
-Each slot: draw one Bernoulli(p) flag per receiver, hand the connected
-unfinished receivers to the scheduling policy, and deliver the encoded
-packet of the chosen batch to every connected receiver expecting it.
-Idealized mode counts every delivery as one packet of progress; codec
-mode pushes a freshly encoded GF(256) packet through a real decoder and
-counts progress only when the rank grows.
+Sets of receivers are Python ints, bit i standing for receiver i.  Each
+slot draws the ON set (one Bernoulli(p) flag per receiver) and ANDs it
+with the unfinished receivers grouped by the batch they expect.  One
+batch hit is sent outright; two or more make a conflict slot, settled by
+the policy's kernel (see policies).  The packet reaches every ON receiver
+expecting its batch.  Idealized mode counts every delivery as one packet
+of progress; codec mode pushes a freshly encoded GF(256) packet through a
+real decoder and counts progress only when the rank grows.
 
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
-0 = connectivity, 1 = policy, 2 = coding.  Results therefore depend only
-on (master_seed, trial_index), never on execution order, and the
-connectivity sequence is identical across policies, modes and window
-sizes.
+0 = connectivity, 1 = policy (one uniform per rs conflict slot),
+2 = coding.  Results therefore depend only on (master_seed, trial_index),
+never on execution order, and the connectivity sequence is identical
+across policies, modes and window sizes.
 """
 
 import math
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, validate_config
-from .policies import POLICY_NAMES, SchedulerInput, SchedulerState, is_conflict_slot, select
+from .model import ConfigError, SystemConfig, validate_config
+from .policies import conflict_rule
 from .rlnc import DecoderState, encode
 
 ROLE_CONNECTIVITY = 0
@@ -29,6 +31,7 @@ ROLE_POLICY = 1
 ROLE_CODING = 2
 
 MAX_SLOTS = 10**9
+MAX_RECEIVERS = 1024  # a block of flags takes 8 KiB per receiver
 DEFAULT_PACKET_LEN = 16
 _FLAG_BLOCK = 1024
 
@@ -67,6 +70,26 @@ class SweepCell:
     stats: ExperimentStats
 
 
+def _on_masks(rng: np.random.Generator, N: int, p: float):
+    """Endless ON sets, one int per slot, drawn _FLAG_BLOCK slots at a time."""
+    n_words = -(-N // 64)
+    while True:
+        packed = np.zeros((_FLAG_BLOCK, 8 * n_words), dtype=np.uint8)
+        packed[:, : -(-N // 8)] = np.packbits(rng.random((_FLAG_BLOCK, N)) < p, axis=1, bitorder="little")
+        words = packed.view("<u8")
+        masks = words[:, -1].tolist()
+        for w in range(n_words - 2, -1, -1):
+            masks = [mask << 64 | word for mask, word in zip(masks, words[:, w].tolist())]
+        yield from masks
+
+
+def _uniforms(rng_spec: RngSpec, trial_index: int):
+    """The policy substream as endless uniforms, drawn _FLAG_BLOCK at a time on first use."""
+    rng = rng_spec.substream(trial_index, ROLE_POLICY)
+    while True:
+        yield from rng.random(_FLAG_BLOCK).tolist()
+
+
 def run_trial(
     config: SystemConfig,
     policy: str,
@@ -76,13 +99,12 @@ def run_trial(
     packet_len: int = DEFAULT_PACKET_LEN,
 ) -> TrialResult:
     """Simulate one file transfer; returns slots to completion and conflict-slot count."""
-    if policy not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
     if mode not in ("ideal", "codec"):
         raise ValueError(f"mode must be 'ideal' or 'codec', got {mode!r}")
     F, K, N, p = config.F, config.K, config.N, config.p
-    connectivity = rng_spec.substream(trial_index, ROLE_CONNECTIVITY)
-    state = SchedulerState(kind=policy, rng=rng_spec.substream(trial_index, ROLE_POLICY))
+    if N > MAX_RECEIVERS:
+        raise ConfigError(f"at most {MAX_RECEIVERS} receivers are supported, got {N}")
+    pick = conflict_rule(policy, _uniforms(rng_spec, trial_index))
     codec = mode == "codec"
     if codec:
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
@@ -90,45 +112,48 @@ def run_trial(
         decoders: list[DecoderState | None] = [None] * N
 
     received = [0] * N
-    unfinished = N
-    slot = 0
-    conflicts = 0
-    flags = None
-    cursor = _FLAG_BLOCK
-    while unfinished:
-        if cursor == _FLAG_BLOCK:
-            flags = connectivity.random((_FLAG_BLOCK, N)) < p
-            cursor = 0
-        row = flags[cursor]
-        cursor += 1
-        eligible = [(i, received[i] // K) for i in range(N) if row[i] and received[i] < F]
-        inp = SchedulerInput(eligible)
-        if is_conflict_slot(inp):
-            conflicts += 1
-        chosen, state = select(inp, state)
-        if chosen is not None:
+    members = {0: (1 << N) - 1}  # batch -> unfinished receivers expecting it
+    occupied = [0]  # the keys of members, ascending
+    slot = conflicts = 0
+    for on in _on_masks(rng_spec.substream(trial_index, ROLE_CONNECTIVITY), N, p):
+        hits = [(batch, bits) for batch in occupied if (bits := members[batch] & on)]
+        if hits:
+            batch, served = hits[0]
+            if len(hits) > 1:
+                conflicts += 1
+                batch = pick(hits)
+                served = members[batch] & on
             if codec:
-                packet = encode(source[chosen * K : (chosen + 1) * K], coding_rng, batch=chosen)
-            for rid, batch in eligible:
-                if batch != chosen:
-                    continue
-                if not codec:
-                    received[rid] += 1
-                else:
+                packet = encode(source[batch * K : (batch + 1) * K], coding_rng, batch=batch)
+            done = 0  # served receivers that completed the batch
+            while served:  # ascending receiver id
+                low = served & -served
+                served ^= low
+                rid = low.bit_length() - 1
+                if codec:
                     decoder = decoders[rid]
                     if decoder is None:
-                        decoder = decoders[rid] = DecoderState(chosen, K, packet_len)
-                    if decoder.ingest(packet):
-                        received[rid] += 1
-                        if decoder.rank == K:
-                            _verify_batch(decoder, source, chosen, K)
-                            decoders[rid] = None
-                if received[rid] == F:
-                    unfinished -= 1
+                        decoder = decoders[rid] = DecoderState(batch, K, packet_len)
+                    if not decoder.ingest(packet):
+                        continue
+                    if decoder.rank == K:
+                        _verify_batch(decoder, source, batch, K)
+                        decoders[rid] = None
+                received[rid] += 1
+                if received[rid] % K == 0:
+                    done |= low
+            if done:
+                members[batch] ^= done
+                if not members[batch]:
+                    del members[batch]
+                if batch + 1 < F // K:
+                    members[batch + 1] = members.get(batch + 1, 0) | done
+                occupied = sorted(members)
         slot += 1
         if slot >= MAX_SLOTS:
             raise RuntimeError(f"no completion after {MAX_SLOTS} slots; config {config}")
-    return TrialResult(completion_slots=slot, conflict_slots=conflicts)
+        if not occupied:
+            return TrialResult(completion_slots=slot, conflict_slots=conflicts)
 
 
 def _verify_batch(decoder: DecoderState, source: np.ndarray, batch: int, K: int) -> None:

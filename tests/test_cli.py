@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ncbroadcast
+from ncbroadcast.sim import MAX_RECEIVERS
 
 
 def run_cli(args, cwd):
@@ -220,6 +221,10 @@ BAD_INPUTS = {
     "codec-validate-window-0": ["codec-validate", "--window", "0", "--batches", "3"],
     "codec-validate-packet-len-0": ["codec-validate", "--packet-len", "0", "--batches", "3"],
     "codec-validate-negative-batches": ["codec-validate", "--window", "4", "--packet-len", "8", "--batches", "-5"],
+    "simulate-receivers-over-cap": ["simulate", "--receivers", str(MAX_RECEIVERS + 1), "--file-size", "4",
+                                    "--window", "2", "--p", "0.5", "--trials", "4"],
+    "sweep-receivers-over-cap": ["sweep", "--receivers", str(MAX_RECEIVERS + 1), "--file-size", "4",
+                                 "--windows", "2", "--p", "0.5", "--trials", "4"],
     "sweep-no-valid-window": ["sweep", "--file-size", "6", "--windows", "4,5", "--p", "0.5", "--trials", "4"],
     "solve-oversized": ["solve", "--file-size", "100000", "--window", "1", "--p", "0.5"],
     "check-lr-oversized": ["check-lr", "--file-sizes", "100000", "--windows", "1", "--ps", "0.5"],

@@ -247,7 +247,7 @@ class TestEnumerationOracle:
         assert len(result.decision_states) == 8
         assert result.lr_matches_best
         assert result.best_value == pytest.approx(result.lr_value, abs=1e-9)
-        assert result.ranked[0][0] <= result.ranked[-1][0]
+        assert result.best_value <= result.lr_value
 
     def test_two_packet_instance(self):
         result = enumerate_policies_oracle(validate_config(2, 1, 2, 0.5))

@@ -1,42 +1,75 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ncbroadcast.policies import (
-    SchedulerInput,
-    SchedulerState,
-    is_conflict_slot,
-    lr_select,
-    rrnc_select,
-    rs_select,
-    select,
-)
+from ncbroadcast import sim
+from ncbroadcast.model import validate_config
+from ncbroadcast.policies import conflict_rule, lr_pick, rrnc_pick, rs_pick
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def hits_of(eligible):
+    """Kernel input for (receiver id, batch id) pairs: (batch, bits), ascending batch."""
+    bits = {}
+    for rid, batch in eligible:
+        bits[batch] = bits.get(batch, 0) | 1 << rid
+    return sorted(bits.items())
+
+
+def scripted_trial(monkeypatch, policy, N, F, K, on_sets):
+    """run_trial with the given ON sets for the first slots, all receivers ON after."""
+    script = itertools.chain(on_sets, itertools.repeat((1 << N) - 1))
+    monkeypatch.setattr(sim, "_on_masks", lambda rng, n, p: script)
+    return sim.run_trial(validate_config(F, K, N, 0.5), policy, sim.RngSpec(0), 0)
+
+
+def counted_uniforms(monkeypatch):
+    """Count the policy-stream uniforms that run_trial draws."""
+    drawn = [0]
+    original = sim._uniforms
+
+    def counting(rng_spec, trial_index):
+        for u in original(rng_spec, trial_index):
+            drawn[0] += 1
+            yield u
+
+    monkeypatch.setattr(sim, "_uniforms", counting)
+    return drawn
+
+
 class TestConflictDetection:
-    def test_same_batch_everywhere(self):
-        assert not is_conflict_slot(SchedulerInput([(0, 0), (1, 0), (2, 0)]))
+    def test_same_batch_everywhere(self, monkeypatch):
+        result = scripted_trial(monkeypatch, "lr", 3, 4, 2, [0b111] * 4)
+        assert (result.completion_slots, result.conflict_slots) == (4, 0)
 
-    def test_two_batches(self):
-        assert is_conflict_slot(SchedulerInput([(0, 0), (1, 1)]))
+    def test_two_batches(self, monkeypatch):
+        # receiver 0 gets ahead in slot 1, then both are ON in slot 2
+        result = scripted_trial(monkeypatch, "lr", 2, 2, 1, [0b01, 0b11, 0b10])
+        assert (result.completion_slots, result.conflict_slots) == (4, 1)
 
-    def test_empty(self):
-        assert not is_conflict_slot(SchedulerInput([]))
+    def test_empty(self, monkeypatch):
+        result = scripted_trial(monkeypatch, "lr", 2, 2, 1, [0, 0])
+        assert (result.completion_slots, result.conflict_slots) == (4, 0)
 
 
 class TestLeastReceived:
     def test_minimum_batch(self):
-        assert lr_select(SchedulerInput([(0, 2), (1, 0), (2, 1)])) == 0
+        assert lr_pick(hits_of([(0, 2), (1, 0), (2, 1)])) == 0
 
     def test_single_receiver(self):
-        assert lr_select(SchedulerInput([(5, 3)])) == 3
+        assert lr_pick(hits_of([(5, 3)])) == 3
 
-    def test_empty(self):
-        assert lr_select(SchedulerInput([])) is None
+    def test_empty(self, monkeypatch):
+        # an all-OFF slot sends nothing and consults no rule
+        calls = []
+        monkeypatch.setattr(sim, "conflict_rule", lambda policy, uniforms: calls.append)
+        result = scripted_trial(monkeypatch, "lr", 3, 3, 1, [0, 0, 0])
+        assert (result.completion_slots, calls) == (6, [])
 
     @given(
         batches=st.lists(st.integers(0, 9), min_size=1, max_size=8),
@@ -44,79 +77,118 @@ class TestLeastReceived:
     )
     def test_permutation_invariant(self, batches, seed):
         eligible = list(enumerate(batches))
-        shuffled = list(eligible)
-        np.random.Generator(np.random.PCG64(seed)).shuffle(shuffled)
-        assert lr_select(SchedulerInput(eligible)) == lr_select(SchedulerInput(shuffled))
-        assert lr_select(SchedulerInput(eligible)) == min(batches)
+        ids = list(range(len(batches)))
+        np.random.Generator(np.random.PCG64(seed)).shuffle(ids)
+        relabelled = [(ids[rid], batch) for rid, batch in eligible]
+        assert lr_pick(hits_of(eligible)) == lr_pick(hits_of(relabelled)) == min(batches)
 
 
 class TestRoundRobin:
     def test_picks_next_greater_receiver(self):
-        state = SchedulerState(kind="rrnc", rr_last=1)
-        batch, state = rrnc_select(SchedulerInput([(0, 1), (2, 0), (3, 2)]), state)
-        assert batch == 0  # receiver 2's batch
-        assert state.rr_last == 2
+        assert rrnc_pick(hits_of([(0, 1), (2, 0), (3, 2)]), 1) == (0, 2)  # receiver 2's batch
 
     def test_wraps_when_none_greater(self):
-        state = SchedulerState(kind="rrnc", rr_last=3)
-        batch, state = rrnc_select(SchedulerInput([(0, 0), (1, 1)]), state)
-        assert batch == 0  # receiver 0's batch
-        assert state.rr_last == 0
+        assert rrnc_pick(hits_of([(0, 0), (1, 1)]), 3) == (0, 0)  # receiver 0's batch
 
     def test_first_conflict_takes_smallest_id(self):
-        state = SchedulerState(kind="rrnc")
-        batch, state = rrnc_select(SchedulerInput([(2, 1), (4, 0)]), state)
-        assert batch == 1 and state.rr_last == 2
+        assert rrnc_pick(hits_of([(2, 1), (4, 0)]), -1) == (1, 2)
 
-    def test_pointer_untouched_off_conflict(self):
-        state = SchedulerState(kind="rrnc", rr_last=5)
-        batch, state = rrnc_select(SchedulerInput([(0, 2), (1, 2)]), state)
-        assert batch == 2
-        assert state.rr_last == 5
+    def test_pointer_untouched_off_conflict(self, monkeypatch):
+        # the rule, which owns rr_last, runs at conflict slots only
+        calls = [0]
 
-    def test_empty(self):
-        state = SchedulerState(kind="rrnc", rr_last=1)
-        assert rrnc_select(SchedulerInput([]), state) == (None, state)
+        def counting_rule(policy, uniforms):
+            pick = conflict_rule(policy, uniforms)
+
+            def counted(hits):
+                calls[0] += 1
+                return pick(hits)
+
+            return counted
+
+        monkeypatch.setattr(sim, "conflict_rule", counting_rule)
+        cfg = validate_config(12, 2, 3, 0.5)
+        for trial in range(10):
+            calls[0] = 0
+            result = sim.run_trial(cfg, "rrnc", sim.RngSpec(4), trial)
+            assert calls[0] == result.conflict_slots > 0
+
+    def test_empty(self, monkeypatch):
+        # The first conflict picks receiver 1, so the second picks receiver 2,
+        # not 0, and all finish in slot 5; all-OFF slots move no pointer.
+        on_sets = [0b010, 0b110, 0b001, 0b101]
+        result = scripted_trial(monkeypatch, "rrnc", 3, 2, 1, on_sets)
+        assert (result.completion_slots, result.conflict_slots) == (5, 2)
+        with_gaps = [mask for on in on_sets for mask in (on, 0)]
+        result = scripted_trial(monkeypatch, "rrnc", 3, 2, 1, with_gaps)
+        assert (result.completion_slots, result.conflict_slots) == (9, 2)
 
 
 class TestRandomSelection:
     def test_frequencies_match_eligible_shares(self):
-        state = SchedulerState(kind="rs", rng=rng(123))
-        inp = SchedulerInput([(0, 0), (1, 0), (2, 1)])
+        hits = hits_of([(0, 0), (1, 0), (2, 1)])
+        stream = rng(123)
         draws = 100_000
-        hits = sum(rs_select(inp, state)[0] == 0 for _ in range(draws))
-        assert hits / draws == pytest.approx(2 / 3, abs=0.01)
+        picks = sum(rs_pick(hits, stream.random()) == 0 for _ in range(draws))
+        assert picks / draws == pytest.approx(2 / 3, abs=0.01)
 
-    def test_unanimous_batch_needs_no_randomness(self):
-        state = SchedulerState(kind="rs", rng=rng(7))
-        batch, state = rs_select(SchedulerInput([(0, 2), (1, 2), (2, 2)]), state)
-        assert batch == 2
-        assert state.rng.random() == rng(7).random()  # stream untouched
+    def test_unanimous_batch_needs_no_randomness(self, monkeypatch):
+        drawn = counted_uniforms(monkeypatch)
+        cfg = validate_config(24, 24, 4, 0.5)  # K = F: every slot is unanimous
+        assert sim.run_trial(cfg, "rs", sim.RngSpec(7), 0).conflict_slots == 0
+        assert drawn[0] == 0
 
-    def test_empty_leaves_stream_untouched(self):
-        state = SchedulerState(kind="rs", rng=rng(7))
-        batch, state = rs_select(SchedulerInput([]), state)
-        assert batch is None
-        assert state.rng.random() == rng(7).random()
+    def test_empty_leaves_stream_untouched(self, monkeypatch):
+        drawn = counted_uniforms(monkeypatch)
+        result = scripted_trial(monkeypatch, "rs", 3, 3, 1, [0, 0, 0])
+        assert (result.completion_slots, drawn[0]) == (6, 0)
 
     def test_reproducible_for_fixed_seed(self):
-        inp = SchedulerInput([(0, 0), (1, 1), (2, 2)])
-        first = [rs_select(inp, SchedulerState(kind="rs", rng=rng(n)))[0] for n in range(20)]
-        second = [rs_select(inp, SchedulerState(kind="rs", rng=rng(n)))[0] for n in range(20)]
+        hits = hits_of([(0, 0), (1, 1), (2, 2)])
+        first = [rs_pick(hits, rng(n).random()) for n in range(20)]
+        second = [rs_pick(hits, rng(n).random()) for n in range(20)]
         assert first == second
+
+    @pytest.mark.parametrize("N, K", [(5, 1), (65, 5)])
+    def test_one_uniform_per_conflict_slot(self, monkeypatch, N, K):
+        drawn = counted_uniforms(monkeypatch)
+        for trial in range(2):
+            drawn[0] = 0
+            result = sim.run_trial(validate_config(600, K, N, 0.2), "rs", sim.RngSpec(0), trial)
+            assert drawn[0] == result.conflict_slots > 0
+
+    def test_block_draw_equals_scalar_draws(self):
+        # the rs buffer rests on this: random(n) is n calls of random(), block after block
+        seq = np.random.SeedSequence((3, 5, sim.ROLE_POLICY))
+        blocked = np.random.Generator(np.random.PCG64(seq))
+        scalar = np.random.Generator(np.random.PCG64(seq))
+        block = [u for _ in range(3) for u in blocked.random(sim._FLAG_BLOCK).tolist()]
+        assert block == [scalar.random() for _ in range(3 * sim._FLAG_BLOCK)]
+
+
+class TestOnMasks:
+    @pytest.mark.parametrize("N", [1, 5, 63, 64, 65, 130, sim.MAX_RECEIVERS])
+    def test_bit_i_is_receiver_i(self, N):
+        masks = sim._on_masks(rng(N), N, 0.4)
+        reference = rng(N)
+        for _ in range(2):
+            flags = reference.random((sim._FLAG_BLOCK, N)) < 0.4
+            expected = [sum(1 << int(i) for i in np.flatnonzero(row)) for row in flags]
+            assert [next(masks) for _ in range(sim._FLAG_BLOCK)] == expected
 
 
 @given(
     batch=st.integers(0, 9),
     ids=st.lists(st.integers(0, 20), min_size=1, max_size=8, unique=True),
+    u=st.floats(0.0, 1.0, exclude_max=True),
 )
-def test_all_policies_agree_off_conflict_slots(batch, ids):
-    inp = SchedulerInput([(rid, batch) for rid in ids])
-    assert lr_select(inp) == batch
-    assert rrnc_select(inp, SchedulerState(kind="rrnc"))[0] == batch
-    assert rs_select(inp, SchedulerState(kind="rs", rng=rng(0)))[0] == batch
+def test_all_policies_agree_off_conflict_slots(batch, ids, u):
+    hits = hits_of([(rid, batch) for rid in ids])
+    assert lr_pick(hits) == batch
+    assert rrnc_pick(hits, -1)[0] == batch
+    assert rs_pick(hits, u) == batch
 
 
 def test_dispatch_rejects_unknown_policy():
     with pytest.raises(ValueError):
-        select(SchedulerInput([(0, 0)]), SchedulerState(kind="greedy"))
+        conflict_rule("greedy", iter(()))

@@ -8,6 +8,7 @@ from ncbroadcast.dp import solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
 from ncbroadcast.policies import POLICY_NAMES
 from ncbroadcast.sim import (
+    MAX_RECEIVERS,
     RngSpec,
     completion_times,
     run_experiment,
@@ -136,6 +137,16 @@ class TestStats:
         cfg = validate_config(12, 4, 3, 0.5)
         for policy in ("lr", "rrnc", "rs"):
             assert (completion_times(cfg, policy, 30, RngSpec(8)) >= 12).all()
+
+
+class TestReceiverCap:
+    def test_cap_is_accepted(self):
+        cfg = validate_config(2, 1, MAX_RECEIVERS, 1.0)
+        assert run_trial(cfg, "rrnc", RngSpec(0), 0, mode="codec").completion_slots == 2
+
+    def test_above_cap_refused(self):
+        with pytest.raises(ConfigError, match="receivers"):
+            run_trial(validate_config(2, 1, MAX_RECEIVERS + 1, 1.0), "lr", RngSpec(0), 0)
 
 
 class TestSweep:
