@@ -18,6 +18,7 @@ from ncbroadcast.sim import (
 )
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "sim_golden.csv"
+CODEC_GOLDEN_CSV = Path(__file__).parent / "data" / "sim_codec_golden.csv"
 
 
 class TestSingleReceiver:
@@ -190,3 +191,32 @@ def golden_table() -> str:
 def test_engine_matches_golden_table():
     # N = 63, 64 and 65 straddle the width of one machine word
     assert golden_table().encode() == GOLDEN_CSV.read_bytes()
+
+
+# Codec-mode trials long enough for dependent packets to show up.  K = 3
+# (at F = 99, since K must divide F) is a window with K % 4 != 0.
+CODEC_GRID = tuple(
+    itertools.chain(
+        itertools.product(POLICY_NAMES, (5,), (100,), (4, 20, 100), (0.6, 1.0), (0, 1), (0, 1)),
+        itertools.product(POLICY_NAMES, (5,), (99,), (3,), (0.6, 1.0), (0, 1), (0, 1)),
+        itertools.product(POLICY_NAMES, (65,), (12,), (3, 12), (0.6,), (0, 1), (0, 1)),
+    )
+)
+
+
+def test_codec_engine_matches_golden_table():
+    """tests/data/sim_codec_golden.csv pins codec-mode counts on CODEC_GRID.
+
+    At least one pinned trial must be slower than its ideal-mode twin, so
+    the grid really exercises packets that do not raise a receiver's rank.
+    """
+    lines = ["policy,N,F,K,p,seed,trial,completion_slots,conflict_slots"]
+    slower = 0
+    for policy, N, F, K, p, seed, trial in CODEC_GRID:
+        cfg = validate_config(F, K, N, p)
+        result = run_trial(cfg, policy, RngSpec(seed), trial, mode="codec")
+        ideal = run_trial(cfg, policy, RngSpec(seed), trial, mode="ideal")
+        slower += result.completion_slots > ideal.completion_slots
+        lines.append(f"{policy},{N},{F},{K},{p!r},{seed},{trial},{result.completion_slots},{result.conflict_slots}")
+    assert ("\n".join(lines) + "\n").encode() == CODEC_GOLDEN_CSV.read_bytes()
+    assert slower > 0
