@@ -30,6 +30,7 @@ from .policies import POLICY_NAMES
 from .rlnc import expected_extra_packets, run_codec_validation
 from .sim import (
     DEFAULT_PACKET_LEN,
+    MAX_CODEC_BYTES,
     MAX_RECEIVERS,
     RngSpec,
     SweepCell,
@@ -40,6 +41,10 @@ from .sim import (
 
 
 _ORACLE_MAX_CAP = 2**20  # default --cap of oracle, and the largest it accepts
+_PACKET_LEN_HELP = (
+    f"payload bytes (codec mode); a codec trial's source, rank state and block solve "
+    f"must fit in about {MAX_CODEC_BYTES} bytes"
+)
 
 
 def _int_list(text: str) -> list[int]:
@@ -284,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trials", type=int, default=10_000)
     simulate.add_argument("--seed", type=int, default=0, help="master seed of the trial streams")
     simulate.add_argument("--mode", choices=("ideal", "codec"), default="ideal")
-    simulate.add_argument("--packet-len", type=int, default=DEFAULT_PACKET_LEN, help="payload bytes (codec mode)")
+    simulate.add_argument("--packet-len", type=int, default=DEFAULT_PACKET_LEN, help=_PACKET_LEN_HELP)
     simulate.add_argument("--out", type=Path, help="write the stats CSV here")
     simulate.set_defaults(func=cmd_simulate)
 
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=1_000)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--mode", choices=("ideal", "codec"), default="ideal")
-    sweep.add_argument("--packet-len", type=int, default=DEFAULT_PACKET_LEN)
+    sweep.add_argument("--packet-len", type=int, default=DEFAULT_PACKET_LEN, help=_PACKET_LEN_HELP)
     sweep.add_argument("--out", type=Path, help="write the stats CSV here")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -13,6 +13,11 @@ packets as soon as its rank reaches K.  Codec validation instead encodes
 a chunk of batches at once and row-reduces their K x (K+L) blocks
 together, falling back to the packet-by-packet decoder for the rare batch
 whose first K packets are not independent.
+
+Whether a packet is innovative depends on its coefficients alone, so a
+RankTracker follows the rank on the K-byte coefficient rows in pure
+Python; the payloads of the rows it kept can be checked later, many
+batches at a time, by verify_blocks.
 """
 
 from dataclasses import dataclass
@@ -55,16 +60,23 @@ def gf_inv(a: int) -> int:
 
 
 # Full product table for vectorized row operations: _MUL[c, v] multiplies
-# every byte of v by the scalar c.
-_MUL = np.array([[gf_mul(a, b) for b in range(256)] for a in range(256)], dtype=np.uint8)
+# every byte of v by the scalar c.  Built from the log/antilog tables in one
+# gather; row and column 0 are zero.
+_LOG_ARRAY = np.array(_LOG)
+_MUL = np.array(_EXP, dtype=np.uint8)[_LOG_ARRAY[:, None] + _LOG_ARRAY[None, :]]
+_MUL[0, :] = _MUL[:, 0] = 0
 _MUL_FLAT = _MUL.ravel()  # _MUL_FLAT[(c << 8) | v] == _MUL[c, v]
 # _INV[a] is the inverse of a; the entry for 0 is 0, for blocks that have no pivot.
 _INV = np.array([0] + [gf_inv(a) for a in range(1, 256)], dtype=np.uint8)
+# _MUL_BYTES[c] is row c of _MUL as a bytes.translate table: row.translate(_MUL_BYTES[c]) is c * row.
+_MUL_BYTES = [bytes(row) for row in _MUL.tolist()]
+_INV_LIST = _INV.tolist()
+_from_bytes = int.from_bytes  # bound once: RankTracker.add calls it about K/2 times per row
 
-# run_codec_validation encodes and row-reduces up to _BATCH_CHUNK batches
-# together, fewer when their K x (K+L) blocks would pass _CHUNK_BYTES: each
-# elimination step builds temporaries of about 11 bytes per block byte.  The
-# report does not depend on either constant.
+# run_codec_validation and the simulator's verification encode and row-reduce
+# up to _BATCH_CHUNK batches together, fewer when their K x (K+L) blocks would
+# pass _CHUNK_BYTES (see batch_chunk): each elimination step builds temporaries
+# of about 11 bytes per block byte.  No result depends on either constant.
 _BATCH_CHUNK = 64
 _CHUNK_BYTES = 1 << 17
 
@@ -109,19 +121,30 @@ def _combine(coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(_mul(coefficients[..., :, None], rows), axis=-2)
 
 
-def encode(packets, rng: np.random.Generator, batch: int = 0) -> CodedPacket:
-    """Combine a batch of source packets under fresh uniform coefficients.
+def encode_blocks(coefficients: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """(B, K, K) coefficient rows over (B, K, L) sources as (B, K, K+L) coded blocks."""
+    payloads = np.empty_like(sources)
+    for i in range(coefficients.shape[1]):
+        payloads[:, i] = _combine(coefficients[:, i], sources)
+    return np.concatenate((coefficients, payloads), axis=2)
 
-    The all-zero coefficient vector (probability 256**-K) is redrawn so
-    every emitted packet is a genuine combination.
+
+def draw_coefficients(rng: np.random.Generator, window: int) -> np.ndarray:
+    """One packet's K uniform coefficients, redrawn while all zero (probability 256**-K).
+
+    Every emitted packet is therefore a genuine combination.  This is the
+    coding stream's only per-packet draw, for the encoder and the simulator.
     """
-    if isinstance(packets, np.ndarray) and packets.ndim == 2 and packets.dtype == np.uint8:
-        mat = packets  # hot path for the simulator
-    else:
-        mat = _packet_matrix(packets)
-    coeffs = rng.integers(0, 256, size=mat.shape[0], dtype=np.uint8)
+    coeffs = rng.integers(0, 256, size=window, dtype=np.uint8)
     while not coeffs.any():
-        coeffs = rng.integers(0, 256, size=mat.shape[0], dtype=np.uint8)
+        coeffs = rng.integers(0, 256, size=window, dtype=np.uint8)
+    return coeffs
+
+
+def encode(packets, rng: np.random.Generator, batch: int = 0) -> CodedPacket:
+    """Combine a batch of source packets under fresh uniform coefficients."""
+    mat = _packet_matrix(packets)
+    coeffs = draw_coefficients(rng, mat.shape[0])
     return CodedPacket(batch, coeffs, _combine(coeffs, mat))
 
 
@@ -182,6 +205,70 @@ class DecoderState:
         # Full rank in reduced row-echelon form means the coefficient block
         # is the identity, so payload rows already sit in source order.
         return [self._rows[i, self.window:].tobytes() for i in range(self.window)]
+
+
+class RankTracker:
+    """Rank of one batch at one receiver, followed on coefficient rows only.
+
+    A K-byte row is handled as a big-endian int, so its leading nonzero
+    byte sits at byte offset (bit_length - 1) >> 3 from the right end.
+    `rows` holds the stored rows in row-echelon form, keyed by that offset:
+    each has a 1 in its leading byte.  An incoming row is reduced while
+    its leading offset is a key, by XORing out the stored row scaled by
+    the leading byte, which moves the leading byte right.  A row that runs
+    out of keys is innovative and is stored; one that reaches zero is
+    dependent.  `raw` keeps the received rows that raised the rank, the
+    K x K coefficient block a full-rank receiver decodes with.
+    """
+
+    __slots__ = ("window", "rows", "raw")
+
+    def __init__(self, window: int):
+        self.window = window
+        self.rows: dict[int, bytes] = {}
+        self.raw: list[bytes] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.raw)
+
+    def add(self, coefficients: bytes) -> bool:
+        """Fold in one K-byte coefficient row; True iff it raised the rank."""
+        rows = self.rows
+        r = _from_bytes(coefficients, "big")
+        while r:
+            offset = (r.bit_length() - 1) >> 3
+            row = rows.get(offset)
+            if row is None:
+                rows[offset] = r.to_bytes(self.window, "big").translate(_MUL_BYTES[_INV_LIST[r >> (offset << 3)]])
+                self.raw.append(coefficients)
+                return True
+            r ^= _from_bytes(row.translate(_MUL_BYTES[r >> (offset << 3)]), "big")
+        return False
+
+
+def verify_blocks(blocks: np.ndarray, sources: np.ndarray) -> None:
+    """Decode a (B, K, K+L) stack of coded blocks and compare it with (B, K, L) sources.
+
+    Raises RuntimeError naming the first block that is not full rank or
+    does not decode to its source.  `blocks` is reduced in place.
+    """
+    window = sources.shape[1]
+    full = _reduce_blocks(blocks, window)
+    if not full.all():
+        raise RuntimeError(f"coded block {int(full.argmin())} of {len(blocks)} is not full rank")
+    wrong = (blocks[:, :, window:] != sources).any(axis=(1, 2))
+    if wrong.any():
+        raise RuntimeError(f"coded block {int(wrong.argmax())} of {len(blocks)} does not decode to its source")
+
+
+def batch_chunk(window: int, packet_len: int) -> int:
+    """How many K x (K+L) blocks to encode and row-reduce together.
+
+    Up to _BATCH_CHUNK, fewer when their bytes would pass _CHUNK_BYTES,
+    and at least one.
+    """
+    return max(1, min(_BATCH_CHUNK, _CHUNK_BYTES // (window * (window + packet_len))))
 
 
 @dataclass(frozen=True)
@@ -271,7 +358,7 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
     extras_total = 0
     exact = 0
     done = 0
-    chunk = max(1, min(_BATCH_CHUNK, _CHUNK_BYTES // (window * (window + packet_len))))
+    chunk = batch_chunk(window, packet_len)
     while done < n_batches:
         count = min(chunk, n_batches - done)
         sources = np.empty((count, window, packet_len), dtype=np.uint8)
@@ -281,10 +368,7 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
             sources[b] = rng.integers(0, 256, size=(window, packet_len), dtype=np.uint8)
             coeffs[b] = rng.integers(0, 256, size=(window, window), dtype=np.uint8)
             states.append(rng.bit_generator.state)
-        payloads = np.empty_like(sources)
-        for i in range(window):
-            payloads[:, i] = _combine(coeffs[:, i], sources)
-        blocks = np.concatenate((coeffs, payloads), axis=2)
+        blocks = encode_blocks(coeffs, sources)
         full = _reduce_blocks(blocks, window)
         decoded = count if full.all() else int(full.argmin())
         failures += int((blocks[:decoded, :, window:] != sources[:decoded]).any(axis=(1, 2)).sum())
@@ -297,10 +381,10 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
         source = sources[decoded]
         decoder = DecoderState(0, window, packet_len)
         received = 0
-        for row, payload in zip(coeffs[decoded], payloads[decoded]):
+        for row in coeffs[decoded]:
             if row.any():  # an all-zero row stands for a draw that encode redraws
                 received += 1
-                decoder.ingest(CodedPacket(0, row, payload))
+                decoder.ingest(CodedPacket(0, row, _combine(row, source)))
         while decoder.rank < window:
             received += 1
             decoder.ingest(encode(source, rng))

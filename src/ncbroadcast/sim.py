@@ -6,8 +6,14 @@ with the unfinished receivers grouped by the batch they expect.  One
 batch hit is sent outright; two or more make a conflict slot, settled by
 the policy's kernel (see policies).  The packet reaches every ON receiver
 expecting its batch.  Idealized mode counts every delivery as one packet
-of progress; codec mode pushes a freshly encoded GF(256) packet through a
-real decoder and counts progress only when the rank grows.
+of progress.  Codec mode draws the packet's GF(256) coefficients and
+counts progress only when they raise the receiver's rank, tracked on
+coefficient rows by an rlnc.RankTracker.  Each receiver that reaches rank
+K hands its K x K coefficient block to a pending list; the list is
+verified in chunks, and at the end of the trial, by encoding the batch's
+source under those rows and decoding it again in one block solve
+(rlnc.verify_blocks), which raises RuntimeError on a rank-deficient block
+or a wrong decode.
 
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
@@ -24,7 +30,7 @@ import numpy as np
 
 from .model import ConfigError, SystemConfig, validate_config
 from .policies import conflict_rule
-from .rlnc import DecoderState, encode
+from .rlnc import RankTracker, batch_chunk, draw_coefficients, encode_blocks, verify_blocks
 
 ROLE_CONNECTIVITY = 0
 ROLE_POLICY = 1
@@ -33,6 +39,9 @@ ROLE_CODING = 2
 MAX_SLOTS = 10**9
 MAX_RECEIVERS = 1024  # a block of flags takes 8 KiB per receiver
 DEFAULT_PACKET_LEN = 16
+# Codec mode refuses a trial whose source (F*L bytes), rank state (about
+# 2*N*K^2 bytes) and one block solve (about 12*K*(K+L) bytes) would pass this.
+MAX_CODEC_BYTES = 1 << 30
 _FLAG_BLOCK = 1024
 
 
@@ -83,6 +92,17 @@ def _on_masks(rng: np.random.Generator, N: int, p: float):
         yield from masks
 
 
+def check_codec_size(config: SystemConfig, packet_len: int) -> None:
+    """Raise ConfigError if a codec-mode trial of this size would pass MAX_CODEC_BYTES."""
+    F, K, N = config.F, config.K, config.N
+    need = F * packet_len + 2 * N * K * K + 12 * K * (K + packet_len)
+    if need > MAX_CODEC_BYTES:
+        raise ConfigError(
+            f"codec mode at F={F}, K={K}, N={N}, packet length {packet_len} needs about {need} bytes, "
+            f"more than the limit of {MAX_CODEC_BYTES}"
+        )
+
+
 def _uniforms(rng_spec: RngSpec, trial_index: int):
     """The policy substream as endless uniforms, drawn _FLAG_BLOCK at a time on first use."""
     rng = rng_spec.substream(trial_index, ROLE_POLICY)
@@ -107,9 +127,12 @@ def run_trial(
     pick = conflict_rule(policy, _uniforms(rng_spec, trial_index))
     codec = mode == "codec"
     if codec:
+        check_codec_size(config, packet_len)
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
-        source = coding_rng.integers(0, 256, size=(F, packet_len), dtype=np.uint8)
-        decoders: list[DecoderState | None] = [None] * N
+        sources = coding_rng.integers(0, 256, size=(F, packet_len), dtype=np.uint8).reshape(F // K, K, packet_len)
+        trackers: list[RankTracker | None] = [None] * N
+        pending = []  # (batch, K x K coefficient rows) of decodes not yet verified
+        chunk = batch_chunk(K, packet_len)
 
     received = [0] * N
     members = {0: (1 << N) - 1}  # batch -> unfinished receivers expecting it
@@ -124,21 +147,24 @@ def run_trial(
                 batch = pick(hits)
                 served = members[batch] & on
             if codec:
-                packet = encode(source[batch * K : (batch + 1) * K], coding_rng, batch=batch)
+                coefficients = draw_coefficients(coding_rng, K).tobytes()
             done = 0  # served receivers that completed the batch
             while served:  # ascending receiver id
                 low = served & -served
                 served ^= low
                 rid = low.bit_length() - 1
                 if codec:
-                    decoder = decoders[rid]
-                    if decoder is None:
-                        decoder = decoders[rid] = DecoderState(batch, K, packet_len)
-                    if not decoder.ingest(packet):
+                    tracker = trackers[rid]
+                    if tracker is None:
+                        tracker = trackers[rid] = RankTracker(K)
+                    if not tracker.add(coefficients):
                         continue
-                    if decoder.rank == K:
-                        _verify_batch(decoder, source, batch, K)
-                        decoders[rid] = None
+                    if tracker.rank == K:
+                        trackers[rid] = None
+                        pending.append((batch, tracker.raw))
+                        if len(pending) == chunk:
+                            _verify_decodes(pending, sources)
+                            pending = []
                 received[rid] += 1
                 if received[rid] % K == 0:
                     done |= low
@@ -153,15 +179,19 @@ def run_trial(
         if slot >= MAX_SLOTS:
             raise RuntimeError(f"no completion after {MAX_SLOTS} slots; config {config}")
         if not occupied:
+            if codec and pending:
+                _verify_decodes(pending, sources)
             return TrialResult(completion_slots=slot, conflict_slots=conflicts)
 
 
-def _verify_batch(decoder: DecoderState, source: np.ndarray, batch: int, K: int) -> None:
-    recovered = decoder.recover()
-    expected = source[batch * K : (batch + 1) * K]
-    for i in range(K):
-        if recovered[i] != expected[i].tobytes():
-            raise RuntimeError(f"decoded batch {batch} does not match its source packets")
+def _verify_decodes(pending: list[tuple[int, list[bytes]]], sources: np.ndarray) -> None:
+    """Encode each pending batch's source under its rows, decode it and compare."""
+    K = sources.shape[1]
+    batches = [batch for batch, _ in pending]
+    rows = b"".join(b"".join(raw) for _, raw in pending)
+    coefficients = np.frombuffer(rows, dtype=np.uint8).reshape(len(pending), K, K)
+    expected = sources[batches]
+    verify_blocks(encode_blocks(coefficients, expected), expected)
 
 
 def completion_times(
@@ -223,6 +253,8 @@ def sweep_coding_window(
     configs = {}
     for K in windows:
         configs[K] = validate_config(file_size, K, receivers, p)  # raises ConfigError on bad K
+        if mode == "codec":
+            check_codec_size(configs[K], packet_len)  # refuse the grid before any cell runs
     cells = []
     for policy in policies:
         for K in windows:

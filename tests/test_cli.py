@@ -225,6 +225,10 @@ BAD_INPUTS = {
                                     "--window", "2", "--p", "0.5", "--trials", "4"],
     "sweep-receivers-over-cap": ["sweep", "--receivers", str(MAX_RECEIVERS + 1), "--file-size", "4",
                                  "--windows", "2", "--p", "0.5", "--trials", "4"],
+    "simulate-codec-oversized": ["simulate", "--mode", "codec", "--file-size", "4", "--window", "2", "--p", "0.5",
+                                 "--trials", "2", "--packet-len", str(10**12)],
+    "sweep-codec-oversized": ["sweep", "--mode", "codec", "--file-size", "4", "--windows", "2", "--p", "0.5",
+                              "--trials", "2", "--packet-len", str(10**12)],
     "sweep-no-valid-window": ["sweep", "--file-size", "6", "--windows", "4,5", "--p", "0.5", "--trials", "4"],
     "solve-oversized": ["solve", "--file-size", "100000", "--window", "1", "--p", "0.5"],
     "check-lr-oversized": ["check-lr", "--file-sizes", "100000", "--windows", "1", "--ps", "0.5"],

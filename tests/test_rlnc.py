@@ -17,12 +17,15 @@ from ncbroadcast.rlnc import (
     CodecValidationReport,
     CodedPacket,
     DecoderState,
+    RankTracker,
     _combine,
     encode,
+    encode_blocks,
     expected_extra_packets,
     gf_inv,
     gf_mul,
     run_codec_validation,
+    verify_blocks,
 )
 
 
@@ -91,6 +94,11 @@ class TestFieldArithmetic:
         for a in range(256):
             for b in range(256):
                 assert gf_mul(a, b) == gf_mul_reference(a, b)
+
+    def test_product_tables_against_long_multiplication(self):
+        reference = [[gf_mul_reference(a, b) for b in range(256)] for a in range(256)]
+        assert rlnc._MUL.tolist() == reference
+        assert [list(row) for row in rlnc._MUL_BYTES] == reference
 
     def test_known_product(self):
         assert gf_mul(2, 0x80) == 0x1D
@@ -222,6 +230,86 @@ class TestDecoder:
             assert previous <= dec.rank <= window
             previous = dec.rank
         assert dec.rank == window  # overwhelmingly likely and required downstream
+
+
+def tracker_stream(window: int, seed: int) -> list[bytes]:
+    """Coefficient rows for a rank tracker: random ones, every other one
+    with leading zeros, mixed with dependent ones built from rows already
+    sent (repeats, sums and scalar multiples), and more rows than the window."""
+    gen = rng(seed)
+    sent: list[np.ndarray] = []
+    for i in range(2 * window + 4):
+        fresh = gen.integers(0, 256, size=window, dtype=np.uint8)
+        if i % 2:
+            fresh[: int(gen.integers(0, window))] = 0
+        sent.append(fresh)
+        if len(sent) >= 2:
+            a, b = (sent[int(i)] for i in gen.integers(0, len(sent), size=2))
+            scale = gen.integers(1, 256, size=2, dtype=np.uint8)
+            sent.append(a.copy())                                # a repeat
+            sent.append(a ^ b)                                   # a sum
+            sent.append(rlnc._MUL[scale[0], a])                  # a scalar multiple
+            sent.append(rlnc._MUL[scale[0], a] ^ rlnc._MUL[scale[1], b])
+    return [row.tobytes() for row in sent]
+
+
+class TestRankTracker:
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 16, 100])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_agrees_with_decoder_packet_by_packet(self, window, seed):
+        tracker = RankTracker(window)
+        decoder = DecoderState(0, window, 1)
+        rows = tracker_stream(window, seed)
+        flags = []
+        for row in rows:
+            packet = CodedPacket(0, np.frombuffer(row, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+            flags.append(tracker.add(row))
+            assert flags[-1] == decoder.ingest(packet)
+            assert tracker.rank == decoder.rank
+        assert tracker.rank == window
+        assert False in flags
+        assert tracker.raw == [row for row, flag in zip(rows, flags) if flag]
+
+    def test_rows_stay_in_echelon_form(self):
+        tracker = RankTracker(16)
+        for row in tracker_stream(16, 2):
+            tracker.add(row)
+        assert sorted(tracker.rows) == list(range(16))
+        for offset, row in tracker.rows.items():
+            col = 15 - offset  # the leading byte, counted from the left
+            assert row[:col] == bytes(col) and row[col] == 1
+
+    def test_zero_row_is_dependent(self):
+        tracker = RankTracker(3)
+        assert not tracker.add(bytes(3))
+        assert tracker.rank == 0
+
+
+def coded_batches(window=4, packet_len=6, count=3, seed=0):
+    """Random coefficient blocks (full rank for this seed) and their sources."""
+    gen = rng(seed)
+    sources = gen.integers(0, 256, size=(count, window, packet_len), dtype=np.uint8)
+    coeffs = gen.integers(0, 256, size=(count, window, window), dtype=np.uint8)
+    return coeffs, sources
+
+
+class TestVerifyBlocks:
+    def test_full_rank_blocks_pass(self):
+        coeffs, sources = coded_batches()
+        verify_blocks(encode_blocks(coeffs, sources), sources)
+
+    def test_corrupted_source_byte_raises(self):
+        coeffs, sources = coded_batches()
+        blocks = encode_blocks(coeffs, sources)
+        sources[2, 1, 3] ^= 0x40
+        with pytest.raises(RuntimeError, match="block 2 of 3 does not decode"):
+            verify_blocks(blocks, sources)
+
+    def test_rank_deficient_block_raises(self):
+        coeffs, sources = coded_batches()
+        coeffs[1, 3] = rlnc._MUL[7, coeffs[1, 0]] ^ coeffs[1, 2]
+        with pytest.raises(RuntimeError, match="block 1 of 3 is not full rank"):
+            verify_blocks(encode_blocks(coeffs, sources), sources)
 
 
 class TestRankStatistics:

@@ -4,12 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncbroadcast import sim
 from ncbroadcast.dp import solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
 from ncbroadcast.policies import POLICY_NAMES
+from ncbroadcast.rlnc import RankTracker, encode
 from ncbroadcast.sim import (
+    MAX_CODEC_BYTES,
     MAX_RECEIVERS,
     RngSpec,
+    check_codec_size,
     completion_times,
     run_experiment,
     run_trial,
@@ -116,10 +120,108 @@ class TestCodecMode:
         times = completion_times(cfg, "lr", 30, RngSpec(2), mode="codec", packet_len=8)
         assert (times >= 12).all()
 
+    def test_coding_stream_is_the_encoders(self, monkeypatch):
+        # the source first, then one draw_coefficients per sent packet, as encode draws them
+        drawn = []
+        draw = sim.draw_coefficients
+
+        def recording(rng, window):
+            drawn.append(draw(rng, window))
+            return drawn[-1]
+
+        monkeypatch.setattr(sim, "draw_coefficients", recording)
+        run_trial(validate_config(12, 4, 3, 0.6), "rs", RngSpec(5), 2, mode="codec", packet_len=8)
+        replay = RngSpec(5).substream(2, sim.ROLE_CODING)
+        source = replay.integers(0, 256, size=(12, 8), dtype=np.uint8)
+        assert len(drawn) >= 12
+        for row in drawn:
+            assert (encode(source[:4], replay).coefficients == row).all()
+
     def test_unknown_mode_rejected(self):
         cfg = validate_config(12, 4, 2, 0.5)
         with pytest.raises(ValueError):
             run_trial(cfg, "lr", RngSpec(0), 0, mode="fast")
+
+
+class TestCodecVerification:
+    def test_every_completed_batch_is_verified_in_chunks(self, monkeypatch):
+        verified = []
+        verify = sim.verify_blocks
+
+        def counting(blocks, sources):
+            verified.append(len(blocks))
+            verify(blocks, sources)
+
+        monkeypatch.setattr(sim, "verify_blocks", counting)
+        monkeypatch.setattr(sim, "batch_chunk", lambda window, packet_len: 5)
+        run_trial(validate_config(24, 4, 3, 0.7), "lr", RngSpec(1), 0, mode="codec")
+        assert verified == [5, 5, 5, 3]  # 3 receivers x 6 batches
+
+    def test_rank_claims_are_cross_checked(self, monkeypatch):
+        class RepeatingTracker(RankTracker):
+            """Counts every packet as innovative and keeps its first row again."""
+
+            def add(self, coefficients):
+                self.raw.append(self.raw[0] if self.raw else coefficients)
+                return True
+
+        monkeypatch.setattr(sim, "RankTracker", RepeatingTracker)
+        with pytest.raises(RuntimeError, match="not full rank"):
+            run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, mode="codec")
+
+    def test_wrong_decode_raises(self, monkeypatch):
+        encode_blocks = sim.encode_blocks
+
+        def corrupting(coefficients, sources):
+            blocks = encode_blocks(coefficients, sources)
+            blocks[-1, 0, -1] ^= 1
+            return blocks
+
+        monkeypatch.setattr(sim, "encode_blocks", corrupting)
+        with pytest.raises(RuntimeError, match="does not decode"):
+            run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, mode="codec")
+
+
+class TestCodecSizeGuard:
+    # source F*L, rank state 2*N*K^2 and one block solve 12*K*(K+L) bytes at F=8, K=4, N=2, L=16
+    NEED = 8 * 16 + 2 * 2 * 16 + 12 * 4 * 20
+
+    def test_largest_size_runs(self, monkeypatch):
+        cfg = validate_config(8, 4, 2, 0.5)
+        monkeypatch.setattr(sim, "MAX_CODEC_BYTES", self.NEED)
+        assert run_trial(cfg, "lr", RngSpec(0), 0, mode="codec", packet_len=16).completion_slots >= 8
+        with pytest.raises(ConfigError, match="packet length 17"):
+            run_trial(cfg, "lr", RngSpec(0), 0, mode="codec", packet_len=17)
+
+    def test_largest_packet_len_under_the_default_limit(self):
+        cfg = validate_config(8, 4, 2, 0.5)
+        largest = (MAX_CODEC_BYTES - 2 * 2 * 16 - 12 * 16) // (8 + 12 * 4)
+        check_codec_size(cfg, largest)
+        with pytest.raises(ConfigError):
+            check_codec_size(cfg, largest + 1)
+
+    def test_refused_before_any_draw(self, monkeypatch):
+        def no_draws(self, trial_index, role):
+            raise AssertionError("drew from a substream")
+
+        monkeypatch.setattr(RngSpec, "substream", no_draws)
+        with pytest.raises(ConfigError):
+            run_trial(validate_config(4, 2, 2, 0.5), "rs", RngSpec(0), 0, mode="codec", packet_len=10**12)
+
+    def test_rank_state_counts(self):
+        # K = F = 2^14 at two receivers is 2^30 bytes of rank state alone
+        with pytest.raises(ConfigError):
+            check_codec_size(validate_config(2**14, 2**14, 2, 0.5), 1)
+
+    def test_sweep_refuses_the_grid_first(self, monkeypatch):
+        # at this packet length K=4 fits and K=8 does not
+        monkeypatch.setattr(sim, "run_experiment", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(ConfigError, match="K=8"):
+            sweep_coding_window(8, 2, 0.5, ["lr"], [4, 8], 4, RngSpec(0), mode="codec", packet_len=MAX_CODEC_BYTES // 80)
+
+    def test_ideal_mode_ignores_packet_len(self):
+        cfg = validate_config(4, 2, 2, 1.0)
+        assert run_trial(cfg, "lr", RngSpec(0), 0, packet_len=10**12).completion_slots == 4
 
 
 class TestStats:
