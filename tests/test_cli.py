@@ -101,7 +101,20 @@ class TestCheckLr:
         assert "F=8 K=4 p=0.5: PASS" in proc.stdout
 
 
+ORACLE_GOLDEN = Path(__file__).parent / "data" / "oracle_golden.txt"
+ORACLE_GOLDEN_ARGS = (("4", "2", "0.3"), ("4", "2", "0.5"), ("4", "2", "0.8"), ("6", "3", "0.4"))
+
+
 class TestOracle:
+    def test_stdout_matches_golden(self, tmp_path):
+        # Each block is "$ <argv>", then the exit code and the stdout of that run.
+        blocks = []
+        for F, K, p in ORACLE_GOLDEN_ARGS:
+            args = ["oracle", "--file-size", F, "--window", K, "--p", p]
+            proc = run_cli(args, tmp_path)
+            blocks.append(f"$ {shlex.join(args)}\nexit {proc.returncode}\n{proc.stdout}")
+        assert "".join(blocks) == ORACLE_GOLDEN.read_text()
+
     def test_small_instance(self, tmp_path):
         proc = run_cli(["oracle", "--file-size", "4", "--window", "2", "--p", "0.5"], tmp_path)
         assert proc.returncode == 0

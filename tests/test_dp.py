@@ -11,6 +11,7 @@ dominates everywhere, so the minimum is attained by it at all states).
 import itertools
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from ncbroadcast.dp import (
     MAX_STATES,
     OracleCapacityError,
+    _sweep,
     audit_inequalities,
     check_lr_optimality,
     decision_states,
@@ -30,6 +32,9 @@ from ncbroadcast.dp import (
 )
 from ncbroadcast.mdp import Action, classify, reward, transitions
 from ncbroadcast.model import ConfigError, validate_config
+
+SOLVE_GOLDEN_CSV = Path(__file__).parent / "data" / "solve_golden.csv"
+SOLVE_GOLDEN_GRID = ((12, 4, 0.5), (12, 1, 0.1), (12, 12, 0.9), (24, 3, 1.0), (24, 8, 0.3))
 
 
 def linear_solve_policy(cfg, policy):
@@ -146,6 +151,22 @@ class TestEvaluatePolicy:
         np.testing.assert_allclose(
             evaluate_policy(cfg, table), linear_solve_policy(cfg, table), atol=1e-9
         )
+
+    @pytest.mark.parametrize("F,K,p,seed", [(12, 4, 0.5, 0), (8, 2, 0.3, 1), (12, 3, 1.0, 2), (6, 1, 0.9, 3)])
+    def test_batched_sweep_matches_single_evaluations_bit_for_bit(self, F, K, p, seed):
+        # The oracle evaluates policies in stacks; each layer of the stack
+        # must be exactly the table of a single evaluation.
+        cfg = validate_config(F, K, 2, p)
+        base = lr_policy_table(cfg)
+        rng = np.random.default_rng(seed)
+        stack = np.repeat(base[None], 7, axis=0)
+        stack[:, base != Action.NO_DECISION] = rng.choice(
+            (Action.SERVE_LEAST, Action.SERVE_MOST), size=(7, int((base != Action.NO_DECISION).sum()))
+        )
+        batched = _sweep(cfg, stack)
+        assert batched.shape == (7, F + 1, F + 1)
+        for table, values in zip(stack, batched):
+            assert values.tobytes() == evaluate_policy(cfg, table).tobytes()
 
     def test_rejects_illegal_entries(self):
         cfg = validate_config(4, 2, 2, 0.5)
@@ -268,6 +289,25 @@ class TestEnumerationOracle:
         v_opt, _ = solve_optimal(cfg)
         for table in all_policy_tables(cfg):
             assert (v_opt <= evaluate_policy(cfg, table) + 1e-9).all()
+
+
+def solve_golden_table(tmp_path) -> bytes:
+    """The `solve --out` rows of every SOLVE_GOLDEN_GRID config, each row prefixed by F,K,p.
+
+    tests/data/solve_golden.csv holds these bytes as the solver produced
+    them when the file was made.
+    """
+    lines = [b"F,K,p,x0,x1,value,action\n"]
+    for F, K, p in SOLVE_GOLDEN_GRID:
+        out = tmp_path / f"solve-{F}-{K}-{p}.csv"
+        write_table_csv(out, *solve_optimal(validate_config(F, K, 2, p)))
+        prefix = f"{F},{K},{p!r},".encode()
+        lines += [prefix + row for row in out.read_bytes().splitlines(keepends=True)[1:]]
+    return b"".join(lines)
+
+
+def test_solve_tables_match_golden(tmp_path):
+    assert solve_golden_table(tmp_path) == SOLVE_GOLDEN_CSV.read_bytes()
 
 
 def test_csv_export_golden(tmp_path):
