@@ -10,6 +10,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 """
 
 import argparse
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -20,7 +21,6 @@ from .dp import (
     audit_inequalities,
     check_lr_optimality,
     check_table_size,
-    decision_states,
     enumerate_policies_oracle,
     solve_optimal,
     write_table_csv,
@@ -97,6 +97,11 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_check_lr(args, argv) -> int:
+    for flag, values in (("--file-sizes", args.file_sizes), ("--windows", args.windows), ("--ps", args.ps)):
+        if not values:
+            raise ConfigError(f"{flag} needs at least one value")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ConfigError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
     for F in args.file_sizes:
         check_table_size(F)  # refuse the grid before any cell prints
     rows = []
@@ -117,7 +122,7 @@ def cmd_check_lr(args, argv) -> int:
                 failed |= not cell_ok
                 rows.append((
                     F, K, p, "lr_optimality",
-                    len(decision_states(config)), len(violations), "",
+                    report.by_name("decision_sign_equivalence").examined, len(violations), "",
                     "pass" if ok else "fail",
                 ))
                 for check in report.checks:
@@ -264,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--file-sizes", type=_int_list, required=True, help="comma list of F values")
     check.add_argument("--windows", type=_int_list, required=True, help="comma list of K values")
     check.add_argument("--ps", type=_float_list, required=True, help="comma list of p values")
-    check.add_argument("--tolerance", type=float, default=1e-9)
+    check.add_argument("--tolerance", type=float, default=1e-9, help="slack allowed in every check (finite, >= 0)")
     check.add_argument("--out", type=Path, help="write the per-check CSV report here")
     check.set_defaults(func=cmd_check_lr)
 

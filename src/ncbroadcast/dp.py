@@ -4,15 +4,24 @@ The absorbing structure makes the balance equations solvable in a single
 backward pass: grouping states by x0 + x1 and walking the groups in
 decreasing order, every successor of a state other than its own
 self-loop (eliminated algebraically by the 1 / (1 - p_stay) factor)
-already holds its final value.  Each group is one anti-diagonal of the
-table and is computed as a handful of array expressions.  No fixed-point
-iteration and no stopping tolerance enter the computation; the only
-float error is accumulation in 64-bit arithmetic.
+already holds its final value.  No fixed-point iteration and no stopping
+tolerance enter the computation; the only float error is accumulation in
+64-bit arithmetic.
+
+The two finished-receiver edges V(x0, F) and V(F, x1) follow one scalar
+chain, V = (1 + p * V_next) / p, and are filled before the sweep.  The
+sweep then covers the unfinished states only.  On the row-major flat
+table of (F+1)^2 states, the unfinished part of one anti-diagonal is a
+basic slice with stride F, and its successors V(x0+1, x1), V(x0, x1+1)
+and V(x0+1, x1+1) are the same slice shifted by F+1, 1 and F+2; masks
+and policy stacks are sliced alike, so each diagonal is a handful of
+array expressions over views.
 
 Value tables are dense (F+1) x (F+1) float arrays indexed [x0, x1];
 policy tables are int8 arrays holding ``mdp.Action`` values.  The same
-sweep minimizes (solve_optimal) or evaluates a stack of policy tables
-(evaluate_policy, enumerate_policies_oracle).
+sweep minimizes (solve_optimal, which also reads its policy off the
+sweep) or evaluates a stack of policy tables (evaluate_policy,
+enumerate_policies_oracle).
 """
 
 from dataclasses import dataclass
@@ -38,10 +47,12 @@ def check_table_size(F: int) -> None:
 
 
 class _Kinds(NamedTuple):
-    """``mdp.classify`` of every state, as boolean masks over the [x0, x1] grid."""
+    """``mdp.classify`` of the unfinished states, as boolean masks over the [x0, x1] grid.
 
-    only_0: np.ndarray     # receiver 1 holds the whole file
-    only_1: np.ndarray     # receiver 0 holds the whole file
+    The finished-receiver edges x0 = F and x1 = F need no mask: the sweep
+    fills them by their own recurrence.
+    """
+
     same: np.ndarray       # both unfinished, equal batch ids
     r0_behind: np.ndarray  # decision: receiver 0 expects the earlier batch
     decision: np.ndarray
@@ -58,8 +69,6 @@ def _kinds(config: SystemConfig) -> _Kinds:
     unfinished = (x0 < F) & (x1 < F)
     h0, h1 = x0 // K, x1 // K
     return _Kinds(
-        only_0=(x0 < F) & (x1 == F),
-        only_1=(x0 == F) & (x1 < F),
         same=unfinished & (h0 == h1),
         r0_behind=unfinished & (h0 < h1),
         decision=unfinished & (h0 != h1),
@@ -105,32 +114,53 @@ def decision_action_values(values: np.ndarray, config: SystemConfig) -> tuple[np
     return np.where(kinds.decision, v_least, np.nan), np.where(kinds.decision, v_most, np.nan)
 
 
-def _sweep(config: SystemConfig, policies: np.ndarray | None = None) -> np.ndarray:
-    """Backward induction over the anti-diagonals x0 + x1 = 2F-1, ..., 0.
+def _sweep(
+    config: SystemConfig,
+    policies: np.ndarray | None = None,
+    least: np.ndarray | None = None,
+    tie_tolerance: float = 0.0,
+) -> np.ndarray:
+    """Backward induction: the edges by their scalar chain, then the unfinished
+    states over the anti-diagonals x0 + x1 = 2F-2, ..., 0.
 
     `policies` is a (P, F+1, F+1) stack of legal policy tables, each
-    evaluated; without it the sweep minimizes over the actions and P is
-    1.  Returns the (P, F+1, F+1) value tables.
+    evaluated.  Without it the sweep minimizes over the actions, P is 1,
+    and the bool array `least` of shape (1, (F+1)^2) receives, at every
+    unfinished state, v_least <= v_most + tie_tolerance, where v_least and
+    v_most are the lookaheads into the final successor values.  Returns
+    the (P, F+1, F+1) value tables.
+
+    Diagonal t holds the unfinished states x0 in [lo, hi]; in the flat
+    table they are the slice [lo*F + t, hi*F + t + 1) with stride F.
     """
     kinds = _kinds(config)
     F, p, q = config.F, config.p, config.q
-    values = np.zeros((1 if policies is None else len(policies), F + 1, F + 1))
-    for total in range(2 * F - 1, -1, -1):
-        x0 = np.arange(max(0, total - F), min(F, total) + 1)
-        x1 = total - x0
-        up0, up1 = np.minimum(x0 + 1, F), np.minimum(x1 + 1, F)
-        advance_0, advance_1 = values[:, up0, x1], values[:, x0, up1]
-        v_least, v_most = _lookahead(advance_0, advance_1, kinds.r0_behind[x0, x1], config)
-        decided = (np.minimum(v_least, v_most) if policies is None
-                   else np.where(policies[:, x0, x1] == Action.SERVE_LEAST, v_least, v_most))
-        values[:, x0, x1] = np.select(
-            [kinds.only_0[x0, x1], kinds.only_1[x0, x1], kinds.same[x0, x1]],
-            [
-                (1.0 + p * advance_0) / p,
-                (1.0 + p * advance_1) / p,
-                (1.0 + p * q * (advance_0 + advance_1) + p * p * values[:, up0, up1]) / (1.0 - q * q),
-            ],
-            decided,
+    pq, pp, denom = p * q, p * p, 1.0 - q * q
+    side = F + 1
+    values = np.zeros((1 if policies is None else len(policies), side, side))
+    edge = [0.0]  # edge[k]: k packets left for the one unfinished receiver
+    for _ in range(F):
+        edge.append((1.0 + p * edge[-1]) / p)
+    values[:, :, F] = values[:, F, :] = edge[::-1]
+    flat = values.reshape(len(values), -1)
+    same, r0_behind = kinds.same.ravel(), kinds.r0_behind.ravel()
+    if policies is not None:
+        serve_least = (policies == Action.SERVE_LEAST).reshape(len(policies), -1)
+    for total in range(2 * F - 2, -1, -1):
+        start = max(0, total - F + 1) * F + total
+        stop = min(F - 1, total) * F + total + 1
+        cells = slice(start, stop, F)
+        advance_0 = flat[:, start + side:stop + side:F]
+        advance_1 = flat[:, start + 1:stop + 1:F]
+        advance_both = flat[:, start + side + 1:stop + side + 1:F]
+        v_least, v_most = _lookahead(advance_0, advance_1, r0_behind[cells], config)
+        if policies is None:
+            decided = np.minimum(v_least, v_most)
+            np.less_equal(v_least, v_most + tie_tolerance, out=least[:, cells])
+        else:
+            decided = np.where(serve_least[:, cells], v_least, v_most)
+        flat[:, cells] = np.where(
+            same[cells], (1.0 + pq * (advance_0 + advance_1) + pp * advance_both) / denom, decided
         )
     return values
 
@@ -140,13 +170,15 @@ def solve_optimal(config: SystemConfig, tie_tolerance: float = 1e-9) -> tuple[np
 
     At decision states the stored value is min(v_least, v_most); ties
     within `tie_tolerance` are resolved toward SERVE_LEAST so the policy
-    table is canonical.
+    table is canonical.  The choice is made in the sweep, from the same
+    lookaheads ``decision_action_values`` takes from the final table.
     """
-    values = _sweep(config)[0]
-    v_least, v_most = decision_action_values(values, config)
-    choice = np.where(v_least <= v_most + tie_tolerance, Action.SERVE_LEAST, Action.SERVE_MOST)
-    actions = np.where(np.isnan(v_least), Action.NO_DECISION, choice).astype(np.int8)
-    return values, actions
+    decision = _kinds(config).decision  # refuses a bad config before anything is allocated
+    side = config.F + 1
+    least = np.zeros((1, side * side), dtype=bool)
+    values = _sweep(config, least=least, tie_tolerance=tie_tolerance)[0]
+    choice = np.where(least.reshape(side, side), np.int8(Action.SERVE_LEAST), np.int8(Action.SERVE_MOST))
+    return values, np.where(decision, choice, np.int8(Action.NO_DECISION))
 
 
 def lr_policy_table(config: SystemConfig) -> np.ndarray:

@@ -245,6 +245,15 @@ BAD_INPUTS = {
     "sweep-no-valid-window": ["sweep", "--file-size", "6", "--windows", "4,5", "--p", "0.5", "--trials", "4"],
     "solve-oversized": ["solve", "--file-size", "100000", "--window", "1", "--p", "0.5"],
     "check-lr-oversized": ["check-lr", "--file-sizes", "100000", "--windows", "1", "--ps", "0.5"],
+    "check-lr-no-file-sizes": ["check-lr", "--file-sizes", ",", "--windows", "2", "--ps", "0.5"],
+    "check-lr-no-windows": ["check-lr", "--file-sizes", "4", "--windows", "", "--ps", "0.5"],
+    "check-lr-no-ps": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", ","],
+    "check-lr-negative-tolerance": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "0.5",
+                                    "--tolerance", "-1"],
+    "check-lr-nan-tolerance": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "0.5",
+                               "--tolerance", "nan"],
+    "check-lr-inf-tolerance": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "0.5",
+                               "--tolerance", "inf"],
     "oracle-oversized": ["oracle", "--file-size", "100000", "--window", "1", "--p", "0.5"],
 }
 

@@ -23,6 +23,7 @@ from ncbroadcast.dp import (
     _sweep,
     audit_inequalities,
     check_lr_optimality,
+    decision_action_values,
     decision_states,
     enumerate_policies_oracle,
     evaluate_policy,
@@ -94,6 +95,19 @@ class TestSolveOptimal:
             dtype=float,
         )
         np.testing.assert_allclose(values, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("tie_tolerance", [1e-9, 0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("F,K,p", [(12, 4, 0.5), (12, 1, 1.0), (24, 3, 0.1), (8, 8, 0.7)])
+    def test_actions_follow_the_lookahead_into_the_final_table(self, F, K, p, tie_tolerance):
+        # The sweep picks each action as it goes; the rule applied afterwards
+        # to the finished table must give the same policy.
+        cfg = validate_config(F, K, 2, p)
+        values, actions = solve_optimal(cfg, tie_tolerance)
+        v_least, v_most = decision_action_values(values, cfg)
+        choice = np.where(v_least <= v_most + tie_tolerance, Action.SERVE_LEAST, Action.SERVE_MOST)
+        expected = np.where(np.isnan(v_least), Action.NO_DECISION, choice)
+        assert actions.dtype == np.int8
+        np.testing.assert_array_equal(actions, expected)
 
     def test_rejects_wrong_receiver_count(self):
         with pytest.raises(ValueError):
