@@ -70,6 +70,7 @@ def _require_at_least(value: int, minimum: int, flag: str) -> None:
 
 def _check_simulation_args(args) -> None:
     _require_at_least(args.trials, 2, "--trials")  # the sample stddev needs two
+    _require_at_least(args.seed, 0, "--seed")
     if args.mode == "codec":
         _require_at_least(args.packet_len, 1, "--packet-len")
 
@@ -192,6 +193,8 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_sweep(args, argv) -> int:
+    if not args.policies:
+        raise ConfigError("--policies needs at least one value")
     _check_simulation_args(args)
     valid, skipped = [], []
     for K in args.windows:
@@ -234,6 +237,7 @@ def cmd_codec_validate(args, argv) -> int:
     _require_at_least(args.window, 1, "--window")
     _require_at_least(args.packet_len, 1, "--packet-len")
     _require_at_least(args.batches, 0, "--batches")
+    _require_at_least(args.seed, 0, "--seed")
     report = run_codec_validation(args.window, args.packet_len, args.batches, args.seed)
     if report.n_batches == 0:
         print("no batches requested; nothing to validate")
@@ -292,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--window", type=int, required=True)
     simulate.add_argument("--p", type=float, required=True)
     simulate.add_argument("--trials", type=int, default=10_000)
-    simulate.add_argument("--seed", type=int, default=0, help="master seed of the trial streams")
+    simulate.add_argument("--seed", type=int, default=0, help="master seed of the trial streams (>= 0)")
     simulate.add_argument("--mode", choices=("ideal", "codec"), default="ideal")
     simulate.add_argument("--packet-len", type=int, default=DEFAULT_PACKET_LEN, help=_PACKET_LEN_HELP)
     simulate.add_argument("--out", type=Path, help="write the stats CSV here")

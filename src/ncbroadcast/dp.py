@@ -59,7 +59,7 @@ class _Kinds(NamedTuple):
 
 
 def _kinds(config: SystemConfig) -> _Kinds:
-    """Classify the whole grid; the entry point of every table computation."""
+    """Classify the whole grid; each public entry point calls it once and passes the result on."""
     if config.N != 2:
         raise ValueError(f"exact solving covers N=2 only, got N={config.N}")
     F, K = config.F, config.K
@@ -109,13 +109,17 @@ def decision_action_values(values: np.ndarray, config: SystemConfig) -> tuple[np
     Both are one-step lookaheads into the final table `values`.  Returns
     (serve_least, serve_most) grids, NaN wherever there is no decision.
     """
-    kinds = _kinds(config)
+    return _action_values(values, config, _kinds(config))
+
+
+def _action_values(values: np.ndarray, config: SystemConfig, kinds: _Kinds) -> tuple[np.ndarray, np.ndarray]:
     v_least, v_most = _lookahead(*_advances(values), kinds.r0_behind, config)
     return np.where(kinds.decision, v_least, np.nan), np.where(kinds.decision, v_most, np.nan)
 
 
 def _sweep(
     config: SystemConfig,
+    kinds: _Kinds,
     policies: np.ndarray | None = None,
     least: np.ndarray | None = None,
     tie_tolerance: float = 0.0,
@@ -123,17 +127,17 @@ def _sweep(
     """Backward induction: the edges by their scalar chain, then the unfinished
     states over the anti-diagonals x0 + x1 = 2F-2, ..., 0.
 
-    `policies` is a (P, F+1, F+1) stack of legal policy tables, each
-    evaluated.  Without it the sweep minimizes over the actions, P is 1,
-    and the bool array `least` of shape (1, (F+1)^2) receives, at every
-    unfinished state, v_least <= v_most + tie_tolerance, where v_least and
-    v_most are the lookaheads into the final successor values.  Returns
-    the (P, F+1, F+1) value tables.
+    `kinds` is the caller's ``_kinds(config)``.  `policies` is a
+    (P, F+1, F+1) stack of legal policy tables, each evaluated.  Without
+    it the sweep minimizes over the actions, P is 1, and the bool array
+    `least` of shape (1, (F+1)^2) receives, at every unfinished state,
+    v_least <= v_most + tie_tolerance, where v_least and v_most are the
+    lookaheads into the final successor values.  Returns the
+    (P, F+1, F+1) value tables.
 
     Diagonal t holds the unfinished states x0 in [lo, hi]; in the flat
     table they are the slice [lo*F + t, hi*F + t + 1) with stride F.
     """
-    kinds = _kinds(config)
     F, p, q = config.F, config.p, config.q
     pq, pp, denom = p * q, p * p, 1.0 - q * q
     side = F + 1
@@ -173,12 +177,12 @@ def solve_optimal(config: SystemConfig, tie_tolerance: float = 1e-9) -> tuple[np
     table is canonical.  The choice is made in the sweep, from the same
     lookaheads ``decision_action_values`` takes from the final table.
     """
-    decision = _kinds(config).decision  # refuses a bad config before anything is allocated
+    kinds = _kinds(config)  # refuses a bad config before anything is allocated
     side = config.F + 1
     least = np.zeros((1, side * side), dtype=bool)
-    values = _sweep(config, least=least, tie_tolerance=tie_tolerance)[0]
+    values = _sweep(config, kinds, least=least, tie_tolerance=tie_tolerance)[0]
     choice = np.where(least.reshape(side, side), np.int8(Action.SERVE_LEAST), np.int8(Action.SERVE_MOST))
-    return values, np.where(decision, choice, np.int8(Action.NO_DECISION))
+    return values, np.where(kinds.decision, choice, np.int8(Action.NO_DECISION))
 
 
 def lr_policy_table(config: SystemConfig) -> np.ndarray:
@@ -191,12 +195,13 @@ def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
     policy = np.asarray(policy)
     if policy.shape != (config.F + 1, config.F + 1):
         raise ValueError(f"policy table must be {(config.F + 1,) * 2}, got {policy.shape}")
+    kinds = _kinds(config)
     choices = np.isin(policy, (Action.SERVE_LEAST, Action.SERVE_MOST))
-    illegal = np.argwhere(np.where(_kinds(config).decision, ~choices, policy != Action.NO_DECISION))
+    illegal = np.argwhere(np.where(kinds.decision, ~choices, policy != Action.NO_DECISION))
     if len(illegal):
         s = tuple(illegal[0].tolist())
         raise ValueError(f"illegal policy entry {policy[s]} at state {s}")
-    return _sweep(config, policy[None])[0]
+    return _sweep(config, kinds, policy[None])[0]
 
 
 def check_lr_optimality(
@@ -208,8 +213,9 @@ def check_lr_optimality(
     Passes iff v_least < v_most + tolerance throughout; returns the
     violating states otherwise.
     """
-    v_least, v_most = decision_action_values(values, config)
-    violations = _states(_kinds(config).decision & ~(v_least < v_most + tolerance))
+    kinds = _kinds(config)
+    v_least, v_most = _action_values(values, config, kinds)
+    violations = _states(kinds.decision & ~(v_least < v_most + tolerance))
     return (not violations, violations)
 
 
@@ -288,7 +294,7 @@ def audit_inequalities(config: SystemConfig, values: np.ndarray, tolerance: floa
     i, j = np.nonzero((x1 >= last_band_start) & (x1 < F) & (x0 >= 1) & (x0 < x1))
     balance = values[i - 1, j + 1] - values[i, j]
 
-    v_least, v_most = decision_action_values(values, config)
+    v_least, v_most = _action_values(values, config, kinds)
     prefer = v_most - v_least  # serve-most minus serve-least gap; NaN off decisions
     advance_0, advance_1 = _advances(values)
     gap = prefer[kinds.decision]
@@ -332,12 +338,13 @@ def enumerate_policies_oracle(
     where D is the number of decision states.  Bit D-1-k of policy n set
     means SERVE_MOST at decision state k; policies are swept in fixed-size batches.
     """
-    ds = decision_states(config)
+    kinds = _kinds(config)
+    ds = _states(kinds.decision)
     D = len(ds)
     if D >= policy_cap.bit_length():  # i.e. 2**D > policy_cap, without the huge power
         raise OracleCapacityError(f"{D} decision states give 2**{D} policies, over the cap {policy_cap}")
     n_policies = 2**D
-    base = lr_policy_table(config)
+    base = np.where(kinds.decision, Action.SERVE_LEAST, Action.NO_DECISION).astype(np.int8)  # the LR table
     cells = np.flatnonzero(base)  # the decision states, in the order of ds
     msb_first = np.arange(D - 1, -1, -1)
     origin = np.empty(n_policies)
@@ -346,7 +353,7 @@ def enumerate_policies_oracle(
         stack = np.repeat(base[None], len(n), axis=0)
         most = (n[:, None] >> msb_first) & 1
         stack.reshape(len(n), -1)[:, cells] = np.where(most, Action.SERVE_MOST, Action.SERVE_LEAST)
-        origin[n] = _sweep(config, stack)[:, 0, 0]
+        origin[n] = _sweep(config, kinds, stack)[:, 0, 0]
     # Among equal values take the smallest assignment tuple; SERVE_MOST < SERVE_LEAST,
     # so that is the policy with the largest n.
     best = n_policies - 1 - int(np.argmin(origin[::-1]))

@@ -1,4 +1,4 @@
-"""Random linear coding over GF(256) with incremental Gaussian elimination.
+"""Random linear coding over GF(256): coefficient draws, rank tracking, block decoding.
 
 Field: GF(2^8) under the reduction polynomial x^8 + x^4 + x^3 + x^2 + 1
 (0x11D), for which 2 is a primitive element.  Scalar arithmetic goes
@@ -6,18 +6,17 @@ through log/antilog tables; bulk payload arithmetic goes through a
 precomputed 256x256 product table so combining and eliminating work on
 whole byte vectors at once.
 
-An encoded packet carries its batch index, K coefficients and the
-combined payload.  A decoder ingests packets one by one, keeping its
-rows in reduced row-echelon form, and can hand back the original K
-packets as soon as its rank reaches K.  Codec validation instead encodes
-a chunk of batches at once and row-reduces their K x (K+L) blocks
-together, falling back to the packet-by-packet decoder for the rare batch
-whose first K packets are not independent.
-
-Whether a packet is innovative depends on its coefficients alone, so a
-RankTracker follows the rank on the K-byte coefficient rows in pure
-Python; the payloads of the rows it kept can be checked later, many
-batches at a time, by verify_blocks.
+A coded packet is one draw_coefficients row of K coefficients and the
+matching combination of its batch's K source packets.  Whether a packet
+is innovative depends on its coefficients alone, so a RankTracker
+follows a receiver's rank on the K-byte coefficient rows in pure Python.
+Payloads are decoded a block at a time: encode_blocks encodes sources
+under K x K coefficient rows, and _reduce_blocks Gauss-Jordan-reduces a
+whole stack of K x (K+L) blocks at once (verify_blocks wraps the two for
+the simulator).  Codec validation encodes and reduces chunks of batches
+that way; the rare batch whose first K packets are not independent goes
+through a RankTracker until full rank and is then decoded from the rows
+the tracker kept.
 """
 
 from dataclasses import dataclass
@@ -81,28 +80,6 @@ _BATCH_CHUNK = 64
 _CHUNK_BYTES = 1 << 17
 
 
-@dataclass(frozen=True)
-class CodedPacket:
-    """One broadcast unit: batch index, K coefficients, combined payload."""
-
-    batch: int
-    coefficients: np.ndarray  # uint8, shape (K,)
-    payload: np.ndarray       # uint8, shape (L,)
-
-
-def _packet_matrix(packets) -> np.ndarray:
-    if isinstance(packets, np.ndarray):
-        mat = np.atleast_2d(packets).astype(np.uint8, copy=False)
-    else:
-        rows = [np.frombuffer(bytes(pkt), dtype=np.uint8) for pkt in packets]
-        if len({r.size for r in rows}) > 1:
-            raise ValueError("source packets must all have the same length")
-        mat = np.vstack(rows)
-    if mat.size == 0:
-        raise ValueError("need at least one non-empty source packet")
-    return mat
-
-
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise product of two broadcastable uint8 arrays.
 
@@ -133,78 +110,13 @@ def draw_coefficients(rng: np.random.Generator, window: int) -> np.ndarray:
     """One packet's K uniform coefficients, redrawn while all zero (probability 256**-K).
 
     Every emitted packet is therefore a genuine combination.  This is the
-    coding stream's only per-packet draw, for the encoder and the simulator.
+    coding stream's only per-packet draw, for the simulator and for codec
+    validation's rank-deficient batches.
     """
     coeffs = rng.integers(0, 256, size=window, dtype=np.uint8)
     while not coeffs.any():
         coeffs = rng.integers(0, 256, size=window, dtype=np.uint8)
     return coeffs
-
-
-def encode(packets, rng: np.random.Generator, batch: int = 0) -> CodedPacket:
-    """Combine a batch of source packets under fresh uniform coefficients."""
-    mat = _packet_matrix(packets)
-    coeffs = draw_coefficients(rng, mat.shape[0])
-    return CodedPacket(batch, coeffs, _combine(coeffs, mat))
-
-
-class DecoderState:
-    """Incremental eliminator for one batch.
-
-    Rows (coefficients || payload) stay in reduced row-echelon form: each
-    stored row has a unit leading coefficient at its pivot column and
-    zeros at every other pivot column, so an incoming packet is reduced
-    in one vectorized pass and stored rows remain mutually reduced.
-    rank == window means the batch is decodable.
-    """
-
-    def __init__(self, batch: int, window: int, packet_len: int):
-        if window < 1 or packet_len < 1:
-            raise ValueError("window and packet length must be positive")
-        self.batch = batch
-        self.window = window
-        self.packet_len = packet_len
-        self.rank = 0
-        self._rows = np.zeros((window, window + packet_len), dtype=np.uint8)
-        self._pivots = np.empty(window, dtype=np.intp)  # ascending; _pivots[i] is row i's pivot column
-
-    def ingest(self, packet: CodedPacket) -> bool:
-        """Fold one packet in; True iff it raised the rank."""
-        if packet.batch != self.batch:
-            raise ValueError(f"packet from batch {packet.batch}, decoder expects {self.batch}")
-        if packet.coefficients.shape != (self.window,) or packet.payload.shape != (self.packet_len,):
-            raise ValueError("packet shape does not match this decoder")
-        row = np.empty(self.window + self.packet_len, dtype=np.uint8)
-        row[: self.window] = packet.coefficients
-        row[self.window:] = packet.payload
-        rank = self.rank
-        if rank:
-            factors = row[self._pivots[:rank]]
-            if factors.any():
-                row ^= np.bitwise_xor.reduce(_MUL[factors[:, None], self._rows[:rank]], axis=0)
-        nonzero = np.nonzero(row[: self.window])[0]
-        if nonzero.size == 0:
-            return False  # dependent on what we already hold
-        lead = int(nonzero[0])
-        row = _MUL[gf_inv(int(row[lead])), row]
-        if rank:
-            col = self._rows[:rank, lead].copy()
-            self._rows[:rank] ^= _MUL[col[:, None], row[None, :]]
-        pos = int(np.searchsorted(self._pivots[:rank], lead))
-        self._rows[pos + 1 : rank + 1] = self._rows[pos:rank].copy()
-        self._rows[pos] = row
-        self._pivots[pos + 1 : rank + 1] = self._pivots[pos:rank].copy()
-        self._pivots[pos] = lead
-        self.rank = rank + 1
-        return True
-
-    def recover(self) -> list[bytes]:
-        """The K original packets, in source order; needs full rank."""
-        if self.rank < self.window:
-            raise ValueError(f"rank {self.rank} < {self.window}: batch not yet decodable")
-        # Full rank in reduced row-echelon form means the coefficient block
-        # is the identity, so payload rows already sit in source order.
-        return [self._rows[i, self.window:].tobytes() for i in range(self.window)]
 
 
 class RankTracker:
@@ -338,11 +250,13 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
     full rank are checked against their sources in one comparison.  Full
     rank excludes an all-zero row, so these are exactly the batches
     decoded from their first K packets.  The first batch that is not
-    (about 0.4% of them) is decoded as a receiver would: its nonzero rows
-    go into a DecoderState, then `encode` draws further packets from the
-    generator state right after that batch's draws until the rank is K,
-    and chunking resumes with the next batch.  The report therefore does
-    not depend on the chunk size.
+    (about 0.4% of them) is received as the simulator receives one: its
+    nonzero rows go into a RankTracker, then draw_coefficients draws
+    further rows from the generator state right after that batch's draws
+    until the rank is K.  The rows the tracker kept are encoded and
+    reduced as a block of one and compared with the source, and chunking
+    resumes with the next batch.  The report therefore does not depend
+    on the chunk size.
 
     Stream note: one draw of K coefficient rows equals K draws of one row
     when K % 4 == 0 or K == 1, so for those K the report, and with it the
@@ -379,20 +293,21 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
         # The batches drawn after this one are dropped and drawn again.
         rng.bit_generator.state = states[decoded]
         source = sources[decoded]
-        decoder = DecoderState(0, window, packet_len)
+        tracker = RankTracker(window)
         received = 0
         for row in coeffs[decoded]:
-            if row.any():  # an all-zero row stands for a draw that encode redraws
+            if row.any():  # an all-zero row stands for a draw that draw_coefficients redraws
                 received += 1
-                decoder.ingest(CodedPacket(0, row, _combine(row, source)))
-        while decoder.rank < window:
+                tracker.add(row.tobytes())
+        while tracker.rank < window:
             received += 1
-            decoder.ingest(encode(source, rng))
+            tracker.add(draw_coefficients(rng, window).tobytes())
         extras_total += received - window
         exact += received == window
-        recovered = decoder.recover()
-        if any(recovered[i] != source[i].tobytes() for i in range(window)):
-            failures += 1
+        kept = np.frombuffer(b"".join(tracker.raw), dtype=np.uint8).reshape(1, window, window)
+        block = encode_blocks(kept, source[None])
+        full = _reduce_blocks(block, window)
+        failures += int(not full[0] or (block[0, :, window:] != source).any())
         done += 1
     return CodecValidationReport(
         n_batches=n_batches,

@@ -254,6 +254,13 @@ BAD_INPUTS = {
                                "--tolerance", "nan"],
     "check-lr-inf-tolerance": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "0.5",
                                "--tolerance", "inf"],
+    "simulate-negative-seed": ["simulate", "--file-size", "4", "--window", "2", "--p", "0.5", "--trials", "2",
+                               "--seed", "-1"],
+    "sweep-negative-seed": ["sweep", "--file-size", "4", "--windows", "2", "--p", "0.5", "--trials", "2",
+                            "--seed", "-1"],
+    "codec-validate-negative-seed": ["codec-validate", "--batches", "3", "--seed", "-1"],
+    "sweep-no-policies": ["sweep", "--policies", ",", "--file-size", "4", "--windows", "2", "--p", "0.5",
+                          "--trials", "2"],
     "oracle-oversized": ["oracle", "--file-size", "100000", "--window", "1", "--p", "0.5"],
 }
 

@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncbroadcast import dp
 from ncbroadcast.dp import (
     MAX_STATES,
     OracleCapacityError,
+    _kinds,
     _sweep,
     audit_inequalities,
     check_lr_optimality,
@@ -177,7 +179,7 @@ class TestEvaluatePolicy:
         stack[:, base != Action.NO_DECISION] = rng.choice(
             (Action.SERVE_LEAST, Action.SERVE_MOST), size=(7, int((base != Action.NO_DECISION).sum()))
         )
-        batched = _sweep(cfg, stack)
+        batched = _sweep(cfg, _kinds(cfg), stack)
         assert batched.shape == (7, F + 1, F + 1)
         for table, values in zip(stack, batched):
             assert values.tobytes() == evaluate_policy(cfg, table).tobytes()
@@ -303,6 +305,20 @@ class TestEnumerationOracle:
         v_opt, _ = solve_optimal(cfg)
         for table in all_policy_tables(cfg):
             assert (v_opt <= evaluate_policy(cfg, table) + 1e-9).all()
+
+
+def test_each_entry_point_classifies_the_grid_once(monkeypatch):
+    calls = []
+    kinds = dp._kinds
+    monkeypatch.setattr(dp, "_kinds", lambda config: calls.append(config) or kinds(config))
+    monkeypatch.setattr(dp, "_ORACLE_CHUNK", 16)
+    cfg = validate_config(4, 2, 2, 0.5)
+    values, _ = solve_optimal(cfg)  # one check-lr cell: solve, certify, audit
+    check_lr_optimality(cfg, values)
+    audit_inequalities(cfg, values)
+    assert len(calls) == 3
+    enumerate_policies_oracle(cfg)  # 256 policies in 16 chunks
+    assert len(calls) == 4
 
 
 def solve_golden_table(tmp_path) -> bytes:

@@ -5,21 +5,19 @@ long-multiplication oracle that reduces by 0x11D explicitly, so the
 log/antilog tables never certify themselves.
 """
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncbroadcast import rlnc
+from ncbroadcast import cli, rlnc
 from ncbroadcast.rlnc import (
     REDUCTION_POLY,
     CodecValidationReport,
-    CodedPacket,
-    DecoderState,
     RankTracker,
     _combine,
-    encode,
+    draw_coefficients,
     encode_blocks,
     expected_extra_packets,
     gf_inv,
@@ -46,27 +44,54 @@ def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def combine_packets(coefficients, packets) -> np.ndarray:
-    """Bytewise field combination sum_i c_i * packet_i, through the codec's kernel."""
-    return _combine(np.asarray(coefficients, dtype=np.uint8), packets)
+class Eliminator:
+    """Reference decoder, one packet at a time: rows (coefficients || payload)
+    kept in reduced row-echelon form, keyed by pivot column, each with a 1 at
+    its pivot and zeros at every other pivot."""
+
+    def __init__(self, window: int):
+        self.window = window
+        self.rows: dict[int, np.ndarray] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def ingest(self, row: np.ndarray) -> bool:
+        """Fold in one uint8 row; True iff it raised the rank."""
+        row = row.copy()
+        for col, stored in self.rows.items():
+            row ^= rlnc._MUL[row[col], stored]
+        nonzero = np.flatnonzero(row[: self.window])
+        if not nonzero.size:
+            return False
+        lead = int(nonzero[0])
+        row = rlnc._MUL[gf_inv(int(row[lead])), row]
+        for col, stored in self.rows.items():
+            self.rows[col] = stored ^ rlnc._MUL[stored[lead], row]
+        self.rows[lead] = row
+        return True
+
+    def recover(self) -> np.ndarray:
+        """The K x L source, once the rank is K."""
+        return np.array([self.rows[col][self.window:] for col in range(self.window)])
 
 
 def per_packet_validation(window, packet_len, n_batches, seed=0):
-    """Reference for run_codec_validation: every packet drawn by encode and ingested on its own."""
+    """Reference for run_codec_validation: every packet drawn on its own and fed to an Eliminator."""
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     failures = extras_total = exact = 0
     for _ in range(n_batches):
         source = gen.integers(0, 256, size=(window, packet_len), dtype=np.uint8)
-        decoder = DecoderState(0, window, packet_len)
+        decoder = Eliminator(window)
         received = 0
         while decoder.rank < window:
             received += 1
-            decoder.ingest(encode(source, gen))
+            coeffs = draw_coefficients(gen, window)
+            decoder.ingest(np.concatenate((coeffs, _combine(coeffs, source))))
         extras_total += received - window
         exact += received == window
-        recovered = decoder.recover()
-        if any(recovered[i] != source[i].tobytes() for i in range(window)):
-            failures += 1
+        failures += int((decoder.recover() != source).any())
     return CodecValidationReport(
         n_batches=n_batches,
         window=window,
@@ -77,15 +102,15 @@ def per_packet_validation(window, packet_len, n_batches, seed=0):
     )
 
 
-def counting_encode(monkeypatch):
-    """Route run_codec_validation's per-packet draws through a call counter."""
+def counting_draws(monkeypatch):
+    """Route run_codec_validation's per-packet coefficient draws through a call counter."""
     calls = [0]
 
     def wrapped(*args, **kwargs):
         calls[0] += 1
-        return encode(*args, **kwargs)
+        return draw_coefficients(*args, **kwargs)
 
-    monkeypatch.setattr(rlnc, "encode", wrapped)
+    monkeypatch.setattr(rlnc, "draw_coefficients", wrapped)
     return calls
 
 
@@ -145,7 +170,7 @@ class TestEncode:
     def test_unit_coefficients_reproduce_a_source_packet(self):
         packets = rng(1).integers(0, 256, size=(4, 16), dtype=np.uint8)
         unit = np.array([1, 0, 0, 0], dtype=np.uint8)
-        assert combine_packets(unit, packets).tobytes() == packets[0].tobytes()
+        assert _combine(unit, packets).tobytes() == packets[0].tobytes()
 
     def test_all_zero_coefficients_are_redrawn(self):
         class ScriptedRng:
@@ -155,81 +180,59 @@ class TestEncode:
             def integers(self, low, high, size, dtype):
                 return np.array(self.draws.pop(0), dtype=dtype)
 
-        packets = np.arange(8, dtype=np.uint8).reshape(2, 4)
         scripted = ScriptedRng([[0, 0], [1, 0]])
-        packet = encode(packets, scripted)
-        assert packet.coefficients.tolist() == [1, 0]
-        assert packet.payload.tobytes() == packets[0].tobytes()
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            encode([b"abcd", b"ab"], rng(0))
+        assert draw_coefficients(scripted, 2).tolist() == [1, 0]
+        assert scripted.draws == []
 
     def test_single_packet_window(self):
-        packets = rng(2).integers(0, 256, size=(1, 8), dtype=np.uint8)
-        packet = encode(packets, rng(3))
-        dec = DecoderState(0, 1, 8)
-        assert dec.ingest(packet)
-        assert dec.recover()[0] == packets[0].tobytes()
+        packets = rng(2).integers(0, 256, size=(1, 1, 8), dtype=np.uint8)
+        coeffs = draw_coefficients(rng(3), 1).reshape(1, 1, 1)
+        verify_blocks(encode_blocks(coeffs, packets), packets)
+
+
+def received_rows(window: int, gen) -> np.ndarray:
+    """Rows drawn as a receiver gets them, the K x K block of those that raised its rank."""
+    tracker = RankTracker(window)
+    while tracker.rank < window:
+        tracker.add(draw_coefficients(gen, window).tobytes())
+    return np.frombuffer(b"".join(tracker.raw), dtype=np.uint8).reshape(window, window)
 
 
 class TestDecoder:
+    """One batch at one receiver: rank on a RankTracker, payloads by a block decode."""
+
     def test_duplicate_is_not_innovative(self):
-        src = rng(4).integers(0, 256, size=(4, 8), dtype=np.uint8)
-        dec = DecoderState(0, 4, 8)
-        packet = encode(src, rng(5))
-        assert dec.ingest(packet)
-        assert not dec.ingest(packet)
-        assert dec.rank == 1
-
-    def test_batch_mismatch_rejected(self):
-        src = rng(6).integers(0, 256, size=(2, 4), dtype=np.uint8)
-        dec = DecoderState(batch=1, window=2, packet_len=4)
-        with pytest.raises(ValueError):
-            dec.ingest(encode(src, rng(7), batch=0))
-
-    def test_recover_requires_full_rank(self):
-        src = rng(8).integers(0, 256, size=(3, 4), dtype=np.uint8)
-        dec = DecoderState(0, 3, 4)
-        dec.ingest(encode(src, rng(9)))
-        dec.ingest(encode(src, rng(10)))
-        with pytest.raises(ValueError):
-            dec.recover()
+        tracker = RankTracker(4)
+        row = draw_coefficients(rng(5), 4).tobytes()
+        assert tracker.add(row)
+        assert not tracker.add(row)
+        assert tracker.rank == 1
 
     def test_scaled_single_packet_recovers_by_inverse(self):
-        src = np.array([[7, 80, 255, 0]], dtype=np.uint8)
-        coeff = np.array([9], dtype=np.uint8)
-        pkt = CodedPacket(0, coeff, combine_packets(coeff, src))
-        dec = DecoderState(0, 1, 4)
-        assert dec.ingest(pkt)
-        assert dec.recover()[0] == src[0].tobytes()
+        src = np.array([[[7, 80, 255, 0]]], dtype=np.uint8)
+        verify_blocks(encode_blocks(np.array([[[9]]], dtype=np.uint8), src), src)
 
     @pytest.mark.parametrize("window", [1, 4, 16, 64])
     @pytest.mark.parametrize("packet_len", [1, 64, 1500])
     def test_round_trip(self, window, packet_len):
         gen = rng(window * 10_000 + packet_len)
-        src = gen.integers(0, 256, size=(window, packet_len), dtype=np.uint8)
-        dec = DecoderState(0, window, packet_len)
-        while dec.rank < window:
-            dec.ingest(encode(src, gen))
-        out = dec.recover()
-        assert all(out[i] == src[i].tobytes() for i in range(window))
+        src = gen.integers(0, 256, size=(2, window, packet_len), dtype=np.uint8)
+        coeffs = np.stack([received_rows(window, gen) for _ in src])
+        verify_blocks(encode_blocks(coeffs, src), src)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_rank_monotone_and_bounded(self, data):
         window = data.draw(st.integers(1, 8), label="window")
-        packet_len = data.draw(st.integers(1, 16), label="packet_len")
         seed = data.draw(st.integers(0, 2**16), label="seed")
         gen = rng(seed)
-        src = gen.integers(0, 256, size=(window, packet_len), dtype=np.uint8)
-        dec = DecoderState(0, window, packet_len)
+        tracker = RankTracker(window)
         previous = 0
         for _ in range(3 * window):
-            dec.ingest(encode(src, gen))
-            assert previous <= dec.rank <= window
-            previous = dec.rank
-        assert dec.rank == window  # overwhelmingly likely and required downstream
+            tracker.add(draw_coefficients(gen, window).tobytes())
+            assert previous <= tracker.rank <= window
+            previous = tracker.rank
+        assert tracker.rank == window  # overwhelmingly likely and required downstream
 
 
 def tracker_stream(window: int, seed: int) -> list[bytes]:
@@ -258,13 +261,12 @@ class TestRankTracker:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_agrees_with_decoder_packet_by_packet(self, window, seed):
         tracker = RankTracker(window)
-        decoder = DecoderState(0, window, 1)
+        decoder = Eliminator(window)
         rows = tracker_stream(window, seed)
         flags = []
         for row in rows:
-            packet = CodedPacket(0, np.frombuffer(row, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
             flags.append(tracker.add(row))
-            assert flags[-1] == decoder.ingest(packet)
+            assert flags[-1] == decoder.ingest(np.frombuffer(row, dtype=np.uint8))
             assert tracker.rank == decoder.rank
         assert tracker.rank == window
         assert False in flags
@@ -294,9 +296,7 @@ def coded_batches(window=4, packet_len=6, count=3, seed=0):
 
 
 class TestVerifyBlocks:
-    def test_full_rank_blocks_pass(self):
-        coeffs, sources = coded_batches()
-        verify_blocks(encode_blocks(coeffs, sources), sources)
+    """Blocks that must fail; full-rank ones pass in TestDecoder::test_round_trip."""
 
     def test_corrupted_source_byte_raises(self):
         coeffs, sources = coded_batches()
@@ -347,11 +347,31 @@ class TestRankStatistics:
         expected = per_packet_validation(window, 8, 2001, seed=4)
         if chunk:
             monkeypatch.setattr(rlnc, *chunk)
-        fallback_draws = counting_encode(monkeypatch)
+        fallback_draws = counting_draws(monkeypatch)
         report = run_codec_validation(window, 8, 2001, seed=4)
         assert astuple(report) == astuple(expected)
         assert fallback_draws[0] > 0
         assert report.roundtrip_ok
+
+    def test_wrong_decodes_are_counted(self, monkeypatch, capsys):
+        # One payload byte flipped in every coded block: each batch, decoded in
+        # a chunk or as a fallback batch (K=4, seed 4 reaches one), is a failure.
+        encode = rlnc.encode_blocks
+
+        def corrupting(coefficients, sources):
+            blocks = encode(coefficients, sources)
+            blocks[:, 0, -1] ^= 1
+            return blocks
+
+        clean = run_codec_validation(4, 8, 2001, seed=4)
+        monkeypatch.setattr(rlnc, "encode_blocks", corrupting)
+        fallback_draws = counting_draws(monkeypatch)
+        report = run_codec_validation(4, 8, 2001, seed=4)
+        assert fallback_draws[0] > 0
+        assert astuple(report) == astuple(replace(clean, roundtrip_failures=2001))
+        args = ["codec-validate", "--window", "4", "--packet-len", "8", "--batches", "2001", "--seed", "4"]
+        assert cli.main(args) == 1
+        assert "(2001 failures)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("window", [2, 3, 5])
     def test_changed_stream_keeps_statistics(self, window):

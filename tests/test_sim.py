@@ -8,7 +8,7 @@ from ncbroadcast import sim
 from ncbroadcast.dp import solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
 from ncbroadcast.policies import POLICY_NAMES
-from ncbroadcast.rlnc import RankTracker, encode
+from ncbroadcast.rlnc import RankTracker, draw_coefficients
 from ncbroadcast.sim import (
     MAX_CODEC_BYTES,
     MAX_RECEIVERS,
@@ -121,7 +121,7 @@ class TestCodecMode:
         assert (times >= 12).all()
 
     def test_coding_stream_is_the_encoders(self, monkeypatch):
-        # the source first, then one draw_coefficients per sent packet, as encode draws them
+        # the source first, then one draw_coefficients per sent packet
         drawn = []
         draw = sim.draw_coefficients
 
@@ -132,10 +132,10 @@ class TestCodecMode:
         monkeypatch.setattr(sim, "draw_coefficients", recording)
         run_trial(validate_config(12, 4, 3, 0.6), "rs", RngSpec(5), 2, mode="codec", packet_len=8)
         replay = RngSpec(5).substream(2, sim.ROLE_CODING)
-        source = replay.integers(0, 256, size=(12, 8), dtype=np.uint8)
+        replay.integers(0, 256, size=(12, 8), dtype=np.uint8)  # the source
         assert len(drawn) >= 12
         for row in drawn:
-            assert (encode(source[:4], replay).coefficients == row).all()
+            assert (draw_coefficients(replay, 4) == row).all()
 
     def test_unknown_mode_rejected(self):
         cfg = validate_config(12, 4, 2, 0.5)
