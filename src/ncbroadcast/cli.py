@@ -18,8 +18,7 @@ from pathlib import Path
 from . import __version__
 from .dp import (
     OracleCapacityError,
-    audit_inequalities,
-    check_lr_optimality,
+    certify,
     check_table_size,
     enumerate_policies_oracle,
     solve_optimal,
@@ -27,7 +26,7 @@ from .dp import (
 )
 from .model import ConfigError, validate_config
 from .policies import POLICY_NAMES
-from .rlnc import expected_extra_packets, run_codec_validation
+from .rlnc import block_solve_bytes, expected_extra_packets, run_codec_validation
 from .sim import (
     DEFAULT_PACKET_LEN,
     MAX_CODEC_BYTES,
@@ -68,6 +67,15 @@ def _require_at_least(value: int, minimum: int, flag: str) -> None:
         raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
 
 
+def _require_values(values: list, flag: str) -> None:
+    """A list flag needs at least one value and no value twice (a repeat would rerun its cells)."""
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{flag} repeats {value}")
+
+
 def _check_simulation_args(args) -> None:
     _require_at_least(args.trials, 2, "--trials")  # the sample stddev needs two
     _require_at_least(args.seed, 0, "--seed")
@@ -99,8 +107,7 @@ def cmd_solve(args, argv) -> int:
 
 def cmd_check_lr(args, argv) -> int:
     for flag, values in (("--file-sizes", args.file_sizes), ("--windows", args.windows), ("--ps", args.ps)):
-        if not values:
-            raise ConfigError(f"{flag} needs at least one value")
+        _require_values(values, flag)
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ConfigError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
     for F in args.file_sizes:
@@ -116,22 +123,13 @@ def cmd_check_lr(args, argv) -> int:
                     rows.append((F, K, p, "config", 0, 0, "", "invalid"))
                     print(f"F={F} K={K} p={p}: invalid ({exc})")
                     continue
-                values, _ = solve_optimal(config)
-                ok, violations = check_lr_optimality(config, values, args.tolerance)
-                report = audit_inequalities(config, values, args.tolerance)
-                cell_ok = ok and report.passed
-                failed |= not cell_ok
-                rows.append((
-                    F, K, p, "lr_optimality",
-                    report.by_name("decision_sign_equivalence").examined, len(violations), "",
-                    "pass" if ok else "fail",
-                ))
+                report = certify(config, solve_optimal(config)[0], args.tolerance)
+                failed |= not report.passed
                 for check in report.checks:
-                    rows.append((
-                        F, K, p, check.name, check.examined, check.violations,
-                        repr(check.worst_margin), "pass" if check.violations == 0 else "fail",
-                    ))
-                print(f"F={F} K={K} p={p}: {'PASS' if cell_ok else 'FAIL'}")
+                    margin = "" if check.worst_margin is None else repr(check.worst_margin)
+                    status = "pass" if check.violations == 0 else "fail"
+                    rows.append((F, K, p, check.name, check.examined, check.violations, margin, status))
+                print(f"F={F} K={K} p={p}: {'PASS' if report.passed else 'FAIL'}")
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write("F,K,p,check,examined,violations,worst_margin,status\n")
@@ -193,8 +191,8 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_sweep(args, argv) -> int:
-    if not args.policies:
-        raise ConfigError("--policies needs at least one value")
+    _require_values(args.policies, "--policies")
+    _require_values(args.windows, "--windows")
     _check_simulation_args(args)
     valid, skipped = [], []
     for K in args.windows:
@@ -238,6 +236,12 @@ def cmd_codec_validate(args, argv) -> int:
     _require_at_least(args.packet_len, 1, "--packet-len")
     _require_at_least(args.batches, 0, "--batches")
     _require_at_least(args.seed, 0, "--seed")
+    need = block_solve_bytes(args.window, args.packet_len)
+    if need > MAX_CODEC_BYTES:
+        raise ConfigError(
+            f"--window {args.window} with --packet-len {args.packet_len} needs about {need} bytes per block decode, "
+            f"more than the limit of {MAX_CODEC_BYTES}"
+        )
     report = run_codec_validation(args.window, args.packet_len, args.batches, args.seed)
     if report.n_batches == 0:
         print("no batches requested; nothing to validate")

@@ -21,7 +21,9 @@ Value tables are dense (F+1) x (F+1) float arrays indexed [x0, x1];
 policy tables are int8 arrays holding ``mdp.Action`` values.  The same
 sweep minimizes (solve_optimal, which also reads its policy off the
 sweep) or evaluates a stack of policy tables (evaluate_policy,
-enumerate_policies_oracle).
+enumerate_policies_oracle).  ``certify`` checks a solved table: serve-least
+optimality and the structural inequality families, in one pass over row
+blocks of bounded size.
 """
 
 from dataclasses import dataclass
@@ -34,6 +36,7 @@ from .model import ConfigError, SystemConfig
 
 MAX_STATES = 1 << 23  # (F+1)^2 cap of every table: admits F <= 2895
 _ORACLE_CHUNK = 1 << 12  # policies evaluated per batched sweep
+_CERTIFY_CELLS = 1 << 18  # grid cells per row block of certify (at least one row)
 
 
 class OracleCapacityError(ValueError):
@@ -97,26 +100,6 @@ def _lookahead(advance_0, advance_1, r0_behind, config: SystemConfig):
     return (1.0 + p * lag + p * q * lead) / denom, (1.0 + p * q * lag + p * lead) / denom
 
 
-def _advances(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """values[x0+1, x1] and values[x0, x1+1] over the grid, clamped at F (a finished receiver)."""
-    step = np.minimum(np.arange(1, values.shape[0] + 1), values.shape[0] - 1)
-    return values[step, :], values[:, step]
-
-
-def decision_action_values(values: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Values of serving the lagging vs. the leading receiver, over the whole grid.
-
-    Both are one-step lookaheads into the final table `values`.  Returns
-    (serve_least, serve_most) grids, NaN wherever there is no decision.
-    """
-    return _action_values(values, config, _kinds(config))
-
-
-def _action_values(values: np.ndarray, config: SystemConfig, kinds: _Kinds) -> tuple[np.ndarray, np.ndarray]:
-    v_least, v_most = _lookahead(*_advances(values), kinds.r0_behind, config)
-    return np.where(kinds.decision, v_least, np.nan), np.where(kinds.decision, v_most, np.nan)
-
-
 def _sweep(
     config: SystemConfig,
     kinds: _Kinds,
@@ -175,7 +158,7 @@ def solve_optimal(config: SystemConfig, tie_tolerance: float = 1e-9) -> tuple[np
     At decision states the stored value is min(v_least, v_most); ties
     within `tie_tolerance` are resolved toward SERVE_LEAST so the policy
     table is canonical.  The choice is made in the sweep, from the same
-    lookaheads ``decision_action_values`` takes from the final table.
+    lookaheads ``certify`` takes from the final table.
     """
     kinds = _kinds(config)  # refuses a bad config before anything is allocated
     side = config.F + 1
@@ -204,21 +187,6 @@ def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
     return _sweep(config, kinds, policy[None])[0]
 
 
-def check_lr_optimality(
-    config: SystemConfig, values: np.ndarray, tolerance: float = 1e-9
-) -> tuple[bool, list[State]]:
-    """Certify serve-least beats serve-most at every decision state.
-
-    `values` is the optimal table of `config` (``solve_optimal(config)[0]``).
-    Passes iff v_least < v_most + tolerance throughout; returns the
-    violating states otherwise.
-    """
-    kinds = _kinds(config)
-    v_least, v_most = _action_values(values, config, kinds)
-    violations = _states(kinds.decision & ~(v_least < v_most + tolerance))
-    return (not violations, violations)
-
-
 @dataclass(frozen=True)
 class AuditCheck:
     """One inequality family: how many instances were examined and the
@@ -227,7 +195,7 @@ class AuditCheck:
     name: str
     examined: int
     violations: int
-    worst_margin: float
+    worst_margin: float | None  # None where the family records no margin
 
 
 @dataclass(frozen=True)
@@ -245,19 +213,31 @@ class AuditReport:
         raise KeyError(name)
 
 
-def _worst(*margins: np.ndarray) -> float:
-    return float(min(m.min() for m in margins)) if margins[0].size else float("nan")
+class _Tally:
+    """Examined count, violation count and smallest margin of one family, summed over blocks."""
+
+    def __init__(self, name: str):
+        self.name, self.examined, self.violations, self.worst = name, 0, 0, np.inf
+
+    def add(self, margins: np.ndarray, violations: int, *more: np.ndarray) -> None:
+        self.examined += margins.size
+        self.violations += int(violations)
+        for m in (margins, *more):
+            if m.size:
+                self.worst = np.minimum(self.worst, m.min())
+
+    def check(self) -> AuditCheck:
+        return AuditCheck(self.name, self.examined, self.violations, float(self.worst if self.examined else np.nan))
 
 
-def _tally(name: str, margins: np.ndarray, tolerance: float) -> AuditCheck:
-    return AuditCheck(name, margins.size, int((margins < -tolerance).sum()), _worst(margins))
-
-
-def audit_inequalities(config: SystemConfig, values: np.ndarray, tolerance: float = 1e-9) -> AuditReport:
-    """Numerically verify the structural properties of the optimal table.
+def certify(config: SystemConfig, values: np.ndarray, tolerance: float = 1e-9) -> AuditReport:
+    """Certify serve-least optimal and audit the structural properties of the optimal table.
 
     `values` is the optimal table of `config` (``solve_optimal(config)[0]``).
-    Checks, each over index ranges materialized from the config:
+    Families, in report order:
+      lr_optimality            v_least < v_most + tolerance at every decision
+        state, v_least and v_most being the one-step lookaheads into
+        `values` (no margin is recorded)
       edge_closed_form         V(x0, F) equals (F - x0) / p           (margin: -|error|)
       corner_sandwich          V(F-1, F) < V(F-1, F-1) < V(F-2, F)
       monotone_in_x0           V(x0, x1) > V(x0+1, x1) on the last-batch band
@@ -273,47 +253,62 @@ def audit_inequalities(config: SystemConfig, values: np.ndarray, tolerance: floa
         state prefer serve-least, so does the state itself
 
     Inequality margins are slack (right side minus left side); a margin
-    below -tolerance counts as a violation.
+    below -tolerance counts as a violation.  The unfinished rows are
+    walked once, in blocks of about _CERTIFY_CELLS cells.  Each block
+    reads its successors as basic-slice views of `values`, takes the
+    lookahead once, for one row beyond its own (the neighbors below its
+    last row), and feeds every family from it.
     """
     kinds = _kinds(config)
-    F, K, b, p = config.F, config.K, config.b, config.p
-    last_band_start = b * K  # first packet index of the final batch
-    x0 = np.arange(F + 1)[:, None]
-    x1 = np.arange(F + 1)[None, :]
+    F, p = config.F, config.p
+    last_band_start = config.b * config.K  # first packet index of the final batch
+    tallies = tuple(map(_Tally, (
+        "edge_closed_form", "corner_sandwich", "monotone_in_x0", "monotone_in_x1",
+        "balance_preference", "decision_sign_equivalence", "neighbor_implication",
+    )))
+    edge, sandwich, mono_x0, mono_x1, balance, signs, neighbor = tallies
+    lr_violations = 0
 
-    edge = -np.abs(values[:, F] - (F - np.arange(F + 1)) / p)
+    def add(tally: _Tally, margins: np.ndarray) -> None:
+        tally.add(margins, np.count_nonzero(margins < -tolerance))
 
-    sandwich = np.array(
+    add(edge, -np.abs(values[:, F] - (F - np.arange(F + 1)) / p))
+    add(sandwich, np.array(
         [values[F - 1, F - 1] - values[F - 1, F], values[F - 2, F] - values[F - 1, F - 1]] if F >= 2 else []
-    )
-
-    i, j = np.nonzero((x1 > last_band_start) & (x0 < x1))
-    mono_x0 = values[i, j] - values[i + 1, j]
-    mono_x1 = values[i, j - 1] - values[i, j]
-
-    i, j = np.nonzero((x1 >= last_band_start) & (x1 < F) & (x0 >= 1) & (x0 < x1))
-    balance = values[i - 1, j + 1] - values[i, j]
-
-    v_least, v_most = _action_values(values, config, kinds)
-    prefer = v_most - v_least  # serve-most minus serve-least gap; NaN off decisions
-    advance_0, advance_1 = _advances(values)
-    gap = prefer[kinds.decision]
-    neighbor_gap = np.where(kinds.r0_behind, advance_1 - advance_0, advance_0 - advance_1)[kinds.decision]
-    mismatch = ((gap > tolerance) & (neighbor_gap < -tolerance)) | ((gap < -tolerance) & (neighbor_gap > tolerance))
-    signs = AuditCheck("decision_sign_equivalence", gap.size, int(mismatch.sum()), _worst(gap, neighbor_gap))
-
-    prefer_0, prefer_1 = _advances(prefer)  # NaN compares false, so non-decision neighbors drop out
-    implied = kinds.decision & (prefer_0 > tolerance) & (prefer_1 > tolerance)
-
-    return AuditReport((
-        _tally("edge_closed_form", edge, tolerance),
-        _tally("corner_sandwich", sandwich, tolerance),
-        _tally("monotone_in_x0", mono_x0, tolerance),
-        _tally("monotone_in_x1", mono_x1, tolerance),
-        _tally("balance_preference", balance, tolerance),
-        signs,
-        _tally("neighbor_implication", prefer[implied], tolerance),
     ))
+    x1 = np.arange(F + 1)
+    rows = max(1, _CERTIFY_CELLS // (F + 1))
+    for lo in range(0, F, rows):
+        hi = min(lo + rows, F)
+        n = hi - lo
+        x0 = np.arange(lo, hi)[:, None]
+        band = (x1 > last_band_start) & (x0 < x1)
+        add(mono_x0, (values[lo:hi] - values[lo + 1:hi + 1])[band])
+        add(mono_x1, (values[lo:hi, :F] - values[lo:hi, 1:])[band[:, 1:]])
+        top = max(lo, 1)
+        x0 = np.arange(top, hi)[:, None]
+        band = (x1[:F] >= last_band_start) & (x0 < x1[:F])
+        add(balance, (values[top - 1:hi - 1, 1:] - values[top:hi, :F])[band])
+
+        ext = min(hi + 1, F)
+        advance_0, advance_1 = values[lo + 1:ext + 1, :F], values[lo:ext, 1:]
+        decision, r0_behind = kinds.decision[lo:ext, :F], kinds.r0_behind[lo:ext, :F]
+        v_least, v_most = _lookahead(advance_0, advance_1, r0_behind, config)
+        prefer = v_most - v_least  # serve-most minus serve-least gap
+        here = decision[:n]
+        lr_violations += np.count_nonzero(here & ~(v_least[:n] < v_most[:n] + tolerance))
+
+        gap = prefer[:n][here]
+        a0, a1 = advance_0[:n][here], advance_1[:n][here]
+        neighbor_gap = np.where(r0_behind[:n][here], a1 - a0, a0 - a1)
+        mismatch = (gap > tolerance) & (neighbor_gap < -tolerance) | (gap < -tolerance) & (neighbor_gap > tolerance)
+        signs.add(gap, np.count_nonzero(mismatch), neighbor_gap)
+
+        prefers = np.zeros((n + 1, F + 1), dtype=bool)  # row F and column F hold no decision
+        np.logical_and(decision, prefer > tolerance, out=prefers[:ext - lo, :F])
+        add(neighbor, prefer[:n][here & prefers[1:, :F] & prefers[:n, 1:]])
+    lr = AuditCheck("lr_optimality", signs.examined, int(lr_violations), None)
+    return AuditReport((lr, *(tally.check() for tally in tallies)))
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,11 @@ def verify_blocks(blocks: np.ndarray, sources: np.ndarray) -> None:
         raise RuntimeError(f"coded block {int(wrong.argmax())} of {len(blocks)} does not decode to its source")
 
 
+def block_solve_bytes(window: int, packet_len: int) -> int:
+    """Bytes one K x (K+L) block decode needs at its peak: the block and its temporaries."""
+    return 12 * window * (window + packet_len)
+
+
 def batch_chunk(window: int, packet_len: int) -> int:
     """How many K x (K+L) blocks to encode and row-reduce together.
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import ConfigError, SystemConfig, validate_config
 from .policies import conflict_rule
-from .rlnc import RankTracker, batch_chunk, draw_coefficients, encode_blocks, verify_blocks
+from .rlnc import RankTracker, batch_chunk, block_solve_bytes, draw_coefficients, encode_blocks, verify_blocks
 
 ROLE_CONNECTIVITY = 0
 ROLE_POLICY = 1
@@ -95,7 +95,7 @@ def _on_masks(rng: np.random.Generator, N: int, p: float):
 def check_codec_size(config: SystemConfig, packet_len: int) -> None:
     """Raise ConfigError if a codec-mode trial of this size would pass MAX_CODEC_BYTES."""
     F, K, N = config.F, config.K, config.N
-    need = F * packet_len + 2 * N * K * K + 12 * K * (K + packet_len)
+    need = F * packet_len + 2 * N * K * K + block_solve_bytes(K, packet_len)
     if need > MAX_CODEC_BYTES:
         raise ConfigError(
             f"codec mode at F={F}, K={K}, N={N}, packet length {packet_len} needs about {need} bytes, "

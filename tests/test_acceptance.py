@@ -12,12 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ncbroadcast.dp import (
-    audit_inequalities,
-    check_lr_optimality,
-    enumerate_policies_oracle,
-    solve_optimal,
-)
+from ncbroadcast.dp import certify, enumerate_policies_oracle, solve_optimal
 from ncbroadcast.model import validate_config
 from ncbroadcast.rlnc import gf_inv, gf_mul, run_codec_validation
 from ncbroadcast.sim import RngSpec, completion_times, run_experiment, run_trial
@@ -70,7 +65,7 @@ def test_c3_sandwich_and_monotonicity_families():
         for K in GRID_K:
             for p in GRID_P:
                 cfg = validate_config(F, K, 2, p)
-                rep = audit_inequalities(cfg, solve_optimal(cfg)[0], tolerance=1e-9)
+                rep = certify(cfg, solve_optimal(cfg)[0], tolerance=1e-9)
                 for name in ("corner_sandwich", "monotone_in_x0", "monotone_in_x1", "balance_preference"):
                     violations += rep.by_name(name).violations
     elapsed = time.perf_counter() - start
@@ -85,12 +80,9 @@ def test_c4_lr_optimality_and_sign_equivalence():
         for K in GRID_K:
             for p in GRID_P:
                 cfg = validate_config(F, K, 2, p)
-                values = solve_optimal(cfg)[0]
-                ok_cell, viol = check_lr_optimality(cfg, values, tolerance=1e-9)
-                lr_violations += len(viol)
-                sign_violations += audit_inequalities(cfg, values).by_name(
-                    "decision_sign_equivalence"
-                ).violations
+                rep = certify(cfg, solve_optimal(cfg)[0], tolerance=1e-9)
+                lr_violations += rep.by_name("lr_optimality").violations
+                sign_violations += rep.by_name("decision_sign_equivalence").violations
     ok = lr_violations == 0 and sign_violations == 0
     report(
         "C4", "serve-least optimal at every decision state", ok,

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ncbroadcast
+from ncbroadcast import cli
 from ncbroadcast.sim import MAX_RECEIVERS
 
 
@@ -262,6 +263,13 @@ BAD_INPUTS = {
     "sweep-no-policies": ["sweep", "--policies", ",", "--file-size", "4", "--windows", "2", "--p", "0.5",
                           "--trials", "2"],
     "oracle-oversized": ["oracle", "--file-size", "100000", "--window", "1", "--p", "0.5"],
+    "codec-validate-oversized-window": ["codec-validate", "--window", "20000", "--batches", "1"],
+    "sweep-repeated-policy": ["sweep", "--policies", "lr,lr", "--file-size", "4", "--windows", "2", "--p", "0.5",
+                              "--trials", "2"],
+    "sweep-repeated-window": ["sweep", "--file-size", "4", "--windows", "2,2", "--p", "0.5", "--trials", "2"],
+    "check-lr-repeated-file-size": ["check-lr", "--file-sizes", "4,8,4", "--windows", "2", "--ps", "0.5"],
+    "check-lr-repeated-window": ["check-lr", "--file-sizes", "4", "--windows", "2,2", "--ps", "0.5"],
+    "check-lr-repeated-p": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "0.5,0.50"],
 }
 
 
@@ -271,6 +279,18 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [proc.stderr.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["sweep", "--policies", "lr,rs,lr", "--file-size", "4", "--windows", "2", "--p", "0.5"], "--policies repeats lr"),
+    (["sweep", "--file-size", "4", "--windows", "1,2,1", "--p", "0.5"], "--windows repeats 1"),
+    (["check-lr", "--file-sizes", "4,4", "--windows", "2", "--ps", "0.5"], "--file-sizes repeats 4"),
+    (["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "0.5,0.50"], "--ps repeats 0.5"),
+])
+def test_repeated_list_value_is_named(capsys, args, message):
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_version_flag(tmp_path):

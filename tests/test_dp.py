@@ -10,6 +10,7 @@ dominates everywhere, so the minimum is attained by it at all states).
 
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,9 +24,7 @@ from ncbroadcast.dp import (
     OracleCapacityError,
     _kinds,
     _sweep,
-    audit_inequalities,
-    check_lr_optimality,
-    decision_action_values,
+    certify,
     decision_states,
     enumerate_policies_oracle,
     evaluate_policy,
@@ -55,6 +54,13 @@ def linear_solve_policy(cfg, policy):
         for nxt, pr in transitions(s, Action(int(policy[s])), cfg):
             A[i, index[nxt]] -= pr
     return np.linalg.solve(A, b).reshape(side, side)
+
+
+def lookahead(values, s, action, cfg):
+    """One-step value of `action` at `s` from the transition kernel, its self-loop solved out."""
+    stay = sum(pr for nxt, pr in transitions(s, action, cfg) if nxt == s)
+    move = sum(pr * values[nxt] for nxt, pr in transitions(s, action, cfg) if nxt != s)
+    return (reward(s, cfg) + move) / (1.0 - stay)
 
 
 def all_policy_tables(cfg):
@@ -102,14 +108,20 @@ class TestSolveOptimal:
     @pytest.mark.parametrize("F,K,p", [(12, 4, 0.5), (12, 1, 1.0), (24, 3, 0.1), (8, 8, 0.7)])
     def test_actions_follow_the_lookahead_into_the_final_table(self, F, K, p, tie_tolerance):
         # The sweep picks each action as it goes; the rule applied afterwards
-        # to the finished table must give the same policy.
+        # to the finished table, with one-step lookaheads taken from the
+        # transition kernel, must give the same policy.
         cfg = validate_config(F, K, 2, p)
         values, actions = solve_optimal(cfg, tie_tolerance)
-        v_least, v_most = decision_action_values(values, cfg)
-        choice = np.where(v_least <= v_most + tie_tolerance, Action.SERVE_LEAST, Action.SERVE_MOST)
-        expected = np.where(np.isnan(v_least), Action.NO_DECISION, choice)
         assert actions.dtype == np.int8
-        np.testing.assert_array_equal(actions, expected)
+        for x0 in range(F + 1):
+            for x1 in range(F + 1):
+                s = (x0, x1)
+                if not classify(s, cfg).is_decision:
+                    assert actions[s] == Action.NO_DECISION
+                    continue
+                v_least, v_most = (lookahead(values, s, a, cfg) for a in (Action.SERVE_LEAST, Action.SERVE_MOST))
+                expected = Action.SERVE_LEAST if v_least <= v_most + tie_tolerance else Action.SERVE_MOST
+                assert actions[s] == expected, s
 
     def test_rejects_wrong_receiver_count(self):
         with pytest.raises(ValueError):
@@ -229,52 +241,93 @@ class TestLrPolicyTable:
         assert lr_policy_table(cfg12)[11, 3] == Action.SERVE_LEAST
 
 
+def report_fields(report):
+    return [(c.name, c.examined, c.violations, repr(c.worst_margin)) for c in report.checks]
+
+
 class TestCheckLrOptimality:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.6, 0.9])
     def test_holds_across_p(self, p):
         cfg = validate_config(12, 4, 2, p)
-        ok, violations = check_lr_optimality(cfg, solve_optimal(cfg)[0])
-        assert ok and violations == []
+        lr = certify(cfg, solve_optimal(cfg)[0]).by_name("lr_optimality")
+        assert lr.violations == 0
+        assert lr.examined == len(decision_states(cfg))
 
     def test_vacuous_without_decision_states(self):
         cfg = validate_config(4, 4, 2, 0.5)
-        ok, violations = check_lr_optimality(cfg, solve_optimal(cfg)[0])
-        assert ok and violations == []
+        lr = certify(cfg, solve_optimal(cfg)[0]).by_name("lr_optimality")
+        assert (lr.examined, lr.violations, lr.worst_margin) == (0, 0, None)
 
     def test_reports_the_state_whose_lagging_successor_got_worse(self):
         cfg = validate_config(6, 3, 2, 0.5)
         values = solve_optimal(cfg)[0]
         values[2, 4] += 100.0  # lag successor of (1, 4), lead successor of (2, 3)
-        assert check_lr_optimality(cfg, values) == (False, [(1, 4)])
+        report = certify(cfg, values)
+        assert report.by_name("lr_optimality").violations == 1
+        assert not report.passed
+        assert certify(cfg, values, tolerance=1e3).by_name("lr_optimality").violations == 0
 
 
 class TestAudit:
     @pytest.mark.parametrize("F,K,p", [(12, 4, 0.5), (8, 2, 0.8)])
     def test_zero_violations(self, F, K, p):
         cfg = validate_config(F, K, 2, p)
-        report = audit_inequalities(cfg, solve_optimal(cfg)[0])
+        report = certify(cfg, solve_optimal(cfg)[0])
         assert report.passed
+        assert [c.name for c in report.checks] == [
+            "lr_optimality", "edge_closed_form", "corner_sandwich", "monotone_in_x0", "monotone_in_x1",
+            "balance_preference", "decision_sign_equivalence", "neighbor_implication",
+        ]
         for check in report.checks:
             assert check.violations == 0
 
     def test_edge_value_exact(self):
         cfg = validate_config(12, 4, 2, 0.5)
-        report = audit_inequalities(cfg, solve_optimal(cfg)[0])
+        report = certify(cfg, solve_optimal(cfg)[0])
         edge = report.by_name("edge_closed_form")
         assert edge.examined == 13
         assert edge.worst_margin == pytest.approx(0.0, abs=1e-9)
 
     def test_decision_checks_cover_all_decision_states(self):
         cfg = validate_config(12, 4, 2, 0.5)
-        report = audit_inequalities(cfg, solve_optimal(cfg)[0])
+        report = certify(cfg, solve_optimal(cfg)[0])
         assert report.by_name("decision_sign_equivalence").examined == len(decision_states(cfg))
 
     def test_vacuous_checks_report_nan_margin(self):
         cfg = validate_config(2, 2, 2, 0.5)
-        report = audit_inequalities(cfg, solve_optimal(cfg)[0])
+        report = certify(cfg, solve_optimal(cfg)[0])
         signs = report.by_name("decision_sign_equivalence")
         assert signs.examined == 0
         assert np.isnan(signs.worst_margin)
+
+    @pytest.mark.parametrize("cells", [1, 5, 40])
+    @pytest.mark.parametrize("F,K,p,perturb", [(12, 4, 0.5, False), (24, 3, 0.3, False), (24, 3, 0.3, True)])
+    def test_row_blocks_give_the_single_block_report(self, monkeypatch, F, K, p, perturb, cells):
+        cfg = validate_config(F, K, 2, p)
+        values = solve_optimal(cfg)[0]
+        if perturb:  # violations in rows that fall into different blocks
+            for x0, x1, delta in ((1, 5, 40.0), (9, 13, -7.0), (17, 22, 3.0), (22, 23, -0.5)):
+                values[x0, x1] += delta
+        whole = certify(cfg, values)
+        assert (F + 1) ** 2 <= dp._CERTIFY_CELLS  # the default takes this grid in one block
+        monkeypatch.setattr(dp, "_CERTIFY_CELLS", cells)
+        blocked = certify(cfg, values)
+        assert report_fields(blocked) == report_fields(whole)
+        assert whole.passed != perturb
+        if perturb:
+            assert sum(c.violations for c in whole.checks) >= 4
+
+    def test_memory_stays_bounded_at_the_table_cap(self):
+        cfg = validate_config(2895, 5, 2, 0.5)
+        values = solve_optimal(cfg)[0]  # 67 MB, allocated before tracing starts
+        tracemalloc.start()
+        try:
+            report = certify(cfg, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 64 * 2**20, f"certify peaked at {peak / 2**20:.0f} MB"
 
 
 class TestEnumerationOracle:
@@ -313,12 +366,11 @@ def test_each_entry_point_classifies_the_grid_once(monkeypatch):
     monkeypatch.setattr(dp, "_kinds", lambda config: calls.append(config) or kinds(config))
     monkeypatch.setattr(dp, "_ORACLE_CHUNK", 16)
     cfg = validate_config(4, 2, 2, 0.5)
-    values, _ = solve_optimal(cfg)  # one check-lr cell: solve, certify, audit
-    check_lr_optimality(cfg, values)
-    audit_inequalities(cfg, values)
-    assert len(calls) == 3
+    values, _ = solve_optimal(cfg)  # one check-lr cell: solve, then certify
+    certify(cfg, values)
+    assert len(calls) == 2
     enumerate_policies_oracle(cfg)  # 256 policies in 16 chunks
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def solve_golden_table(tmp_path) -> bytes:
