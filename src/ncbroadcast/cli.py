@@ -31,6 +31,7 @@ from .sim import (
     DEFAULT_PACKET_LEN,
     MAX_CODEC_BYTES,
     MAX_RECEIVERS,
+    MAX_SLOTS,
     RngSpec,
     SweepCell,
     run_experiment,
@@ -81,6 +82,15 @@ def _check_simulation_args(args) -> None:
     _require_at_least(args.seed, 0, "--seed")
     if args.mode == "codec":
         _require_at_least(args.packet_len, 1, "--packet-len")
+
+
+def _check_slot_budget(F: int, p: float) -> None:
+    """Refuse a file whose receivers need more than MAX_SLOTS slots each on average (F / p)."""
+    if F > MAX_SLOTS * p:
+        raise ConfigError(
+            f"--file-size {F} at --p {p} needs about {F / p:.3g} slots per receiver, "
+            f"more than the limit of {MAX_SLOTS}"
+        )
 
 
 def _write_manifest(out: Path, command: str, argv: list[str], params: dict, outputs: list[Path]) -> None:
@@ -166,6 +176,7 @@ def cmd_oracle(args, argv) -> int:
 def cmd_simulate(args, argv) -> int:
     config = validate_config(args.file_size, args.window, args.receivers, args.p)
     _check_simulation_args(args)
+    _check_slot_budget(config.F, config.p)
     stats = run_experiment(
         config, args.policy, args.trials, RngSpec(args.seed),
         mode=args.mode, packet_len=args.packet_len,
@@ -204,6 +215,7 @@ def cmd_sweep(args, argv) -> int:
             print(f"skipping window {K}: {exc}", file=sys.stderr)
     if not valid:
         raise ConfigError(f"no valid window among --windows {','.join(map(str, args.windows))}")
+    _check_slot_budget(args.file_size, args.p)  # F and p passed validation with the windows
     cells = sweep_coding_window(
         args.file_size, args.receivers, args.p, args.policies, valid,
         args.trials, RngSpec(args.seed), mode=args.mode, packet_len=args.packet_len,

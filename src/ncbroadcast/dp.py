@@ -13,9 +13,10 @@ chain, V = (1 + p * V_next) / p, and are filled before the sweep.  The
 sweep then covers the unfinished states only.  On the row-major flat
 table of (F+1)^2 states, the unfinished part of one anti-diagonal is a
 basic slice with stride F, and its successors V(x0+1, x1), V(x0, x1+1)
-and V(x0+1, x1+1) are the same slice shifted by F+1, 1 and F+2; masks
-and policy stacks are sliced alike, so each diagonal is a handful of
-array expressions over views.
+and V(x0+1, x1+1) are the same slice shifted by F+1, 1 and F+2.  Policy
+stacks are sliced alike, and the diagonal's states are classified by
+comparing a slice of the batch-id vector x // K with a reversed slice of
+it, so each diagonal is a handful of array expressions over views.
 
 Value tables are dense (F+1) x (F+1) float arrays indexed [x0, x1];
 policy tables are int8 arrays holding ``mdp.Action`` values.  The same
@@ -27,7 +28,6 @@ blocks of bounded size.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,42 +49,27 @@ def check_table_size(F: int) -> None:
         raise ConfigError(f"F={F} gives {(F + 1) ** 2} states, over the cap of {MAX_STATES} for exact solving")
 
 
-class _Kinds(NamedTuple):
-    """``mdp.classify`` of the unfinished states, as boolean masks over the [x0, x1] grid.
+def _batches(config: SystemConfig) -> np.ndarray:
+    """Batch id x // K of every count x = 0..F; each public entry point calls it once.
 
-    The finished-receiver edges x0 = F and x1 = F need no mask: the sweep
-    fills them by their own recurrence.
+    The class of an unfinished state (x0, x1) follows from the two ids: a
+    same-batch state where they are equal, else a decision state, with
+    receiver 0 behind where its id is the smaller.  The finished-receiver
+    edges x0 = F and x1 = F have no class: the sweep fills them by their
+    own recurrence.
     """
-
-    same: np.ndarray       # both unfinished, equal batch ids
-    r0_behind: np.ndarray  # decision: receiver 0 expects the earlier batch
-    decision: np.ndarray
-
-
-def _kinds(config: SystemConfig) -> _Kinds:
-    """Classify the whole grid; each public entry point calls it once and passes the result on."""
     if config.N != 2:
         raise ValueError(f"exact solving covers N=2 only, got N={config.N}")
-    F, K = config.F, config.K
-    check_table_size(F)
-    x0 = np.arange(F + 1)[:, None]
-    x1 = np.arange(F + 1)[None, :]
-    unfinished = (x0 < F) & (x1 < F)
-    h0, h1 = x0 // K, x1 // K
-    return _Kinds(
-        same=unfinished & (h0 == h1),
-        r0_behind=unfinished & (h0 < h1),
-        decision=unfinished & (h0 != h1),
-    )
+    check_table_size(config.F)
+    return np.arange(config.F + 1) // config.K
 
 
-def _states(mask: np.ndarray) -> list[State]:
-    return list(zip(*(axis.tolist() for axis in np.nonzero(mask))))
-
-
-def decision_states(config: SystemConfig) -> list[State]:
-    """All states offering a serve-least/serve-most choice, in lexicographic order."""
-    return _states(_kinds(config).decision)
+def _decision_mask(batches: np.ndarray) -> np.ndarray:
+    """Whole-grid bool mask of the decision states, for outputs indexed by state."""
+    F = len(batches) - 1
+    decision = np.zeros((F + 1, F + 1), dtype=bool)
+    np.not_equal(batches[:F, None], batches[None, :F], out=decision[:F, :F])
+    return decision
 
 
 def _lookahead(advance_0, advance_1, r0_behind, config: SystemConfig):
@@ -102,7 +87,7 @@ def _lookahead(advance_0, advance_1, r0_behind, config: SystemConfig):
 
 def _sweep(
     config: SystemConfig,
-    kinds: _Kinds,
+    batches: np.ndarray,
     policies: np.ndarray | None = None,
     least: np.ndarray | None = None,
     tie_tolerance: float = 0.0,
@@ -110,7 +95,7 @@ def _sweep(
     """Backward induction: the edges by their scalar chain, then the unfinished
     states over the anti-diagonals x0 + x1 = 2F-2, ..., 0.
 
-    `kinds` is the caller's ``_kinds(config)``.  `policies` is a
+    `batches` is the caller's ``_batches(config)``.  `policies` is a
     (P, F+1, F+1) stack of legal policy tables, each evaluated.  Without
     it the sweep minimizes over the actions, P is 1, and the bool array
     `least` of shape (1, (F+1)^2) receives, at every unfinished state,
@@ -119,7 +104,8 @@ def _sweep(
     (P, F+1, F+1) value tables.
 
     Diagonal t holds the unfinished states x0 in [lo, hi]; in the flat
-    table they are the slice [lo*F + t, hi*F + t + 1) with stride F.
+    table they are the slice [lo*F + t, hi*F + t + 1) with stride F, and
+    their x1 = t - x0 runs down from t - lo to t - hi.
     """
     F, p, q = config.F, config.p, config.q
     pq, pp, denom = p * q, p * p, 1.0 - q * q
@@ -130,24 +116,24 @@ def _sweep(
         edge.append((1.0 + p * edge[-1]) / p)
     values[:, :, F] = values[:, F, :] = edge[::-1]
     flat = values.reshape(len(values), -1)
-    same, r0_behind = kinds.same.ravel(), kinds.r0_behind.ravel()
     if policies is not None:
         serve_least = (policies == Action.SERVE_LEAST).reshape(len(policies), -1)
     for total in range(2 * F - 2, -1, -1):
-        start = max(0, total - F + 1) * F + total
-        stop = min(F - 1, total) * F + total + 1
+        lo, hi = max(0, total - F + 1), min(F - 1, total)
+        start, stop = lo * F + total, hi * F + total + 1
         cells = slice(start, stop, F)
+        h0, h1 = batches[lo:hi + 1], batches[total - hi:total - lo + 1][::-1]
         advance_0 = flat[:, start + side:stop + side:F]
         advance_1 = flat[:, start + 1:stop + 1:F]
         advance_both = flat[:, start + side + 1:stop + side + 1:F]
-        v_least, v_most = _lookahead(advance_0, advance_1, r0_behind[cells], config)
+        v_least, v_most = _lookahead(advance_0, advance_1, h0 < h1, config)
         if policies is None:
             decided = np.minimum(v_least, v_most)
             np.less_equal(v_least, v_most + tie_tolerance, out=least[:, cells])
         else:
             decided = np.where(serve_least[:, cells], v_least, v_most)
         flat[:, cells] = np.where(
-            same[cells], (1.0 + pq * (advance_0 + advance_1) + pp * advance_both) / denom, decided
+            h0 == h1, (1.0 + pq * (advance_0 + advance_1) + pp * advance_both) / denom, decided
         )
     return values
 
@@ -160,31 +146,26 @@ def solve_optimal(config: SystemConfig, tie_tolerance: float = 1e-9) -> tuple[np
     table is canonical.  The choice is made in the sweep, from the same
     lookaheads ``certify`` takes from the final table.
     """
-    kinds = _kinds(config)  # refuses a bad config before anything is allocated
+    batches = _batches(config)  # refuses a bad config before anything is allocated
     side = config.F + 1
     least = np.zeros((1, side * side), dtype=bool)
-    values = _sweep(config, kinds, least=least, tie_tolerance=tie_tolerance)[0]
+    values = _sweep(config, batches, least=least, tie_tolerance=tie_tolerance)[0]
     choice = np.where(least.reshape(side, side), np.int8(Action.SERVE_LEAST), np.int8(Action.SERVE_MOST))
-    return values, np.where(kinds.decision, choice, np.int8(Action.NO_DECISION))
-
-
-def lr_policy_table(config: SystemConfig) -> np.ndarray:
-    """The least-received rule as a policy table: SERVE_LEAST wherever there is a choice."""
-    return np.where(_kinds(config).decision, Action.SERVE_LEAST, Action.NO_DECISION).astype(np.int8)
+    return values, np.where(_decision_mask(batches), choice, np.int8(Action.NO_DECISION))
 
 
 def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
     """Expected-slots table of a fixed policy (same sweep, no minimization)."""
+    batches = _batches(config)
     policy = np.asarray(policy)
     if policy.shape != (config.F + 1, config.F + 1):
         raise ValueError(f"policy table must be {(config.F + 1,) * 2}, got {policy.shape}")
-    kinds = _kinds(config)
     choices = np.isin(policy, (Action.SERVE_LEAST, Action.SERVE_MOST))
-    illegal = np.argwhere(np.where(kinds.decision, ~choices, policy != Action.NO_DECISION))
+    illegal = np.argwhere(np.where(_decision_mask(batches), ~choices, policy != Action.NO_DECISION))
     if len(illegal):
         s = tuple(illegal[0].tolist())
         raise ValueError(f"illegal policy entry {policy[s]} at state {s}")
-    return _sweep(config, kinds, policy[None])[0]
+    return _sweep(config, batches, policy[None])[0]
 
 
 @dataclass(frozen=True)
@@ -259,7 +240,7 @@ def certify(config: SystemConfig, values: np.ndarray, tolerance: float = 1e-9) -
     lookahead once, for one row beyond its own (the neighbors below its
     last row), and feeds every family from it.
     """
-    kinds = _kinds(config)
+    batches = _batches(config)
     F, p = config.F, config.p
     last_band_start = config.b * config.K  # first packet index of the final batch
     tallies = tuple(map(_Tally, (
@@ -292,7 +273,8 @@ def certify(config: SystemConfig, values: np.ndarray, tolerance: float = 1e-9) -
 
         ext = min(hi + 1, F)
         advance_0, advance_1 = values[lo + 1:ext + 1, :F], values[lo:ext, 1:]
-        decision, r0_behind = kinds.decision[lo:ext, :F], kinds.r0_behind[lo:ext, :F]
+        h0, h1 = batches[lo:ext, None], batches[None, :F]
+        decision, r0_behind = h0 != h1, h0 < h1
         v_least, v_most = _lookahead(advance_0, advance_1, r0_behind, config)
         prefer = v_most - v_least  # serve-most minus serve-least gap
         here = decision[:n]
@@ -333,14 +315,14 @@ def enumerate_policies_oracle(
     where D is the number of decision states.  Bit D-1-k of policy n set
     means SERVE_MOST at decision state k; policies are swept in fixed-size batches.
     """
-    kinds = _kinds(config)
-    ds = _states(kinds.decision)
-    D = len(ds)
+    batches = _batches(config)
+    decision = _decision_mask(batches)
+    cells = np.flatnonzero(decision)  # the decision states, in lexicographic order
+    D = len(cells)
     if D >= policy_cap.bit_length():  # i.e. 2**D > policy_cap, without the huge power
         raise OracleCapacityError(f"{D} decision states give 2**{D} policies, over the cap {policy_cap}")
     n_policies = 2**D
-    base = np.where(kinds.decision, Action.SERVE_LEAST, Action.NO_DECISION).astype(np.int8)  # the LR table
-    cells = np.flatnonzero(base)  # the decision states, in the order of ds
+    base = np.where(decision, Action.SERVE_LEAST, Action.NO_DECISION).astype(np.int8)  # the LR table
     msb_first = np.arange(D - 1, -1, -1)
     origin = np.empty(n_policies)
     for start in range(0, n_policies, _ORACLE_CHUNK):
@@ -348,14 +330,14 @@ def enumerate_policies_oracle(
         stack = np.repeat(base[None], len(n), axis=0)
         most = (n[:, None] >> msb_first) & 1
         stack.reshape(len(n), -1)[:, cells] = np.where(most, Action.SERVE_MOST, Action.SERVE_LEAST)
-        origin[n] = _sweep(config, kinds, stack)[:, 0, 0]
+        origin[n] = _sweep(config, batches, stack)[:, 0, 0]
     # Among equal values take the smallest assignment tuple; SERVE_MOST < SERVE_LEAST,
     # so that is the policy with the largest n.
     best = n_policies - 1 - int(np.argmin(origin[::-1]))
     best_value = float(origin[best])
     lr_value = float(origin[0])  # policy 0 is all-SERVE_LEAST
     return OracleResult(
-        decision_states=tuple(ds),
+        decision_states=tuple(zip(*(axis.tolist() for axis in np.nonzero(decision)))),
         n_policies=n_policies,
         best_value=best_value,
         best_assignment=tuple(

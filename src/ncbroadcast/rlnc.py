@@ -1,9 +1,8 @@
 """Random linear coding over GF(256): coefficient draws, rank tracking, block decoding.
 
 Field: GF(2^8) under the reduction polynomial x^8 + x^4 + x^3 + x^2 + 1
-(0x11D), for which 2 is a primitive element.  Scalar arithmetic goes
-through log/antilog tables; bulk payload arithmetic goes through a
-precomputed 256x256 product table so combining and eliminating work on
+(0x11D).  All arithmetic goes through a precomputed 256x256 product table
+and the inverse table read off it, so combining and eliminating work on
 whole byte vectors at once.
 
 A coded packet is one draw_coefficients row of K coefficients and the
@@ -26,47 +25,24 @@ import numpy as np
 REDUCTION_POLY = 0x11D
 
 
-def _build_tables() -> tuple[list[int], list[int]]:
-    exp = [0] * 510
-    log = [0] * 256
-    x = 1
-    for i in range(255):
-        exp[i] = x
-        log[x] = i
-        x <<= 1
-        if x & 0x100:
-            x ^= REDUCTION_POLY
-    for i in range(255, 510):
-        exp[i] = exp[i - 255]
-    return exp, log
-
-
-_EXP, _LOG = _build_tables()
-
-
-def gf_mul(a: int, b: int) -> int:
-    """Product in GF(256)."""
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[_LOG[a] + _LOG[b]]
-
-
-def gf_inv(a: int) -> int:
-    """Multiplicative inverse in GF(256); 0 has none."""
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(256)")
-    return _EXP[255 - _LOG[a]]
+def _product_table() -> np.ndarray:
+    """_MUL below: the carry-less product of every pair of bytes, reduced by REDUCTION_POLY."""
+    c = np.arange(256, dtype=np.uint16)
+    product = np.zeros((256, 256), dtype=np.uint16)
+    for k in range(8):  # add c * x^k wherever bit k of the second factor is set
+        product ^= (c[:, None] << k) * (c >> k & 1)
+    for k in range(14, 7, -1):  # clear bit k by adding x^(k-8) * REDUCTION_POLY
+        product ^= (product >> k & 1) * np.uint16(REDUCTION_POLY << (k - 8))
+    return product.astype(np.uint8)
 
 
 # Full product table for vectorized row operations: _MUL[c, v] multiplies
-# every byte of v by the scalar c.  Built from the log/antilog tables in one
-# gather; row and column 0 are zero.
-_LOG_ARRAY = np.array(_LOG)
-_MUL = np.array(_EXP, dtype=np.uint8)[_LOG_ARRAY[:, None] + _LOG_ARRAY[None, :]]
-_MUL[0, :] = _MUL[:, 0] = 0
+# every byte of v by the scalar c; row and column 0 are zero.
+_MUL = _product_table()
 _MUL_FLAT = _MUL.ravel()  # _MUL_FLAT[(c << 8) | v] == _MUL[c, v]
-# _INV[a] is the inverse of a; the entry for 0 is 0, for blocks that have no pivot.
-_INV = np.array([0] + [gf_inv(a) for a in range(1, 256)], dtype=np.uint8)
+# _INV[a] is the inverse of a.  Row 0 of _MUL holds no 1, so the entry for 0 is 0,
+# which serves blocks that have no pivot.
+_INV = (_MUL == 1).argmax(axis=1).astype(np.uint8)
 # _MUL_BYTES[c] is row c of _MUL as a bytes.translate table: row.translate(_MUL_BYTES[c]) is c * row.
 _MUL_BYTES = [bytes(row) for row in _MUL.tolist()]
 _INV_LIST = _INV.tolist()

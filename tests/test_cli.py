@@ -293,6 +293,28 @@ def test_repeated_list_value_is_named(capsys, args, message):
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+SLOT_HUNGRY = {
+    "simulate": ["simulate", "--file-size", "10", "--window", "10", "--p", "1e-9", "--trials", "2"],
+    "sweep": ["sweep", "--file-size", "10", "--windows", "10,5", "--p", "1e-9", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("args", SLOT_HUNGRY.values(), ids=SLOT_HUNGRY.keys())
+def test_slot_hungry_run_refused_before_any_trial(monkeypatch, capsys, args):
+    # F / p = 1e10 slots per receiver on average, past MAX_SLOTS; a trial
+    # would run for hours before failing, so none may start.
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    monkeypatch.setattr(cli, "sweep_coding_window", no_trials)
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: --file-size 10 at --p 1e-09 needs about 1e+10 slots per receiver, more than the limit of 1000000000\n"
+    )
+
+
 def test_version_flag(tmp_path):
     proc = run_cli(["--version"], tmp_path)
     assert proc.returncode == 0

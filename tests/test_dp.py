@@ -22,13 +22,10 @@ from ncbroadcast import dp
 from ncbroadcast.dp import (
     MAX_STATES,
     OracleCapacityError,
-    _kinds,
     _sweep,
     certify,
-    decision_states,
     enumerate_policies_oracle,
     evaluate_policy,
-    lr_policy_table,
     solve_optimal,
     write_table_csv,
 )
@@ -61,6 +58,29 @@ def lookahead(values, s, action, cfg):
     stay = sum(pr for nxt, pr in transitions(s, action, cfg) if nxt == s)
     move = sum(pr * values[nxt] for nxt, pr in transitions(s, action, cfg) if nxt != s)
     return (reward(s, cfg) + move) / (1.0 - stay)
+
+
+def decision_states(cfg):
+    """All states offering a serve-least/serve-most choice, by the scalar classification, lexicographic."""
+    side = range(cfg.F + 1)
+    return [(x0, x1) for x0 in side for x1 in side if classify((x0, x1), cfg).is_decision]
+
+
+def lr_policy_table(cfg):
+    """The least-received rule as a policy table: SERVE_LEAST wherever there is a choice."""
+    table = np.full((cfg.F + 1, cfg.F + 1), Action.NO_DECISION, dtype=np.int8)
+    for s in decision_states(cfg):
+        table[s] = Action.SERVE_LEAST
+    return table
+
+
+def traced_peak(call, *args):
+    """(call(*args), the peak of the memory tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def all_policy_tables(cfg):
@@ -124,8 +144,12 @@ class TestSolveOptimal:
                 assert actions[s] == expected, s
 
     def test_rejects_wrong_receiver_count(self):
-        with pytest.raises(ValueError):
-            solve_optimal(validate_config(4, 2, 3, 0.5))
+        cfg = validate_config(4, 2, 3, 0.5)
+        table = np.zeros((5, 5))
+        for call in (solve_optimal, enumerate_policies_oracle, lambda c: certify(c, table),
+                     lambda c: evaluate_policy(c, table)):
+            with pytest.raises(ValueError, match="N=2 only"):
+                call(cfg)
 
     @given(
         K=st.integers(1, 3),
@@ -191,7 +215,7 @@ class TestEvaluatePolicy:
         stack[:, base != Action.NO_DECISION] = rng.choice(
             (Action.SERVE_LEAST, Action.SERVE_MOST), size=(7, int((base != Action.NO_DECISION).sum()))
         )
-        batched = _sweep(cfg, _kinds(cfg), stack)
+        batched = _sweep(cfg, dp._batches(cfg), stack)
         assert batched.shape == (7, F + 1, F + 1)
         for table, values in zip(stack, batched):
             assert values.tobytes() == evaluate_policy(cfg, table).tobytes()
@@ -209,25 +233,29 @@ class TestDecisionStates:
         "F,K,p", [(1, 1, 0.5), (2, 1, 0.3), (4, 4, 0.5), (6, 3, 0.5), (12, 4, 0.9), (12, 1, 1.0), (15, 5, 0.2)]
     )
     def test_match_scalar_classification(self, F, K, p):
+        # The batch-id vector classifies the grid as the scalar rule does,
+        # both in the whole-grid mask and in the solver's action table.
         cfg = validate_config(F, K, 2, p)
-        reference = [
-            (x0, x1) for x0 in range(F + 1) for x1 in range(F + 1) if classify((x0, x1), cfg).is_decision
-        ]
-        assert decision_states(cfg) == reference
+        reference = decision_states(cfg)
+        assert [tuple(s) for s in np.argwhere(dp._decision_mask(dp._batches(cfg))).tolist()] == reference
+        actions = solve_optimal(cfg)[1]
+        assert [tuple(s) for s in np.argwhere(actions != Action.NO_DECISION).tolist()] == reference
 
 
 class TestSizeGuard:
     def test_oversized_table_refused_before_allocating(self):
         cfg = validate_config(100_000, 1, 2, 0.5)
         start = time.perf_counter()
-        for call in (solve_optimal, decision_states, enumerate_policies_oracle):
+        table = np.zeros((1, 1))  # never read: the refusal comes first
+        for call in (solve_optimal, enumerate_policies_oracle, lambda c: certify(c, table),
+                     lambda c: evaluate_policy(c, table)):
             with pytest.raises(ConfigError, match="states, over the cap"):
                 call(cfg)
         assert time.perf_counter() - start < 1.0
 
     def test_paper_scale_file_is_admitted(self):
         assert (2500 + 1) ** 2 <= MAX_STATES
-        assert decision_states(validate_config(2500, 2500, 2, 0.5)) == []
+        assert not dp._decision_mask(dp._batches(validate_config(2500, 2500, 2, 0.5))).any()
 
 
 class TestLrPolicyTable:
@@ -239,6 +267,8 @@ class TestLrPolicyTable:
         cfg12 = validate_config(12, 4, 2, 0.5)
         assert lr_policy_table(cfg12)[12, 3] == Action.NO_DECISION  # receiver 0 finished
         assert lr_policy_table(cfg12)[11, 3] == Action.SERVE_LEAST
+        for c in (cfg, cfg12):  # serve-least is optimal and ties go to it, so the solver picks this table
+            assert (solve_optimal(c)[1] == lr_policy_table(c)).all()
 
 
 def report_fields(report):
@@ -318,16 +348,15 @@ class TestAudit:
             assert sum(c.violations for c in whole.checks) >= 4
 
     def test_memory_stays_bounded_at_the_table_cap(self):
+        # The solve holds its 67 MB value table, a bool and an int8 grid for
+        # the policy, and one transient decision mask; certify adds only
+        # row blocks to the table it is given.
         cfg = validate_config(2895, 5, 2, 0.5)
-        values = solve_optimal(cfg)[0]  # 67 MB, allocated before tracing starts
-        tracemalloc.start()
-        try:
-            report = certify(cfg, values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (values, _), solve_peak = traced_peak(solve_optimal, cfg)
+        report, certify_peak = traced_peak(certify, cfg, values)
         assert report.passed
-        assert peak < 64 * 2**20, f"certify peaked at {peak / 2**20:.0f} MB"
+        assert solve_peak < 104 * 2**20, f"solve_optimal peaked at {solve_peak / 2**20:.0f} MB"
+        assert certify_peak < 32 * 2**20, f"certify peaked at {certify_peak / 2**20:.0f} MB"
 
 
 class TestEnumerationOracle:
@@ -362,8 +391,8 @@ class TestEnumerationOracle:
 
 def test_each_entry_point_classifies_the_grid_once(monkeypatch):
     calls = []
-    kinds = dp._kinds
-    monkeypatch.setattr(dp, "_kinds", lambda config: calls.append(config) or kinds(config))
+    batches = dp._batches
+    monkeypatch.setattr(dp, "_batches", lambda config: calls.append(config) or batches(config))
     monkeypatch.setattr(dp, "_ORACLE_CHUNK", 16)
     cfg = validate_config(4, 2, 2, 0.5)
     values, _ = solve_optimal(cfg)  # one check-lr cell: solve, then certify
