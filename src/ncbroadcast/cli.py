@@ -5,6 +5,11 @@ Every file written with --out is paired with a <out>.manifest recording
 the tool version and the full argument vector, so a run can be replayed
 byte-for-byte on the same build.
 
+simulate is a sweep of one policy over one window: both share their
+flags and run through sim.sweep_coding_window, which admits every config
+(sim.check_run) before any trial runs.  --mode ideal passes
+packet_len=None to the simulator, which means idealized reception.
+
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or configuration error.
 """
@@ -27,17 +32,7 @@ from .dp import (
 from .model import ConfigError, validate_config
 from .policies import POLICY_NAMES
 from .rlnc import block_solve_bytes, expected_extra_packets, run_codec_validation
-from .sim import (
-    DEFAULT_PACKET_LEN,
-    MAX_CODEC_BYTES,
-    MAX_RECEIVERS,
-    MAX_SLOTS,
-    RngSpec,
-    SweepCell,
-    run_experiment,
-    sweep_coding_window,
-    write_stats_csv,
-)
+from .sim import MAX_CODEC_BYTES, MAX_RECEIVERS, RngSpec, sweep_coding_window, write_stats_csv
 
 
 _ORACLE_MAX_CAP = 2**20  # default --cap of oracle, and the largest it accepts
@@ -77,41 +72,37 @@ def _require_values(values: list, flag: str) -> None:
             raise ConfigError(f"{flag} repeats {value}")
 
 
-def _check_simulation_args(args) -> None:
+def _run_cells(args, policies: list[str], configs: list) -> list:
+    """Check the run flags shared by simulate and sweep, then run every (policy, config) cell."""
     _require_at_least(args.trials, 2, "--trials")  # the sample stddev needs two
     _require_at_least(args.seed, 0, "--seed")
+    packet_len = None
     if args.mode == "codec":
         _require_at_least(args.packet_len, 1, "--packet-len")
+        packet_len = args.packet_len
+    return sweep_coding_window(policies, configs, args.trials, RngSpec(args.seed), packet_len)
 
 
-def _check_slot_budget(F: int, p: float) -> None:
-    """Refuse a file whose receivers need more than MAX_SLOTS slots each on average (F / p)."""
-    if F > MAX_SLOTS * p:
-        raise ConfigError(
-            f"--file-size {F} at --p {p} needs about {F / p:.3g} slots per receiver, "
-            f"more than the limit of {MAX_SLOTS}"
-        )
-
-
-def _write_manifest(out: Path, command: str, argv: list[str], params: dict, outputs: list[Path]) -> None:
-    lines = [f"tool=ncbroadcast {__version__}", f"command={command}", f"argv={shlex.join(argv)}"]
+def _write_out(args, argv: list[str], params: dict, write) -> None:
+    """If --out is set, write it with write(path), pair it with <out>.manifest and say so."""
+    if not args.out:
+        return
+    write(args.out)
+    lines = [f"tool=ncbroadcast {__version__}", f"command={args.command}", f"argv={shlex.join(argv)}"]
     lines += [f"{key}={value}" for key, value in params.items()]
-    lines += [f"output={path}" for path in outputs]
-    Path(f"{out}.manifest").write_text("\n".join(lines) + "\n")
+    lines.append(f"output={args.out}")
+    Path(f"{args.out}.manifest").write_text("\n".join(lines) + "\n")
+    print(f"wrote {args.out}")
 
 
 def cmd_solve(args, argv) -> int:
     config = validate_config(args.file_size, args.window, 2, args.p)
     values, actions = solve_optimal(config)
     print(f"V(0,0) = {values[0, 0]:.6f}")
-    if args.out:
-        write_table_csv(args.out, values, actions)
-        _write_manifest(
-            args.out, "solve", argv,
-            {"file_size": config.F, "window": config.K, "p": config.p},
-            [args.out],
-        )
-        print(f"wrote {args.out}")
+    _write_out(
+        args, argv, {"file_size": config.F, "window": config.K, "p": config.p},
+        lambda path: write_table_csv(path, values, actions),
+    )
     return 0
 
 
@@ -140,22 +131,23 @@ def cmd_check_lr(args, argv) -> int:
                     status = "pass" if check.violations == 0 else "fail"
                     rows.append((F, K, p, check.name, check.examined, check.violations, margin, status))
                 print(f"F={F} K={K} p={p}: {'PASS' if report.passed else 'FAIL'}")
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+
+    def write_report(path) -> None:
+        with open(path, "w", newline="") as fh:
             fh.write("F,K,p,check,examined,violations,worst_margin,status\n")
             for row in rows:
                 fh.write(",".join(str(item) for item in row) + "\n")
-        _write_manifest(
-            args.out, "check-lr", argv,
-            {
-                "file_sizes": ",".join(map(str, args.file_sizes)),
-                "windows": ",".join(map(str, args.windows)),
-                "ps": ",".join(map(str, args.ps)),
-                "tolerance": args.tolerance,
-            },
-            [args.out],
-        )
-        print(f"wrote {args.out}")
+
+    _write_out(
+        args, argv,
+        {
+            "file_sizes": ",".join(map(str, args.file_sizes)),
+            "windows": ",".join(map(str, args.windows)),
+            "ps": ",".join(map(str, args.ps)),
+            "tolerance": args.tolerance,
+        },
+        write_report,
+    )
     return 1 if failed else 0
 
 
@@ -175,51 +167,38 @@ def cmd_oracle(args, argv) -> int:
 
 def cmd_simulate(args, argv) -> int:
     config = validate_config(args.file_size, args.window, args.receivers, args.p)
-    _check_simulation_args(args)
-    _check_slot_budget(config.F, config.p)
-    stats = run_experiment(
-        config, args.policy, args.trials, RngSpec(args.seed),
-        mode=args.mode, packet_len=args.packet_len,
-    )
+    cells = _run_cells(args, [args.policy], [config])
+    stats = cells[0].stats
     print(
         f"policy={args.policy} N={config.N} F={config.F} K={config.K} p={config.p} "
         f"trials={stats.n_trials} mean={stats.mean:.4f} "
         f"stddev={stats.stddev:.4f} ci95=±{stats.ci95_half_width:.4f}"
     )
-    if args.out:
-        write_stats_csv(args.out, [SweepCell(args.policy, config, stats)])
-        _write_manifest(
-            args.out, "simulate", argv,
-            {
-                "policy": args.policy, "receivers": config.N, "file_size": config.F,
-                "window": config.K, "p": config.p, "trials": args.trials,
-                "seed": args.seed, "mode": args.mode,
-            },
-            [args.out],
-        )
-        print(f"wrote {args.out}")
+    _write_out(
+        args, argv,
+        {
+            "policy": args.policy, "receivers": config.N, "file_size": config.F,
+            "window": config.K, "p": config.p, "trials": args.trials,
+            "seed": args.seed, "mode": args.mode,
+        },
+        lambda path: write_stats_csv(path, cells),
+    )
     return 0
 
 
 def cmd_sweep(args, argv) -> int:
     _require_values(args.policies, "--policies")
     _require_values(args.windows, "--windows")
-    _check_simulation_args(args)
-    valid, skipped = [], []
+    configs, skipped = [], []
     for K in args.windows:
         try:
-            validate_config(args.file_size, K, args.receivers, args.p)
-            valid.append(K)
+            configs.append(validate_config(args.file_size, K, args.receivers, args.p))
         except ConfigError as exc:
             skipped.append(K)
             print(f"skipping window {K}: {exc}", file=sys.stderr)
-    if not valid:
+    if not configs:
         raise ConfigError(f"no valid window among --windows {','.join(map(str, args.windows))}")
-    _check_slot_budget(args.file_size, args.p)  # F and p passed validation with the windows
-    cells = sweep_coding_window(
-        args.file_size, args.receivers, args.p, args.policies, valid,
-        args.trials, RngSpec(args.seed), mode=args.mode, packet_len=args.packet_len,
-    )
+    cells = _run_cells(args, args.policies, configs)
     print("policy  K      mean      stddev    ci95")
     for cell in cells:
         s = cell.stats
@@ -227,19 +206,16 @@ def cmd_sweep(args, argv) -> int:
             f"{cell.policy:<6}  {cell.config.K:<5}  {s.mean:<8.2f}  "
             f"{s.stddev:<8.2f}  ±{s.ci95_half_width:.2f}"
         )
-    if args.out:
-        write_stats_csv(args.out, cells)
-        _write_manifest(
-            args.out, "sweep", argv,
-            {
-                "policies": ",".join(args.policies), "receivers": args.receivers,
-                "file_size": args.file_size, "windows": ",".join(map(str, valid)),
-                "skipped_windows": ",".join(map(str, skipped)), "p": args.p,
-                "trials": args.trials, "seed": args.seed, "mode": args.mode,
-            },
-            [args.out],
-        )
-        print(f"wrote {args.out}")
+    _write_out(
+        args, argv,
+        {
+            "policies": ",".join(args.policies), "receivers": args.receivers,
+            "file_size": args.file_size, "windows": ",".join(str(c.K) for c in configs),
+            "skipped_windows": ",".join(map(str, skipped)), "p": args.p,
+            "trials": args.trials, "seed": args.seed, "mode": args.mode,
+        },
+        lambda path: write_stats_csv(path, cells),
+    )
     return 0
 
 
@@ -303,34 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle.set_defaults(func=cmd_oracle)
 
-    simulate = sub.add_parser("simulate", help="Monte Carlo completion time for one policy")
-    simulate.add_argument("--policy", choices=POLICY_NAMES, default="lr")
-    simulate.add_argument(
+    run = argparse.ArgumentParser(add_help=False)  # the flags simulate and sweep share
+    run.add_argument(
         "--receivers", "-N", "--N", type=int, default=2, help=f"number of receivers (at most {MAX_RECEIVERS})"
     )
-    simulate.add_argument("--file-size", type=int, required=True)
+    run.add_argument("--file-size", type=int, required=True)
+    run.add_argument("--p", type=float, required=True)
+    run.add_argument("--seed", type=int, default=0, help="master seed of the trial streams (>= 0)")
+    run.add_argument("--mode", choices=("ideal", "codec"), default="ideal")
+    run.add_argument("--packet-len", type=int, default=16, help=_PACKET_LEN_HELP)
+    run.add_argument("--out", type=Path, help="write the stats CSV here")
+
+    simulate = sub.add_parser("simulate", parents=[run], help="Monte Carlo completion time for one policy")
+    simulate.add_argument("--policy", choices=POLICY_NAMES, default="lr")
     simulate.add_argument("--window", type=int, required=True)
-    simulate.add_argument("--p", type=float, required=True)
     simulate.add_argument("--trials", type=int, default=10_000)
-    simulate.add_argument("--seed", type=int, default=0, help="master seed of the trial streams (>= 0)")
-    simulate.add_argument("--mode", choices=("ideal", "codec"), default="ideal")
-    simulate.add_argument("--packet-len", type=int, default=DEFAULT_PACKET_LEN, help=_PACKET_LEN_HELP)
-    simulate.add_argument("--out", type=Path, help="write the stats CSV here")
     simulate.set_defaults(func=cmd_simulate)
 
-    sweep = sub.add_parser("sweep", help="compare policies across coding window sizes")
+    sweep = sub.add_parser("sweep", parents=[run], help="compare policies across coding window sizes")
     sweep.add_argument("--policies", type=_policy_list, default=list(POLICY_NAMES))
-    sweep.add_argument(
-        "--receivers", "-N", "--N", type=int, default=2, help=f"number of receivers (at most {MAX_RECEIVERS})"
-    )
-    sweep.add_argument("--file-size", type=int, required=True)
     sweep.add_argument("--windows", type=_int_list, required=True, help="comma list of K values")
-    sweep.add_argument("--p", type=float, required=True)
     sweep.add_argument("--trials", type=int, default=1_000)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--mode", choices=("ideal", "codec"), default="ideal")
-    sweep.add_argument("--packet-len", type=int, default=DEFAULT_PACKET_LEN, help=_PACKET_LEN_HELP)
-    sweep.add_argument("--out", type=Path, help="write the stats CSV here")
     sweep.set_defaults(func=cmd_sweep)
 
     codec = sub.add_parser("codec-validate", help="round-trip and rank statistics of the GF(256) codec")

@@ -242,7 +242,7 @@ def certify(config: SystemConfig, values: np.ndarray, tolerance: float = 1e-9) -
     """
     batches = _batches(config)
     F, p = config.F, config.p
-    last_band_start = config.b * config.K  # first packet index of the final batch
+    last_band_start = F - config.K  # first packet index of the final batch
     tallies = tuple(map(_Tally, (
         "edge_closed_form", "corner_sandwich", "monotone_in_x0", "monotone_in_x1",
         "balance_preference", "decision_sign_equivalence", "neighbor_implication",
@@ -300,7 +300,6 @@ class OracleResult:
     decision_states: tuple[State, ...]
     n_policies: int
     best_value: float                       # smallest V(0,0) over all policies
-    best_assignment: tuple[int, ...]        # actions over decision_states attaining it
     lr_value: float                         # V(0,0) of serve-least-everywhere
     lr_matches_best: bool
 
@@ -331,18 +330,12 @@ def enumerate_policies_oracle(
         most = (n[:, None] >> msb_first) & 1
         stack.reshape(len(n), -1)[:, cells] = np.where(most, Action.SERVE_MOST, Action.SERVE_LEAST)
         origin[n] = _sweep(config, batches, stack)[:, 0, 0]
-    # Among equal values take the smallest assignment tuple; SERVE_MOST < SERVE_LEAST,
-    # so that is the policy with the largest n.
-    best = n_policies - 1 - int(np.argmin(origin[::-1]))
-    best_value = float(origin[best])
+    best_value = float(origin.min())
     lr_value = float(origin[0])  # policy 0 is all-SERVE_LEAST
     return OracleResult(
         decision_states=tuple(zip(*(axis.tolist() for axis in np.nonzero(decision)))),
         n_policies=n_policies,
         best_value=best_value,
-        best_assignment=tuple(
-            int(Action.SERVE_MOST if best >> bit & 1 else Action.SERVE_LEAST) for bit in msb_first.tolist()
-        ),
         lr_value=lr_value,
         lr_matches_best=abs(lr_value - best_value) <= tolerance,
     )

@@ -23,7 +23,6 @@ class SystemConfig:
         N: number of receivers.
         p: per-slot, per-receiver ON probability, 0 < p <= 1.
         q: complement 1 - p.
-        b: number of batches minus one, F // K - 1.
     """
 
     F: int
@@ -31,11 +30,10 @@ class SystemConfig:
     N: int
     p: float
     q: float
-    b: int
 
 
 def validate_config(F: int, K: int, N: int, p: float) -> SystemConfig:
-    """Check raw parameters and derive q and b.
+    """Check raw parameters and derive q.
 
     p = 0 is rejected (the transfer would never finish); p = 1 is the
     degenerate always-on channel and is allowed.
@@ -46,7 +44,7 @@ def validate_config(F: int, K: int, N: int, p: float) -> SystemConfig:
         raise ConfigError(f"ON probability must satisfy 0 < p <= 1, got p={p}")
     if F % K != 0:
         raise ConfigError(f"file size must be a multiple of the window size, got F={F} K={K}")
-    return SystemConfig(F=F, K=K, N=N, p=float(p), q=1.0 - float(p), b=F // K - 1)
+    return SystemConfig(F=F, K=K, N=N, p=float(p), q=1.0 - float(p))
 
 
 def batch_id(x: int, config: SystemConfig) -> int:

@@ -5,15 +5,20 @@ slot draws the ON set (one Bernoulli(p) flag per receiver) and ANDs it
 with the unfinished receivers grouped by the batch they expect.  One
 batch hit is sent outright; two or more make a conflict slot, settled by
 the policy's kernel (see policies).  The packet reaches every ON receiver
-expecting its batch.  Idealized mode counts every delivery as one packet
-of progress.  Codec mode draws the packet's GF(256) coefficients and
-counts progress only when they raise the receiver's rank, tracked on
-coefficient rows by an rlnc.RankTracker.  Each receiver that reaches rank
-K hands its K x K coefficient block to a pending list; the list is
-verified in chunks, and at the end of the trial, by encoding the batch's
-source under those rows and decoding it again in one block solve
-(rlnc.verify_blocks), which raises RuntimeError on a rank-deficient block
-or a wrong decode.
+expecting its batch.  Idealized mode (packet_len=None) counts every
+delivery as one packet of progress.  Codec mode (packet_len payload bytes
+per packet) draws the packet's GF(256) coefficients and counts progress
+only when they raise the receiver's rank, tracked on coefficient rows by
+an rlnc.RankTracker.  Each receiver that reaches rank K hands its K x K
+coefficient block to a pending list; the list is verified in chunks, and
+at the end of the trial, by encoding the batch's source under those rows
+and decoding it again in one block solve (rlnc.verify_blocks), which
+raises RuntimeError on a rank-deficient block or a wrong decode.
+
+A run is admitted once, by check_run, before any trial draws: it refuses
+too many receivers, a file whose slot count could pass MAX_SLOTS, and a
+codec trial over MAX_CODEC_BYTES.  sweep_coding_window does this for
+every config of its grid; run_trial does not check its inputs again.
 
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig, validate_config
+from .model import ConfigError, SystemConfig
 from .policies import conflict_rule
 from .rlnc import RankTracker, batch_chunk, block_solve_bytes, draw_coefficients, encode_blocks, verify_blocks
 
@@ -38,7 +43,6 @@ ROLE_CODING = 2
 
 MAX_SLOTS = 10**9
 MAX_RECEIVERS = 1024  # a block of flags takes 8 KiB per receiver
-DEFAULT_PACKET_LEN = 16
 # Codec mode refuses a trial whose source (F*L bytes), rank state (about
 # 2*N*K^2 bytes) and one block solve (about 12*K*(K+L) bytes) would pass this.
 MAX_CODEC_BYTES = 1 << 30
@@ -92,9 +96,24 @@ def _on_masks(rng: np.random.Generator, N: int, p: float):
         yield from masks
 
 
-def check_codec_size(config: SystemConfig, packet_len: int) -> None:
-    """Raise ConfigError if a codec-mode trial of this size would pass MAX_CODEC_BYTES."""
-    F, K, N = config.F, config.K, config.N
+def check_run(config: SystemConfig, packet_len: int | None) -> None:
+    """Raise ConfigError unless trials of this config fit the slot budget,
+    MAX_RECEIVERS and, in codec mode, MAX_CODEC_BYTES.
+
+    One receiver needs F/p slots on average, with standard deviation
+    sqrt(F*q)/p; the mean plus six of those must fit in MAX_SLOTS.
+    """
+    F, K, N, p = config.F, config.K, config.N, config.p
+    slots = (F + 6 * math.sqrt(F * config.q)) / p
+    if slots > MAX_SLOTS:
+        raise ConfigError(
+            f"--file-size {F} at --p {p} needs about {slots:.3g} slots per receiver, "
+            f"more than the limit of {MAX_SLOTS}"
+        )
+    if N > MAX_RECEIVERS:
+        raise ConfigError(f"at most {MAX_RECEIVERS} receivers are supported, got {N}")
+    if packet_len is None:
+        return
     need = F * packet_len + 2 * N * K * K + block_solve_bytes(K, packet_len)
     if need > MAX_CODEC_BYTES:
         raise ConfigError(
@@ -115,19 +134,16 @@ def run_trial(
     policy: str,
     rng_spec: RngSpec,
     trial_index: int,
-    mode: str = "ideal",
-    packet_len: int = DEFAULT_PACKET_LEN,
+    packet_len: int | None = None,
 ) -> TrialResult:
-    """Simulate one file transfer; returns slots to completion and conflict-slot count."""
-    if mode not in ("ideal", "codec"):
-        raise ValueError(f"mode must be 'ideal' or 'codec', got {mode!r}")
+    """Simulate one file transfer of an admitted config (see check_run).
+
+    Returns slots to completion and the conflict-slot count.
+    """
     F, K, N, p = config.F, config.K, config.N, config.p
-    if N > MAX_RECEIVERS:
-        raise ConfigError(f"at most {MAX_RECEIVERS} receivers are supported, got {N}")
     pick = conflict_rule(policy, _uniforms(rng_spec, trial_index))
-    codec = mode == "codec"
+    codec = packet_len is not None
     if codec:
-        check_codec_size(config, packet_len)
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
         sources = coding_rng.integers(0, 256, size=(F, packet_len), dtype=np.uint8).reshape(F // K, K, packet_len)
         trackers: list[RankTracker | None] = [None] * N
@@ -199,15 +215,11 @@ def completion_times(
     policy: str,
     n_trials: int,
     rng_spec: RngSpec,
-    mode: str = "ideal",
-    packet_len: int = DEFAULT_PACKET_LEN,
+    packet_len: int | None = None,
 ) -> np.ndarray:
     """Per-trial completion slots for trial indices 0..n_trials-1."""
     return np.array(
-        [
-            run_trial(config, policy, rng_spec, i, mode=mode, packet_len=packet_len).completion_slots
-            for i in range(n_trials)
-        ],
+        [run_trial(config, policy, rng_spec, i, packet_len).completion_slots for i in range(n_trials)],
         dtype=np.int64,
     )
 
@@ -232,35 +244,29 @@ def run_experiment(
     policy: str,
     n_trials: int,
     rng_spec: RngSpec,
-    mode: str = "ideal",
-    packet_len: int = DEFAULT_PACKET_LEN,
+    packet_len: int | None = None,
 ) -> ExperimentStats:
-    return stats_from_times(completion_times(config, policy, n_trials, rng_spec, mode, packet_len))
+    return stats_from_times(completion_times(config, policy, n_trials, rng_spec, packet_len))
 
 
 def sweep_coding_window(
-    file_size: int,
-    receivers: int,
-    p: float,
     policies,
-    windows,
+    configs,
     n_trials: int,
     rng_spec: RngSpec,
-    mode: str = "ideal",
-    packet_len: int = DEFAULT_PACKET_LEN,
+    packet_len: int | None = None,
 ) -> list[SweepCell]:
-    """One ExperimentStats per (policy, window) pair, policy-major order."""
-    configs = {}
-    for K in windows:
-        configs[K] = validate_config(file_size, K, receivers, p)  # raises ConfigError on bad K
-        if mode == "codec":
-            check_codec_size(configs[K], packet_len)  # refuse the grid before any cell runs
-    cells = []
-    for policy in policies:
-        for K in windows:
-            stats = run_experiment(configs[K], policy, n_trials, rng_spec, mode, packet_len)
-            cells.append(SweepCell(policy=policy, config=configs[K], stats=stats))
-    return cells
+    """One ExperimentStats per (policy, config) pair, policy-major order.
+
+    Every config is admitted by check_run before the first cell runs.
+    """
+    for config in configs:
+        check_run(config, packet_len)
+    return [
+        SweepCell(policy, config, run_experiment(config, policy, n_trials, rng_spec, packet_len))
+        for policy in policies
+        for config in configs
+    ]
 
 
 def write_stats_csv(path, cells) -> None:

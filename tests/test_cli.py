@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ncbroadcast
-from ncbroadcast import cli
+from ncbroadcast import cli, sim
 from ncbroadcast.sim import MAX_RECEIVERS
 
 
@@ -141,25 +141,28 @@ class TestOracle:
 
 class TestSimulate:
     def test_stats_row_and_manifest_replay(self, tmp_path):
-        args = [
-            "simulate", "--policy", "lr", "--receivers", "2", "--file-size", "12",
-            "--window", "4", "--p", "0.5", "--trials", "300", "--seed", "42",
-            "--out", "stats.csv",
-        ]
-        proc = run_cli(args, tmp_path)
-        assert proc.returncode == 0
-        first = (tmp_path / "stats.csv").read_bytes()
-        lines = first.decode().splitlines()
-        assert lines[0] == "policy,N,F,K,p,n_trials,mean_slots,stddev,ci95_half_width"
-        assert lines[1].startswith("lr,2,12,4,0.5,300,")
+        # simulate and a one-cell sweep write the same stats row, in both modes
+        cell = ["--receivers", "2", "--file-size", "12", "--p", "0.5", "--trials", "300", "--seed", "42"]
+        for mode in ("ideal", "codec"):
+            rows = {}
+            for command in (["simulate", "--policy", "lr", "--window", "4"], ["sweep", "--policies", "lr", "--windows", "4"]):
+                out = f"{command[0]}-{mode}.csv"
+                proc = run_cli([*command, *cell, "--mode", mode, "--out", out], tmp_path)
+                assert proc.returncode == 0
+                first = (tmp_path / out).read_bytes()
+                lines = first.decode().splitlines()
+                assert lines[0] == "policy,N,F,K,p,n_trials,mean_slots,stddev,ci95_half_width"
+                assert lines[1].startswith("lr,2,12,4,0.5,300,")
+                rows[command[0]] = lines[1]
 
-        manifest = dict(
-            line.split("=", 1) for line in (tmp_path / "stats.csv.manifest").read_text().splitlines()
-        )
-        assert manifest["command"] == "simulate"
-        replay = run_cli(shlex.split(manifest["argv"]), tmp_path)
-        assert replay.returncode == 0
-        assert (tmp_path / "stats.csv").read_bytes() == first
+                manifest = dict(
+                    line.split("=", 1) for line in (tmp_path / f"{out}.manifest").read_text().splitlines()
+                )
+                assert (manifest["command"], manifest["mode"]) == (command[0], mode)
+                replay = run_cli(shlex.split(manifest["argv"]), tmp_path)
+                assert replay.returncode == 0
+                assert (tmp_path / out).read_bytes() == first
+            assert rows["simulate"] == rows["sweep"]
 
     def test_codec_mode_runs(self, tmp_path):
         proc = run_cli(
@@ -293,25 +296,26 @@ def test_repeated_list_value_is_named(capsys, args, message):
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+# F = 10 needs (F + 6 sqrt(F q)) / p slots for one receiver's mean plus six
+# standard deviations: 2.9e10 at p = 1e-9, and 2.9e9 at p = 1e-8, where the
+# mean F / p alone is exactly MAX_SLOTS and about half the trials would pass it.
 SLOT_HUNGRY = {
-    "simulate": ["simulate", "--file-size", "10", "--window", "10", "--p", "1e-9", "--trials", "2"],
-    "sweep": ["sweep", "--file-size", "10", "--windows", "10,5", "--p", "1e-9", "--trials", "2"],
+    "simulate": (["simulate", "--file-size", "10", "--window", "10", "--p", "1e-9", "--trials", "2"], "1e-09", "2.9e+10"),
+    "sweep": (["sweep", "--file-size", "10", "--windows", "10,5", "--p", "1e-9", "--trials", "2"], "1e-09", "2.9e+10"),
+    "simulate-mean-at-cap": (
+        ["simulate", "--file-size", "10", "--window", "10", "--p", "1e-8", "--trials", "2"], "1e-08", "2.9e+09"
+    ),
 }
 
 
-@pytest.mark.parametrize("args", SLOT_HUNGRY.values(), ids=SLOT_HUNGRY.keys())
-def test_slot_hungry_run_refused_before_any_trial(monkeypatch, capsys, args):
-    # F / p = 1e10 slots per receiver on average, past MAX_SLOTS; a trial
-    # would run for hours before failing, so none may start.
-    def no_trials(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(cli, "run_experiment", no_trials)
-    monkeypatch.setattr(cli, "sweep_coding_window", no_trials)
+@pytest.mark.parametrize("args,p,slots", SLOT_HUNGRY.values(), ids=SLOT_HUNGRY.keys())
+def test_slot_hungry_run_refused_before_any_trial(monkeypatch, capsys, args, p, slots):
+    # a trial would run for hours before failing, so none may start
+    monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: --file-size 10 at --p 1e-09 needs about 1e+10 slots per receiver, more than the limit of 1000000000\n"
+        f"error: --file-size 10 at --p {p} needs about {slots} slots per receiver, more than the limit of 1000000000\n"
     )
 
 

@@ -6,8 +6,9 @@ from ncbroadcast.model import ConfigError, SystemConfig, batch_id, validate_conf
 
 def batch_packet_range(i: int, config: SystemConfig) -> tuple[int, int]:
     """First and last packet index covered by batch i."""
-    if not 0 <= i <= config.b:
-        raise ValueError(f"batch index {i} outside [0, {config.b}]")
+    last = config.F // config.K - 1
+    if not 0 <= i <= last:
+        raise ValueError(f"batch index {i} outside [0, {last}]")
     return i * config.K, (i + 1) * config.K - 1
 
 
@@ -15,12 +16,10 @@ def test_validate_derives_q_and_b():
     cfg = validate_config(12, 4, 2, 0.5)
     assert (cfg.F, cfg.K, cfg.N) == (12, 4, 2)
     assert cfg.q == 0.5
-    assert cfg.b == 2
 
 
 def test_single_batch_perfect_channel():
     cfg = validate_config(5, 5, 1, 1.0)
-    assert cfg.b == 0
     assert cfg.q == 0.0
 
 

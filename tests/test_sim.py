@@ -13,7 +13,7 @@ from ncbroadcast.sim import (
     MAX_CODEC_BYTES,
     MAX_RECEIVERS,
     RngSpec,
-    check_codec_size,
+    check_run,
     completion_times,
     run_experiment,
     run_trial,
@@ -23,6 +23,7 @@ from ncbroadcast.sim import (
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "sim_golden.csv"
 CODEC_GOLDEN_CSV = Path(__file__).parent / "data" / "sim_codec_golden.csv"
+PACKET_LEN = 16  # the CLI's default --packet-len; None means idealized mode
 
 
 class TestSingleReceiver:
@@ -111,13 +112,13 @@ class TestCodecMode:
     def test_dominates_idealized_per_trial(self):
         # same connectivity substream in both modes; dependent packets can only delay
         cfg = validate_config(24, 4, 2, 0.7)
-        ideal = completion_times(cfg, "lr", 150, RngSpec(9), mode="ideal")
-        codec = completion_times(cfg, "lr", 150, RngSpec(9), mode="codec")
+        ideal = completion_times(cfg, "lr", 150, RngSpec(9))
+        codec = completion_times(cfg, "lr", 150, RngSpec(9), packet_len=PACKET_LEN)
         assert (codec >= ideal).all()
 
     def test_single_receiver_codec_roundtrip(self):
         cfg = validate_config(12, 4, 1, 0.8)
-        times = completion_times(cfg, "lr", 30, RngSpec(2), mode="codec", packet_len=8)
+        times = completion_times(cfg, "lr", 30, RngSpec(2), packet_len=8)
         assert (times >= 12).all()
 
     def test_coding_stream_is_the_encoders(self, monkeypatch):
@@ -130,17 +131,12 @@ class TestCodecMode:
             return drawn[-1]
 
         monkeypatch.setattr(sim, "draw_coefficients", recording)
-        run_trial(validate_config(12, 4, 3, 0.6), "rs", RngSpec(5), 2, mode="codec", packet_len=8)
+        run_trial(validate_config(12, 4, 3, 0.6), "rs", RngSpec(5), 2, packet_len=8)
         replay = RngSpec(5).substream(2, sim.ROLE_CODING)
         replay.integers(0, 256, size=(12, 8), dtype=np.uint8)  # the source
         assert len(drawn) >= 12
         for row in drawn:
             assert (draw_coefficients(replay, 4) == row).all()
-
-    def test_unknown_mode_rejected(self):
-        cfg = validate_config(12, 4, 2, 0.5)
-        with pytest.raises(ValueError):
-            run_trial(cfg, "lr", RngSpec(0), 0, mode="fast")
 
 
 class TestCodecVerification:
@@ -154,7 +150,7 @@ class TestCodecVerification:
 
         monkeypatch.setattr(sim, "verify_blocks", counting)
         monkeypatch.setattr(sim, "batch_chunk", lambda window, packet_len: 5)
-        run_trial(validate_config(24, 4, 3, 0.7), "lr", RngSpec(1), 0, mode="codec")
+        run_trial(validate_config(24, 4, 3, 0.7), "lr", RngSpec(1), 0, PACKET_LEN)
         assert verified == [5, 5, 5, 3]  # 3 receivers x 6 batches
 
     def test_rank_claims_are_cross_checked(self, monkeypatch):
@@ -167,7 +163,7 @@ class TestCodecVerification:
 
         monkeypatch.setattr(sim, "RankTracker", RepeatingTracker)
         with pytest.raises(RuntimeError, match="not full rank"):
-            run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, mode="codec")
+            run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, PACKET_LEN)
 
     def test_wrong_decode_raises(self, monkeypatch):
         encode_blocks = sim.encode_blocks
@@ -179,7 +175,7 @@ class TestCodecVerification:
 
         monkeypatch.setattr(sim, "encode_blocks", corrupting)
         with pytest.raises(RuntimeError, match="does not decode"):
-            run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, mode="codec")
+            run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, PACKET_LEN)
 
 
 class TestCodecSizeGuard:
@@ -189,39 +185,37 @@ class TestCodecSizeGuard:
     def test_largest_size_runs(self, monkeypatch):
         cfg = validate_config(8, 4, 2, 0.5)
         monkeypatch.setattr(sim, "MAX_CODEC_BYTES", self.NEED)
-        assert run_trial(cfg, "lr", RngSpec(0), 0, mode="codec", packet_len=16).completion_slots >= 8
+        check_run(cfg, 16)
+        assert run_trial(cfg, "lr", RngSpec(0), 0, packet_len=16).completion_slots >= 8
         with pytest.raises(ConfigError, match="packet length 17"):
-            run_trial(cfg, "lr", RngSpec(0), 0, mode="codec", packet_len=17)
+            check_run(cfg, 17)
 
     def test_largest_packet_len_under_the_default_limit(self):
         cfg = validate_config(8, 4, 2, 0.5)
         largest = (MAX_CODEC_BYTES - 2 * 2 * 16 - 12 * 16) // (8 + 12 * 4)
-        check_codec_size(cfg, largest)
+        check_run(cfg, largest)
         with pytest.raises(ConfigError):
-            check_codec_size(cfg, largest + 1)
+            check_run(cfg, largest + 1)
 
     def test_refused_before_any_draw(self, monkeypatch):
         def no_draws(self, trial_index, role):
             raise AssertionError("drew from a substream")
 
         monkeypatch.setattr(RngSpec, "substream", no_draws)
-        with pytest.raises(ConfigError):
-            run_trial(validate_config(4, 2, 2, 0.5), "rs", RngSpec(0), 0, mode="codec", packet_len=10**12)
+        with pytest.raises(ConfigError, match="codec mode"):
+            sweep_coding_window(["rs"], [validate_config(4, 2, 2, 0.5)], 2, RngSpec(0), packet_len=10**12)
 
     def test_rank_state_counts(self):
         # K = F = 2^14 at two receivers is 2^30 bytes of rank state alone
-        with pytest.raises(ConfigError):
-            check_codec_size(validate_config(2**14, 2**14, 2, 0.5), 1)
+        with pytest.raises(ConfigError, match="codec mode"):
+            check_run(validate_config(2**14, 2**14, 2, 0.5), 1)
 
     def test_sweep_refuses_the_grid_first(self, monkeypatch):
         # at this packet length K=4 fits and K=8 does not
         monkeypatch.setattr(sim, "run_experiment", lambda *args: pytest.fail("a cell ran"))
         with pytest.raises(ConfigError, match="K=8"):
-            sweep_coding_window(8, 2, 0.5, ["lr"], [4, 8], 4, RngSpec(0), mode="codec", packet_len=MAX_CODEC_BYTES // 80)
-
-    def test_ideal_mode_ignores_packet_len(self):
-        cfg = validate_config(4, 2, 2, 1.0)
-        assert run_trial(cfg, "lr", RngSpec(0), 0, packet_len=10**12).completion_slots == 4
+            configs = [validate_config(8, K, 2, 0.5) for K in (4, 8)]
+            sweep_coding_window(["lr"], configs, 4, RngSpec(0), packet_len=MAX_CODEC_BYTES // 80)
 
 
 class TestStats:
@@ -245,23 +239,21 @@ class TestStats:
 class TestReceiverCap:
     def test_cap_is_accepted(self):
         cfg = validate_config(2, 1, MAX_RECEIVERS, 1.0)
-        assert run_trial(cfg, "rrnc", RngSpec(0), 0, mode="codec").completion_slots == 2
+        check_run(cfg, PACKET_LEN)
+        assert run_trial(cfg, "rrnc", RngSpec(0), 0, PACKET_LEN).completion_slots == 2
 
-    def test_above_cap_refused(self):
+    def test_above_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(ConfigError, match="receivers"):
-            run_trial(validate_config(2, 1, MAX_RECEIVERS + 1, 1.0), "lr", RngSpec(0), 0)
+            sweep_coding_window(["lr"], [validate_config(2, 1, MAX_RECEIVERS + 1, 1.0)], 2, RngSpec(0))
 
 
 class TestSweep:
     def test_rows_are_policy_major(self):
-        cells = sweep_coding_window(8, 2, 0.6, ["lr", "rs"], [4, 8], 20, RngSpec(1))
+        cells = sweep_coding_window(["lr", "rs"], [validate_config(8, K, 2, 0.6) for K in (4, 8)], 20, RngSpec(1))
         assert [(c.policy, c.config.K) for c in cells] == [
             ("lr", 4), ("lr", 8), ("rs", 4), ("rs", 8),
         ]
-
-    def test_rejects_window_not_dividing_file(self):
-        with pytest.raises(ConfigError):
-            sweep_coding_window(8, 2, 0.6, ["lr"], [3], 20, RngSpec(1))
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -275,7 +267,7 @@ def golden_table() -> str:
     when the file was made; regenerate it only with a declared stream change.
     """
     lines = ["policy,mode,N,F,K,p,seed,trial,completion_slots,conflict_slots"]
-    modes = ("ideal", "codec")
+    modes = {"ideal": None, "codec": PACKET_LEN}
     grid = itertools.chain(
         itertools.product(POLICY_NAMES, modes, (1, 2, 5, 63, 64, 65), (8,), (1, 2, 8), (0.2, 0.6, 1.0), (0, 7), (0, 1)),
         # long enough to use more than one block of flags and of rs uniforms
@@ -283,7 +275,7 @@ def golden_table() -> str:
         itertools.product(POLICY_NAMES, ("ideal",), (65,), (600,), (1, 5), (0.2,), (0,), (0,)),
     )
     for policy, mode, N, F, K, p, seed, trial in grid:
-        result = run_trial(validate_config(F, K, N, p), policy, RngSpec(seed), trial, mode=mode)
+        result = run_trial(validate_config(F, K, N, p), policy, RngSpec(seed), trial, modes[mode])
         lines.append(
             f"{policy},{mode},{N},{F},{K},{p!r},{seed},{trial},{result.completion_slots},{result.conflict_slots}"
         )
@@ -316,8 +308,8 @@ def test_codec_engine_matches_golden_table():
     slower = 0
     for policy, N, F, K, p, seed, trial in CODEC_GRID:
         cfg = validate_config(F, K, N, p)
-        result = run_trial(cfg, policy, RngSpec(seed), trial, mode="codec")
-        ideal = run_trial(cfg, policy, RngSpec(seed), trial, mode="ideal")
+        result = run_trial(cfg, policy, RngSpec(seed), trial, PACKET_LEN)
+        ideal = run_trial(cfg, policy, RngSpec(seed), trial)
         slower += result.completion_slots > ideal.completion_slots
         lines.append(f"{policy},{N},{F},{K},{p!r},{seed},{trial},{result.completion_slots},{result.conflict_slots}")
     assert ("\n".join(lines) + "\n").encode() == CODEC_GOLDEN_CSV.read_bytes()
