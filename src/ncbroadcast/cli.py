@@ -5,9 +5,16 @@ Every file written with --out is paired with a <out>.manifest recording
 the tool version and the full argument vector, so a run can be replayed
 byte-for-byte on the same build.
 
+This module parses flags, formats output and maps ConfigError to exit
+2.  Each run is admitted by the library call that owns it, which raises
+ConfigError before any work starts: sim.sweep_coding_window for simulate
+and sweep, rlnc.run_codec_validation for codec-validate and
+dp.enumerate_policies_oracle for oracle.  check-lr refuses its grid here,
+before any cell prints: an empty or repeated list value, a bad
+--tolerance, an oversized file, or a grid with no valid cell.
+
 simulate is a sweep of one policy over one window: both share their
-flags and run through sim.sweep_coding_window, which admits every config
-(sim.check_run) before any trial runs.  --mode ideal passes
+flags and run through sim.sweep_coding_window.  --mode ideal passes
 packet_len=None to the simulator, which means idealized reception.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
@@ -15,27 +22,19 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 """
 
 import argparse
+import itertools
 import math
 import shlex
 import sys
 from pathlib import Path
 
 from . import __version__
-from .dp import (
-    OracleCapacityError,
-    certify,
-    check_table_size,
-    enumerate_policies_oracle,
-    solve_optimal,
-    write_table_csv,
-)
+from .dp import ORACLE_MAX_CAP, certify, check_table_size, enumerate_policies_oracle, solve_optimal, write_table_csv
 from .model import ConfigError, validate_config
 from .policies import POLICY_NAMES
-from .rlnc import block_solve_bytes, expected_extra_packets, run_codec_validation
-from .sim import MAX_CODEC_BYTES, MAX_RECEIVERS, RngSpec, sweep_coding_window, write_stats_csv
+from .rlnc import MAX_CODEC_BYTES, expected_extra_packets, run_codec_validation
+from .sim import MAX_RECEIVERS, RngSpec, sweep_coding_window, write_stats_csv
 
-
-_ORACLE_MAX_CAP = 2**20  # default --cap of oracle, and the largest it accepts
 _PACKET_LEN_HELP = (
     f"payload bytes (codec mode); a codec trial's source, rank state and block solve "
     f"must fit in about {MAX_CODEC_BYTES} bytes"
@@ -58,11 +57,6 @@ def _policy_list(text: str) -> list[str]:
     return names
 
 
-def _require_at_least(value: int, minimum: int, flag: str) -> None:
-    if value < minimum:
-        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
-
-
 def _require_values(values: list, flag: str) -> None:
     """A list flag needs at least one value and no value twice (a repeat would rerun its cells)."""
     if not values:
@@ -73,13 +67,8 @@ def _require_values(values: list, flag: str) -> None:
 
 
 def _run_cells(args, policies: list[str], configs: list) -> list:
-    """Check the run flags shared by simulate and sweep, then run every (policy, config) cell."""
-    _require_at_least(args.trials, 2, "--trials")  # the sample stddev needs two
-    _require_at_least(args.seed, 0, "--seed")
-    packet_len = None
-    if args.mode == "codec":
-        _require_at_least(args.packet_len, 1, "--packet-len")
-        packet_len = args.packet_len
+    """Run every (policy, config) cell of simulate or sweep; packet_len None is ideal mode."""
+    packet_len = args.packet_len if args.mode == "codec" else None
     return sweep_coding_window(policies, configs, args.trials, RngSpec(args.seed), packet_len)
 
 
@@ -113,24 +102,31 @@ def cmd_check_lr(args, argv) -> int:
         raise ConfigError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
     for F in args.file_sizes:
         check_table_size(F)  # refuse the grid before any cell prints
+    grid = []  # (F, K, p, config or the ConfigError refusing it)
+    for F, K, p in itertools.product(args.file_sizes, args.windows, args.ps):
+        try:
+            grid.append((F, K, p, validate_config(F, K, 2, p)))
+        except ConfigError as exc:
+            grid.append((F, K, p, exc))
+    if all(isinstance(config, ConfigError) for *_, config in grid):
+        raise ConfigError(
+            f"no valid cell among --file-sizes {','.join(map(str, args.file_sizes))} "
+            f"--windows {','.join(map(str, args.windows))} --ps {','.join(map(str, args.ps))}"
+        )
     rows = []
     failed = False
-    for F in args.file_sizes:
-        for K in args.windows:
-            for p in args.ps:
-                try:
-                    config = validate_config(F, K, 2, p)
-                except ConfigError as exc:
-                    rows.append((F, K, p, "config", 0, 0, "", "invalid"))
-                    print(f"F={F} K={K} p={p}: invalid ({exc})")
-                    continue
-                report = certify(config, solve_optimal(config)[0], args.tolerance)
-                failed |= not report.passed
-                for check in report.checks:
-                    margin = "" if check.worst_margin is None else repr(check.worst_margin)
-                    status = "pass" if check.violations == 0 else "fail"
-                    rows.append((F, K, p, check.name, check.examined, check.violations, margin, status))
-                print(f"F={F} K={K} p={p}: {'PASS' if report.passed else 'FAIL'}")
+    for F, K, p, config in grid:
+        if isinstance(config, ConfigError):
+            rows.append((F, K, p, "config", 0, 0, "", "invalid"))
+            print(f"F={F} K={K} p={p}: invalid ({config})")
+            continue
+        report = certify(config, solve_optimal(config)[0], args.tolerance)
+        failed |= not report.passed
+        for check in report.checks:
+            margin = "" if check.worst_margin is None else repr(check.worst_margin)
+            status = "pass" if check.violations == 0 else "fail"
+            rows.append((F, K, p, check.name, check.examined, check.violations, margin, status))
+        print(f"F={F} K={K} p={p}: {'PASS' if report.passed else 'FAIL'}")
 
     def write_report(path) -> None:
         with open(path, "w", newline="") as fh:
@@ -152,14 +148,12 @@ def cmd_check_lr(args, argv) -> int:
 
 
 def cmd_oracle(args, argv) -> int:
-    if not 1 <= args.cap <= _ORACLE_MAX_CAP:
-        raise ConfigError(f"--cap must be between 1 and {_ORACLE_MAX_CAP}, got {args.cap}")
     config = validate_config(args.file_size, args.window, 2, args.p)
     result = enumerate_policies_oracle(config, policy_cap=args.cap)
     print(
         f"best V(0,0) = {result.best_value:.9f}, "
         f"serve-least-everywhere V(0,0) = {result.lr_value:.9f} "
-        f"over {len(result.decision_states)} decision states"
+        f"over {result.n_decision_states} decision states"
     )
     print(f"{result.n_policies} policies; LR {'optimal' if result.lr_matches_best else 'NOT optimal'}")
     return 0 if result.lr_matches_best else 1
@@ -168,11 +162,11 @@ def cmd_oracle(args, argv) -> int:
 def cmd_simulate(args, argv) -> int:
     config = validate_config(args.file_size, args.window, args.receivers, args.p)
     cells = _run_cells(args, [args.policy], [config])
-    stats = cells[0].stats
+    cell = cells[0]
     print(
         f"policy={args.policy} N={config.N} F={config.F} K={config.K} p={config.p} "
-        f"trials={stats.n_trials} mean={stats.mean:.4f} "
-        f"stddev={stats.stddev:.4f} ci95=±{stats.ci95_half_width:.4f}"
+        f"trials={cell.n_trials} mean={cell.mean:.4f} "
+        f"stddev={cell.stddev:.4f} ci95=±{cell.ci95_half_width:.4f}"
     )
     _write_out(
         args, argv,
@@ -201,10 +195,9 @@ def cmd_sweep(args, argv) -> int:
     cells = _run_cells(args, args.policies, configs)
     print("policy  K      mean      stddev    ci95")
     for cell in cells:
-        s = cell.stats
         print(
-            f"{cell.policy:<6}  {cell.config.K:<5}  {s.mean:<8.2f}  "
-            f"{s.stddev:<8.2f}  ±{s.ci95_half_width:.2f}"
+            f"{cell.policy:<6}  {cell.config.K:<5}  {cell.mean:<8.2f}  "
+            f"{cell.stddev:<8.2f}  ±{cell.ci95_half_width:.2f}"
         )
     _write_out(
         args, argv,
@@ -220,16 +213,6 @@ def cmd_sweep(args, argv) -> int:
 
 
 def cmd_codec_validate(args, argv) -> int:
-    _require_at_least(args.window, 1, "--window")
-    _require_at_least(args.packet_len, 1, "--packet-len")
-    _require_at_least(args.batches, 0, "--batches")
-    _require_at_least(args.seed, 0, "--seed")
-    need = block_solve_bytes(args.window, args.packet_len)
-    if need > MAX_CODEC_BYTES:
-        raise ConfigError(
-            f"--window {args.window} with --packet-len {args.packet_len} needs about {need} bytes per block decode, "
-            f"more than the limit of {MAX_CODEC_BYTES}"
-        )
     report = run_codec_validation(args.window, args.packet_len, args.batches, args.seed)
     if report.n_batches == 0:
         print("no batches requested; nothing to validate")
@@ -274,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--window", type=int, required=True)
     oracle.add_argument("--p", type=float, required=True)
     oracle.add_argument(
-        "--cap", type=int, default=_ORACLE_MAX_CAP,
-        help=f"refuse instances with more policies than this (1 to {_ORACLE_MAX_CAP})",
+        "--cap", type=int, default=ORACLE_MAX_CAP,
+        help=f"refuse instances with more policies than this (1 to {ORACLE_MAX_CAP})",
     )
     oracle.set_defaults(func=cmd_oracle)
 
@@ -317,7 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, argv)
-    except (ConfigError, OracleCapacityError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,16 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Action, State
+from .mdp import Action
 from .model import ConfigError, SystemConfig
 
 MAX_STATES = 1 << 23  # (F+1)^2 cap of every table: admits F <= 2895
+ORACLE_MAX_CAP = 2**20  # default policy cap of the oracle, and the largest it accepts
 _ORACLE_CHUNK = 1 << 12  # policies evaluated per batched sweep
 _CERTIFY_CELLS = 1 << 18  # grid cells per row block of certify (at least one row)
-
-
-class OracleCapacityError(ValueError):
-    """Raised when a brute-force enumeration would exceed its policy cap."""
 
 
 def check_table_size(F: int) -> None:
@@ -297,7 +294,7 @@ def certify(config: SystemConfig, values: np.ndarray, tolerance: float = 1e-9) -
 class OracleResult:
     """Outcome of exhaustive policy enumeration on one instance."""
 
-    decision_states: tuple[State, ...]
+    n_decision_states: int
     n_policies: int
     best_value: float                       # smallest V(0,0) over all policies
     lr_value: float                         # V(0,0) of serve-least-everywhere
@@ -305,21 +302,24 @@ class OracleResult:
 
 
 def enumerate_policies_oracle(
-    config: SystemConfig, policy_cap: int = 2**20, tolerance: float = 1e-9
+    config: SystemConfig, policy_cap: int = ORACLE_MAX_CAP, tolerance: float = 1e-9
 ) -> OracleResult:
     """Evaluate every deterministic stationary policy and keep the best V(0,0).
 
     Independent, brute-force certification path: it never consults
-    solve_optimal.  Raises OracleCapacityError when 2**D exceeds the cap,
-    where D is the number of decision states.  Bit D-1-k of policy n set
-    means SERVE_MOST at decision state k; policies are swept in fixed-size batches.
+    solve_optimal.  Raises ConfigError unless 1 <= policy_cap <=
+    ORACLE_MAX_CAP, and when 2**D exceeds the cap, where D is the number
+    of decision states.  Bit D-1-k of policy n set means SERVE_MOST at
+    decision state k; policies are swept in fixed-size batches.
     """
+    if not 1 <= policy_cap <= ORACLE_MAX_CAP:
+        raise ConfigError(f"--cap must be between 1 and {ORACLE_MAX_CAP}, got {policy_cap}")
     batches = _batches(config)
     decision = _decision_mask(batches)
     cells = np.flatnonzero(decision)  # the decision states, in lexicographic order
     D = len(cells)
     if D >= policy_cap.bit_length():  # i.e. 2**D > policy_cap, without the huge power
-        raise OracleCapacityError(f"{D} decision states give 2**{D} policies, over the cap {policy_cap}")
+        raise ConfigError(f"{D} decision states give 2**{D} policies, over the cap {policy_cap}")
     n_policies = 2**D
     base = np.where(decision, Action.SERVE_LEAST, Action.NO_DECISION).astype(np.int8)  # the LR table
     msb_first = np.arange(D - 1, -1, -1)
@@ -333,7 +333,7 @@ def enumerate_policies_oracle(
     best_value = float(origin.min())
     lr_value = float(origin[0])  # policy 0 is all-SERVE_LEAST
     return OracleResult(
-        decision_states=tuple(zip(*(axis.tolist() for axis in np.nonzero(decision)))),
+        n_decision_states=D,
         n_policies=n_policies,
         best_value=best_value,
         lr_value=lr_value,

@@ -13,6 +13,12 @@ class ConfigError(ValueError):
     """Raised when scenario parameters violate the model assumptions."""
 
 
+def require_at_least(value: int, minimum: int, flag: str) -> None:
+    """Raise ConfigError naming the command-line `flag` unless value >= minimum."""
+    if value < minimum:
+        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Immutable parameter record for one broadcast scenario.

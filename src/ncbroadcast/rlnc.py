@@ -15,14 +15,21 @@ whole stack of K x (K+L) blocks at once (verify_blocks wraps the two for
 the simulator).  Codec validation encodes and reduces chunks of batches
 that way; the rare batch whose first K packets are not independent goes
 through a RankTracker until full rank and is then decoded from the rows
-the tracker kept.
+the tracker kept.  run_codec_validation admits its own arguments and
+raises ConfigError on a bad one, including a block decode over
+MAX_CODEC_BYTES.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .model import ConfigError, require_at_least
+
 REDUCTION_POLY = 0x11D
+# The largest working set a codec run may need: codec validation's block
+# decode, and a simulated codec trial's source, rank state and block solve.
+MAX_CODEC_BYTES = 1 << 30
 
 
 def _product_table() -> np.ndarray:
@@ -245,9 +252,19 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
     packet by packet (C9 and the CLI default use K=16).  For other K the
     coefficient stream differs and so do the reports of a given seed; the
     statistics they estimate do not.
+
+    Bad arguments raise ConfigError before anything is drawn.
     """
-    if window < 1 or packet_len < 1:
-        raise ValueError("window and packet length must be positive")
+    require_at_least(window, 1, "--window")
+    require_at_least(packet_len, 1, "--packet-len")
+    require_at_least(n_batches, 0, "--batches")
+    require_at_least(seed, 0, "--seed")
+    need = block_solve_bytes(window, packet_len)
+    if need > MAX_CODEC_BYTES:
+        raise ConfigError(
+            f"--window {window} with --packet-len {packet_len} needs about {need} bytes per block decode, "
+            f"more than the limit of {MAX_CODEC_BYTES}"
+        )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     failures = 0
     extras_total = 0

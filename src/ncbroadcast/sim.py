@@ -15,10 +15,13 @@ at the end of the trial, by encoding the batch's source under those rows
 and decoding it again in one block solve (rlnc.verify_blocks), which
 raises RuntimeError on a rank-deficient block or a wrong decode.
 
-A run is admitted once, by check_run, before any trial draws: it refuses
-too many receivers, a file whose slot count could pass MAX_SLOTS, and a
-codec trial over MAX_CODEC_BYTES.  sweep_coding_window does this for
-every config of its grid; run_trial does not check its inputs again.
+sweep_coding_window is the one experiment call: it runs every (policy,
+config) cell and returns each cell's completion-slot statistics.  It
+admits the whole run before any substream is drawn: at least two trials
+(the sample stddev needs two), a master seed >= 0, a codec packet length
+>= 1, and check_run for every config, which refuses too many receivers,
+a file whose slot count could pass MAX_SLOTS and a codec trial over
+rlnc.MAX_CODEC_BYTES.  run_trial does not check its inputs again.
 
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
@@ -33,9 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig
+from .model import ConfigError, SystemConfig, require_at_least
 from .policies import conflict_rule
-from .rlnc import RankTracker, batch_chunk, block_solve_bytes, draw_coefficients, encode_blocks, verify_blocks
+from .rlnc import (
+    MAX_CODEC_BYTES, RankTracker, batch_chunk, block_solve_bytes, draw_coefficients, encode_blocks, verify_blocks,
+)
 
 ROLE_CONNECTIVITY = 0
 ROLE_POLICY = 1
@@ -43,9 +48,6 @@ ROLE_CODING = 2
 
 MAX_SLOTS = 10**9
 MAX_RECEIVERS = 1024  # a block of flags takes 8 KiB per receiver
-# Codec mode refuses a trial whose source (F*L bytes), rank state (about
-# 2*N*K^2 bytes) and one block solve (about 12*K*(K+L) bytes) would pass this.
-MAX_CODEC_BYTES = 1 << 30
 _FLAG_BLOCK = 1024
 
 
@@ -67,20 +69,15 @@ class TrialResult:
 
 
 @dataclass(frozen=True)
-class ExperimentStats:
-    n_trials: int
-    mean: float
-    stddev: float
-    ci95_half_width: float
-
-
-@dataclass(frozen=True)
 class SweepCell:
-    """One (policy, window) cell of a sweep, ready for CSV export."""
+    """One (policy, window) cell of a sweep: completion-slot statistics of its trials."""
 
     policy: str
     config: SystemConfig
-    stats: ExperimentStats
+    n_trials: int
+    mean: float
+    stddev: float  # sample standard deviation
+    ci95_half_width: float  # normal approximation, 1.96 * stddev / sqrt(n_trials)
 
 
 def _on_masks(rng: np.random.Generator, N: int, p: float):
@@ -98,7 +95,8 @@ def _on_masks(rng: np.random.Generator, N: int, p: float):
 
 def check_run(config: SystemConfig, packet_len: int | None) -> None:
     """Raise ConfigError unless trials of this config fit the slot budget,
-    MAX_RECEIVERS and, in codec mode, MAX_CODEC_BYTES.
+    MAX_RECEIVERS and, in codec mode, MAX_CODEC_BYTES: the source (F*L
+    bytes), the rank state (about 2*N*K^2 bytes) and one block solve.
 
     One receiver needs F/p slots on average, with standard deviation
     sqrt(F*q)/p; the mean plus six of those must fit in MAX_SLOTS.
@@ -210,45 +208,6 @@ def _verify_decodes(pending: list[tuple[int, list[bytes]]], sources: np.ndarray)
     verify_blocks(encode_blocks(coefficients, expected), expected)
 
 
-def completion_times(
-    config: SystemConfig,
-    policy: str,
-    n_trials: int,
-    rng_spec: RngSpec,
-    packet_len: int | None = None,
-) -> np.ndarray:
-    """Per-trial completion slots for trial indices 0..n_trials-1."""
-    return np.array(
-        [run_trial(config, policy, rng_spec, i, packet_len).completion_slots for i in range(n_trials)],
-        dtype=np.int64,
-    )
-
-
-def stats_from_times(times: np.ndarray) -> ExperimentStats:
-    """Mean, sample stddev and normal-approximation 95% half width."""
-    n = len(times)
-    if n < 2:
-        raise ValueError("need at least 2 trials for a sample standard deviation")
-    arr = np.asarray(times, dtype=float)
-    stddev = float(arr.std(ddof=1))
-    return ExperimentStats(
-        n_trials=n,
-        mean=float(arr.mean()),
-        stddev=stddev,
-        ci95_half_width=1.96 * stddev / math.sqrt(n),
-    )
-
-
-def run_experiment(
-    config: SystemConfig,
-    policy: str,
-    n_trials: int,
-    rng_spec: RngSpec,
-    packet_len: int | None = None,
-) -> ExperimentStats:
-    return stats_from_times(completion_times(config, policy, n_trials, rng_spec, packet_len))
-
-
 def sweep_coding_window(
     policies,
     configs,
@@ -256,17 +215,29 @@ def sweep_coding_window(
     rng_spec: RngSpec,
     packet_len: int | None = None,
 ) -> list[SweepCell]:
-    """One ExperimentStats per (policy, config) pair, policy-major order.
+    """One SweepCell per (policy, config) pair, policy-major order.
 
-    Every config is admitted by check_run before the first cell runs.
+    The run is admitted (see the module docstring) before the first
+    substream is drawn.  Each cell runs trial indices 0..n_trials-1.
     """
+    require_at_least(n_trials, 2, "--trials")
+    require_at_least(rng_spec.master_seed, 0, "--seed")
+    if packet_len is not None:
+        require_at_least(packet_len, 1, "--packet-len")
     for config in configs:
         check_run(config, packet_len)
-    return [
-        SweepCell(policy, config, run_experiment(config, policy, n_trials, rng_spec, packet_len))
-        for policy in policies
-        for config in configs
-    ]
+    cells = []
+    for policy in policies:
+        for config in configs:
+            times = np.array(
+                [run_trial(config, policy, rng_spec, i, packet_len).completion_slots for i in range(n_trials)],
+                dtype=float,
+            )
+            stddev = float(times.std(ddof=1))
+            cells.append(
+                SweepCell(policy, config, n_trials, float(times.mean()), stddev, 1.96 * stddev / math.sqrt(n_trials))
+            )
+    return cells
 
 
 def write_stats_csv(path, cells) -> None:
@@ -274,8 +245,8 @@ def write_stats_csv(path, cells) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("policy,N,F,K,p,n_trials,mean_slots,stddev,ci95_half_width\n")
         for cell in cells:
-            c, s = cell.config, cell.stats
+            c = cell.config
             fh.write(
-                f"{cell.policy},{c.N},{c.F},{c.K},{c.p!r},{s.n_trials},"
-                f"{s.mean!r},{s.stddev!r},{s.ci95_half_width!r}\n"
+                f"{cell.policy},{c.N},{c.F},{c.K},{c.p!r},{cell.n_trials},"
+                f"{cell.mean!r},{cell.stddev!r},{cell.ci95_half_width!r}\n"
             )

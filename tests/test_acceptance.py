@@ -15,11 +15,15 @@ import pytest
 from ncbroadcast.dp import certify, enumerate_policies_oracle, solve_optimal
 from ncbroadcast.model import validate_config
 from ncbroadcast.rlnc import _INV, _MUL, run_codec_validation
-from ncbroadcast.sim import RngSpec, completion_times, run_experiment, run_trial
+from ncbroadcast.sim import RngSpec, run_trial, sweep_coding_window
 
 GRID_F = (8, 12, 24)
 GRID_K = (2, 4)
 GRID_P = (0.1, 0.5, 0.9)
+
+
+def trial_times(cfg, policy, n_trials, rng_spec):
+    return np.array([run_trial(cfg, policy, rng_spec, i).completion_slots for i in range(n_trials)])
 
 
 def report(criterion: str, label: str, ok: bool, detail: str = "") -> None:
@@ -108,10 +112,10 @@ def test_c6_monte_carlo_matches_value_table():
     for K in (4, 2, 6, 12):
         cfg = validate_config(12, K, 2, 0.5)
         v00 = solve_optimal(cfg)[0][0, 0]
-        stats = run_experiment(cfg, "lr", 10_000, RngSpec(42))
+        [stats] = sweep_coding_window(["lr"], [cfg], 10_000, RngSpec(42))
         within = abs(stats.mean - v00) <= stats.ci95_half_width
         if not within:  # one reseed retry per the statistical contract
-            stats = run_experiment(cfg, "lr", 10_000, RngSpec(43))
+            [stats] = sweep_coding_window(["lr"], [cfg], 10_000, RngSpec(43))
             within = abs(stats.mean - v00) <= stats.ci95_half_width
         details.append(f"K={K}: {stats.mean:.3f} vs {v00:.3f}")
         ok &= within
@@ -123,11 +127,9 @@ def test_c6_monte_carlo_matches_value_table():
 def test_c7_policy_comparison_scaled():
     start = time.perf_counter()
     windows = (5, 10, 25, 50, 100)
-    cells = {}
-    for K in windows:
-        cfg = validate_config(500, K, 5, 0.6)
-        for policy in ("lr", "rrnc", "rs"):
-            cells[policy, K] = run_experiment(cfg, policy, 1_000, RngSpec(42))
+    configs = [validate_config(500, K, 5, 0.6) for K in windows]
+    sweep = sweep_coding_window(("lr", "rrnc", "rs"), configs, 1_000, RngSpec(42))
+    cells = {(cell.policy, cell.config.K): cell for cell in sweep}
     ok = True
     for K in windows:
         lr, rr, rs = cells["lr", K], cells["rrnc", K], cells["rs", K]
@@ -148,7 +150,7 @@ def test_c7_policy_comparison_scaled():
 
 def test_c8_whole_file_window_equivalence():
     cfg = validate_config(24, 24, 4, 0.5)
-    times = {p: completion_times(cfg, p, 300, RngSpec(7)) for p in ("lr", "rrnc", "rs")}
+    times = {p: trial_times(cfg, p, 300, RngSpec(7)) for p in ("lr", "rrnc", "rs")}
     identical = (times["lr"] == times["rrnc"]).all() and (times["lr"] == times["rs"]).all()
     conflicts = sum(run_trial(cfg, "lr", RngSpec(7), i).conflict_slots for i in range(50))
     ok = bool(identical) and conflicts == 0
@@ -168,9 +170,9 @@ def test_c9_codec_validation():
 
 def test_c10_single_receiver_sanity():
     cfg = validate_config(100, 10, 1, 0.5)
-    stats = run_experiment(cfg, "lr", 10_000, RngSpec(13))
+    [stats] = sweep_coding_window(["lr"], [cfg], 10_000, RngSpec(13))
     mean_ok = abs(stats.mean - 200.0) <= stats.ci95_half_width
-    perfect = completion_times(validate_config(100, 10, 1, 1.0), "lr", 10_000, RngSpec(13))
+    perfect = trial_times(validate_config(100, 10, 1, 1.0), "lr", 10_000, RngSpec(13))
     exact_ok = bool((perfect == 100).all())
     ok = mean_ok and exact_ok
     report(

@@ -93,6 +93,16 @@ class TestCheckLr:
         assert proc.stderr.startswith("error: F=100000")
         assert list(tmp_path.iterdir()) == []
 
+    def test_grid_without_valid_cell_refused_before_any_output(self, tmp_path):
+        proc = run_cli(
+            ["check-lr", "--file-sizes", "6,7", "--windows", "4,5", "--ps", "0.5,1.5", "--out", "report.csv"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: no valid cell among --file-sizes 6,7 --windows 4,5 --ps 0.5,1.5\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_cell_reported_not_fatal(self, tmp_path):
         proc = run_cli(
             ["check-lr", "--file-sizes", "8", "--windows", "3,4", "--ps", "0.5"], tmp_path
@@ -273,6 +283,8 @@ BAD_INPUTS = {
     "check-lr-repeated-file-size": ["check-lr", "--file-sizes", "4,8,4", "--windows", "2", "--ps", "0.5"],
     "check-lr-repeated-window": ["check-lr", "--file-sizes", "4", "--windows", "2,2", "--ps", "0.5"],
     "check-lr-repeated-p": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "0.5,0.50"],
+    "check-lr-no-valid-cell": ["check-lr", "--file-sizes", "6", "--windows", "4", "--ps", "0.5"],
+    "check-lr-no-valid-p": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "1.5", "--out", "r.csv"],
 }
 
 

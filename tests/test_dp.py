@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from ncbroadcast import dp
 from ncbroadcast.dp import (
     MAX_STATES,
-    OracleCapacityError,
+    ORACLE_MAX_CAP,
     _sweep,
     certify,
     enumerate_policies_oracle,
@@ -363,7 +363,7 @@ class TestEnumerationOracle:
     def test_small_instance_certifies_lr(self):
         result = enumerate_policies_oracle(validate_config(4, 2, 2, 0.5))
         assert result.n_policies == 256
-        assert len(result.decision_states) == 8
+        assert result.n_decision_states == 8
         assert result.lr_matches_best
         assert result.best_value == pytest.approx(result.lr_value, abs=1e-9)
         assert result.best_value <= result.lr_value
@@ -379,8 +379,17 @@ class TestEnumerationOracle:
         assert result.lr_matches_best
 
     def test_capacity_refusal_names_d_and_cap(self):
-        with pytest.raises(OracleCapacityError, match=r"decision states.*cap 1048576"):
+        with pytest.raises(ConfigError, match=r"decision states.*cap 1048576"):
             enumerate_policies_oracle(validate_config(100, 2, 2, 0.5))
+
+    def test_cap_out_of_range_refused(self):
+        cfg = validate_config(4, 2, 2, 0.5)
+        for cap in (0, -1, ORACLE_MAX_CAP + 1):
+            with pytest.raises(ConfigError, match=f"^--cap must be between 1 and {ORACLE_MAX_CAP}, got {cap}$"):
+                enumerate_policies_oracle(cfg, policy_cap=cap)
+        # the cap is checked before the table size
+        with pytest.raises(ConfigError, match="--cap"):
+            enumerate_policies_oracle(validate_config(100_000, 1, 2, 0.5), policy_cap=0)
 
     def test_optimal_table_dominates_every_policy(self):
         cfg = validate_config(4, 2, 2, 0.5)

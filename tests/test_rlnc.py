@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncbroadcast import cli, rlnc
+from ncbroadcast.model import ConfigError
 from ncbroadcast.rlnc import (
     REDUCTION_POLY,
     CodecValidationReport,
@@ -390,3 +391,26 @@ class TestRankStatistics:
         assert report.n_batches == 0
         assert report.roundtrip_ok
         assert report.mean_extra_packets == 0.0
+
+
+class TestValidationAdmission:
+    @pytest.mark.parametrize("args,message", [
+        ((0, 8, 3, 0), "--window must be at least 1, got 0"),
+        ((4, 0, 3, 0), "--packet-len must be at least 1, got 0"),
+        ((4, 8, -5, 0), "--batches must be at least 0, got -5"),
+        ((4, 8, 3, -1), "--seed must be at least 0, got -1"),
+        ((0, 0, -5, -1), "--window must be at least 1, got 0"),  # checked in this order
+    ], ids=["window", "packet-len", "batches", "seed", "window-first"])
+    def test_bad_argument_refused(self, args, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_codec_validation(*args)
+
+    def test_window_over_the_byte_cap_refused(self, monkeypatch):
+        # one K=4, L=8 block decode needs 12*4*(4+8) = 576 bytes
+        monkeypatch.setattr(rlnc, "MAX_CODEC_BYTES", 576)
+        assert run_codec_validation(4, 8, 3).roundtrip_ok
+        with pytest.raises(ConfigError, match="^--window 4 with --packet-len 9 needs about 624 bytes per block decode"):
+            run_codec_validation(4, 9, 3)
+        monkeypatch.undo()
+        with pytest.raises(ConfigError, match="--window 20000"):
+            run_codec_validation(20_000, 64, 1)

@@ -14,10 +14,7 @@ from ncbroadcast.sim import (
     MAX_RECEIVERS,
     RngSpec,
     check_run,
-    completion_times,
-    run_experiment,
     run_trial,
-    stats_from_times,
     sweep_coding_window,
 )
 
@@ -26,16 +23,31 @@ CODEC_GOLDEN_CSV = Path(__file__).parent / "data" / "sim_codec_golden.csv"
 PACKET_LEN = 16  # the CLI's default --packet-len; None means idealized mode
 
 
+def trial_times(cfg, policy, n_trials, rng_spec, packet_len=None):
+    """Completion slots of trial indices 0..n_trials-1."""
+    return np.array([run_trial(cfg, policy, rng_spec, i, packet_len).completion_slots for i in range(n_trials)])
+
+
+def one_cell(cfg, policy, n_trials, rng_spec):
+    """The statistics of one policy at one config, as a one-cell sweep."""
+    return sweep_coding_window([policy], [cfg], n_trials, rng_spec)[0]
+
+
+def no_draws(self, trial_index, role):
+    """Stands in for RngSpec.substream where a run must be refused before any draw."""
+    raise AssertionError("drew from a substream")
+
+
 class TestSingleReceiver:
     def test_perfect_channel_is_exact(self):
         cfg = validate_config(100, 10, 1, 1.0)
-        times = completion_times(cfg, "lr", 50, RngSpec(7))
+        times = trial_times(cfg, "lr", 50, RngSpec(7))
         assert (times == 100).all()
 
     def test_mean_matches_geometric_sum(self):
         # each packet needs a geometric number of slots, so the mean is F/p
         cfg = validate_config(100, 10, 1, 0.5)
-        stats = run_experiment(cfg, "lr", 3000, RngSpec(11))
+        stats = one_cell(cfg, "lr", 3000, RngSpec(11))
         assert abs(stats.mean - 200.0) <= stats.ci95_half_width
 
 
@@ -43,24 +55,24 @@ class TestDeterminism:
     def test_identical_spec_reproduces_trials(self):
         cfg = validate_config(12, 4, 2, 0.5)
         for policy in ("lr", "rrnc", "rs"):
-            a = completion_times(cfg, policy, 40, RngSpec(3))
-            b = completion_times(cfg, policy, 40, RngSpec(3))
+            a = trial_times(cfg, policy, 40, RngSpec(3))
+            b = trial_times(cfg, policy, 40, RngSpec(3))
             assert (a == b).all()
 
     def test_stats_are_bit_identical(self):
         cfg = validate_config(12, 4, 2, 0.5)
-        assert run_experiment(cfg, "rs", 50, RngSpec(5)) == run_experiment(cfg, "rs", 50, RngSpec(5))
+        assert one_cell(cfg, "rs", 50, RngSpec(5)) == one_cell(cfg, "rs", 50, RngSpec(5))
 
     def test_trials_independent_of_order(self):
         cfg = validate_config(12, 4, 2, 0.5)
         direct = run_trial(cfg, "lr", RngSpec(9), 17).completion_slots
-        assert direct == completion_times(cfg, "lr", 18, RngSpec(9))[17]
+        assert direct == trial_times(cfg, "lr", 18, RngSpec(9))[17]
 
 
 class TestWholeFileWindow:
     def test_policies_produce_identical_trials(self):
         cfg = validate_config(24, 24, 4, 0.5)
-        per_policy = {p: completion_times(cfg, p, 100, RngSpec(5)) for p in ("lr", "rrnc", "rs")}
+        per_policy = {p: trial_times(cfg, p, 100, RngSpec(5)) for p in ("lr", "rrnc", "rs")}
         assert (per_policy["lr"] == per_policy["rrnc"]).all()
         assert (per_policy["lr"] == per_policy["rs"]).all()
 
@@ -73,7 +85,7 @@ class TestAgainstExactValues:
     def test_lr_mean_within_ci_of_value_table(self):
         cfg = validate_config(12, 4, 2, 0.5)
         v00 = solve_optimal(cfg)[0][0, 0]
-        stats = run_experiment(cfg, "lr", 4000, RngSpec(42))
+        stats = one_cell(cfg, "lr", 4000, RngSpec(42))
         assert abs(stats.mean - v00) <= stats.ci95_half_width
 
     def test_smaller_window_conflicts_exist(self):
@@ -98,7 +110,7 @@ class TestPolicyEquivalenceOffConflicts:
 
     def test_lr_mean_non_increasing_in_window_within_ci(self):
         stats = {
-            K: run_experiment(validate_config(40, K, 3, 0.6), "lr", 300, RngSpec(4))
+            K: one_cell(validate_config(40, K, 3, 0.6), "lr", 300, RngSpec(4))
             for K in (5, 10, 40)
         }
         for small, large in ((5, 10), (10, 40)):
@@ -112,13 +124,13 @@ class TestCodecMode:
     def test_dominates_idealized_per_trial(self):
         # same connectivity substream in both modes; dependent packets can only delay
         cfg = validate_config(24, 4, 2, 0.7)
-        ideal = completion_times(cfg, "lr", 150, RngSpec(9))
-        codec = completion_times(cfg, "lr", 150, RngSpec(9), packet_len=PACKET_LEN)
+        ideal = trial_times(cfg, "lr", 150, RngSpec(9))
+        codec = trial_times(cfg, "lr", 150, RngSpec(9), packet_len=PACKET_LEN)
         assert (codec >= ideal).all()
 
     def test_single_receiver_codec_roundtrip(self):
         cfg = validate_config(12, 4, 1, 0.8)
-        times = completion_times(cfg, "lr", 30, RngSpec(2), packet_len=8)
+        times = trial_times(cfg, "lr", 30, RngSpec(2), packet_len=8)
         assert (times >= 12).all()
 
     def test_coding_stream_is_the_encoders(self, monkeypatch):
@@ -198,9 +210,6 @@ class TestCodecSizeGuard:
             check_run(cfg, largest + 1)
 
     def test_refused_before_any_draw(self, monkeypatch):
-        def no_draws(self, trial_index, role):
-            raise AssertionError("drew from a substream")
-
         monkeypatch.setattr(RngSpec, "substream", no_draws)
         with pytest.raises(ConfigError, match="codec mode"):
             sweep_coding_window(["rs"], [validate_config(4, 2, 2, 0.5)], 2, RngSpec(0), packet_len=10**12)
@@ -212,7 +221,7 @@ class TestCodecSizeGuard:
 
     def test_sweep_refuses_the_grid_first(self, monkeypatch):
         # at this packet length K=4 fits and K=8 does not
-        monkeypatch.setattr(sim, "run_experiment", lambda *args: pytest.fail("a cell ran"))
+        monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(ConfigError, match="K=8"):
             configs = [validate_config(8, K, 2, 0.5) for K in (4, 8)]
             sweep_coding_window(["lr"], configs, 4, RngSpec(0), packet_len=MAX_CODEC_BYTES // 80)
@@ -220,20 +229,43 @@ class TestCodecSizeGuard:
 
 class TestStats:
     def test_half_width_formula(self):
-        stats = stats_from_times(np.array([1, 2, 3, 4]))
-        sd = np.std([1, 2, 3, 4], ddof=1)
-        assert stats.mean == 2.5
-        assert stats.stddev == pytest.approx(sd)
-        assert stats.ci95_half_width == pytest.approx(1.96 * sd / 2.0)
+        # each cell reduces the run_trial times of its own trials 0..n-1
+        configs = [validate_config(12, K, 3, 0.5) for K in (2, 12)]
+        for cell in sweep_coding_window(["lr", "rs"], configs, 7, RngSpec(3)):
+            times = trial_times(cell.config, cell.policy, 7, RngSpec(3)).astype(float)
+            sd = float(times.std(ddof=1))
+            assert cell.n_trials == 7
+            assert (cell.mean, cell.stddev) == (float(times.mean()), sd)
+            assert cell.ci95_half_width == 1.96 * sd / np.sqrt(7)
 
-    def test_needs_two_trials(self):
-        with pytest.raises(ValueError):
-            stats_from_times(np.array([3]))
+    def test_needs_two_trials(self, monkeypatch):
+        monkeypatch.setattr(RngSpec, "substream", no_draws)
+        with pytest.raises(ConfigError, match="^--trials must be at least 2, got 1$"):
+            sweep_coding_window(["lr"], [validate_config(4, 2, 2, 0.5)], 1, RngSpec(0))
 
     def test_completion_never_beats_file_size(self):
         cfg = validate_config(12, 4, 3, 0.5)
         for policy in ("lr", "rrnc", "rs"):
-            assert (completion_times(cfg, policy, 30, RngSpec(8)) >= 12).all()
+            assert (trial_times(cfg, policy, 30, RngSpec(8)) >= 12).all()
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("n_trials,seed,packet_len,message", [
+        (2, -1, None, "--seed must be at least 0, got -1"),
+        (2, 0, 0, "--packet-len must be at least 1, got 0"),
+        (1, -1, 0, "--trials must be at least 2, got 1"),  # checked in this order
+        (2, -1, 0, "--seed must be at least 0, got -1"),
+    ], ids=["seed", "packet-len", "trials-first", "seed-before-packet-len"])
+    def test_bad_run_refused_before_any_draw(self, monkeypatch, n_trials, seed, packet_len, message):
+        monkeypatch.setattr(RngSpec, "substream", no_draws)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            sweep_coding_window(["lr"], [validate_config(4, 2, 2, 0.5)], n_trials, RngSpec(seed), packet_len)
+
+    def test_run_flags_come_before_the_configs(self):
+        # an oversized receiver count is refused only after the run flags pass
+        configs = [validate_config(2, 1, MAX_RECEIVERS + 1, 1.0)]
+        with pytest.raises(ConfigError, match="--trials"):
+            sweep_coding_window(["lr"], configs, 0, RngSpec(0))
 
 
 class TestReceiverCap:
