@@ -347,5 +347,6 @@ def write_table_csv(path, values: np.ndarray, actions: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("x0,x1,value,action\n")
         for x0 in range(side):
-            for x1 in range(side):
-                fh.write(f"{x0},{x1},{float(values[x0, x1])!r},{int(actions[x0, x1])}\n")
+            # the repr of a list of floats is the repr of each, joined by ", "
+            row = zip(repr(values[x0].tolist())[1:-1].split(", "), actions[x0].tolist())
+            fh.write("".join([f"{x0},{x1},{value},{action}\n" for x1, (value, action) in enumerate(row)]))

@@ -6,7 +6,8 @@ and the inverse table read off it, so combining and eliminating work on
 whole byte vectors at once.
 
 A coded packet is one draw_coefficients row of K coefficients and the
-matching combination of its batch's K source packets.  Whether a packet
+matching combination of its batch's K source packets; coefficient_rows
+yields the same rows a block of draws at a time.  Whether a packet
 is innovative depends on its coefficients alone, so a RankTracker
 follows a receiver's rank on the K-byte coefficient rows in pure Python.
 Payloads are decoded a block at a time: encode_blocks encodes sources
@@ -61,6 +62,9 @@ _from_bytes = int.from_bytes  # bound once: RankTracker.add calls it about K/2 t
 # of about 11 bytes per block byte.  No result depends on either constant.
 _BATCH_CHUNK = 64
 _CHUNK_BYTES = 1 << 17
+# coefficient_rows draws up to _ROW_BLOCK rows per generator call, and at most
+# _CHUNK_BYTES of them.  The rows do not depend on it.
+_ROW_BLOCK = 1024
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,14 +96,32 @@ def encode_blocks(coefficients: np.ndarray, sources: np.ndarray) -> np.ndarray:
 def draw_coefficients(rng: np.random.Generator, window: int) -> np.ndarray:
     """One packet's K uniform coefficients, redrawn while all zero (probability 256**-K).
 
-    Every emitted packet is therefore a genuine combination.  This is the
-    coding stream's only per-packet draw, for the simulator and for codec
-    validation's rank-deficient batches.
+    Every emitted packet is therefore a genuine combination.  Codec
+    validation draws a rank-deficient batch's further packets this way,
+    one call per packet, so that it stops right after its own rows; the
+    simulator takes the same rows from coefficient_rows.
     """
     coeffs = rng.integers(0, 256, size=window, dtype=np.uint8)
     while not coeffs.any():
         coeffs = rng.integers(0, 256, size=window, dtype=np.uint8)
     return coeffs
+
+
+def coefficient_rows(rng: np.random.Generator, window: int):
+    """Endless nonzero K-byte coefficient rows, the same bytes as repeated draw_coefficients calls.
+
+    A uint8 draw fills from fresh 32-bit words, low byte first, so one
+    row of draw_coefficients is the first K bytes of ceil(K/4) words, and
+    redrawing an all-zero row is skipping it.  This draws a block of rows
+    of words in one call, up to _ROW_BLOCK rows and at most _CHUNK_BYTES
+    (at least one row), and yields each nonzero row as bytes.
+    """
+    words = -(-window // 4)
+    rows = max(1, min(_ROW_BLOCK, _CHUNK_BYTES // (4 * words)))
+    while True:
+        block = rng.integers(0, 2**32, size=(rows, words), dtype="<u4").view(np.uint8)[:, :window]
+        blob = block[block.any(axis=1)].tobytes()
+        yield from [blob[i : i + window] for i in range(0, len(blob), window)]
 
 
 class RankTracker:

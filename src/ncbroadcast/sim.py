@@ -7,13 +7,15 @@ batch hit is sent outright; two or more make a conflict slot, settled by
 the policy's kernel (see policies).  The packet reaches every ON receiver
 expecting its batch.  Idealized mode (packet_len=None) counts every
 delivery as one packet of progress.  Codec mode (packet_len payload bytes
-per packet) draws the packet's GF(256) coefficients and counts progress
-only when they raise the receiver's rank, tracked on coefficient rows by
-an rlnc.RankTracker.  Each receiver that reaches rank K hands its K x K
-coefficient block to a pending list; the list is verified in chunks, and
-at the end of the trial, by encoding the batch's source under those rows
-and decoding it again in one block solve (rlnc.verify_blocks), which
-raises RuntimeError on a rank-deficient block or a wrong decode.
+per packet) takes the packet's GF(256) coefficients from
+rlnc.coefficient_rows, which draws them a block of rows at a time, and
+counts progress only when they raise the receiver's rank, tracked on
+coefficient rows by an rlnc.RankTracker.  Each receiver that reaches
+rank K hands its K x K coefficient block to a pending list; the list is
+verified in chunks, and at the end of the trial, by encoding the batch's
+source under those rows and decoding it again in one block solve
+(rlnc.verify_blocks), which raises RuntimeError on a rank-deficient
+block or a wrong decode.
 
 sweep_coding_window is the one experiment call: it runs every (policy,
 config) cell and returns each cell's completion-slot statistics.  It
@@ -26,9 +28,11 @@ rlnc.MAX_CODEC_BYTES.  run_trial does not check its inputs again.
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
 0 = connectivity, 1 = policy (one uniform per rs conflict slot),
-2 = coding.  Results therefore depend only on (master_seed, trial_index),
-never on execution order, and the connectivity sequence is identical
-across policies, modes and window sizes.
+2 = coding (the source, then one draw_coefficients row per sent packet,
+which coefficient_rows yields without a call per row).  Results
+therefore depend only on (master_seed, trial_index), never on execution
+order, and the connectivity sequence is identical across policies, modes
+and window sizes.
 """
 
 import math
@@ -39,7 +43,7 @@ import numpy as np
 from .model import ConfigError, SystemConfig, require_at_least
 from .policies import conflict_rule
 from .rlnc import (
-    MAX_CODEC_BYTES, RankTracker, batch_chunk, block_solve_bytes, draw_coefficients, encode_blocks, verify_blocks,
+    MAX_CODEC_BYTES, RankTracker, batch_chunk, block_solve_bytes, coefficient_rows, encode_blocks, verify_blocks,
 )
 
 ROLE_CONNECTIVITY = 0
@@ -97,6 +101,9 @@ def check_run(config: SystemConfig, packet_len: int | None) -> None:
     """Raise ConfigError unless trials of this config fit the slot budget,
     MAX_RECEIVERS and, in codec mode, MAX_CODEC_BYTES: the source (F*L
     bytes), the rank state (about 2*N*K^2 bytes) and one block solve.
+    The budget leaves out the coefficient rows, which rlnc.coefficient_rows
+    draws in blocks of at most rlnc._CHUNK_BYTES (128 KiB) for every
+    window it admits (K < 2^14).
 
     One receiver needs F/p slots on average, with standard deviation
     sqrt(F*q)/p; the mean plus six of those must fit in MAX_SLOTS.
@@ -147,6 +154,7 @@ def run_trial(
         trackers: list[RankTracker | None] = [None] * N
         pending = []  # (batch, K x K coefficient rows) of decodes not yet verified
         chunk = batch_chunk(K, packet_len)
+        rows = coefficient_rows(coding_rng, K)
 
     received = [0] * N
     members = {0: (1 << N) - 1}  # batch -> unfinished receivers expecting it
@@ -161,7 +169,7 @@ def run_trial(
                 batch = pick(hits)
                 served = members[batch] & on
             if codec:
-                coefficients = draw_coefficients(coding_rng, K).tobytes()
+                coefficients = next(rows)
             done = 0  # served receivers that completed the batch
             while served:  # ascending receiver id
                 low = served & -served

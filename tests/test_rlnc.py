@@ -190,6 +190,31 @@ class TestEncode:
         coeffs = draw_coefficients(rng(3), 1).reshape(1, 1, 1)
         verify_blocks(encode_blocks(coeffs, packets), packets)
 
+    @pytest.mark.parametrize("window", [*range(1, 9), 13, 16, 20, 100])
+    def test_row_blocks_match_per_row_draws(self, window):
+        # numpy fills a uint8 draw from fresh 32-bit words, low byte first; if that
+        # buffering changes, the simulator's coding stream changes and this fails
+        class CountingRng:
+            def __init__(self, gen):
+                self.gen, self.calls = gen, 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.gen.integers(*args, **kwargs)
+
+        n_rows = rlnc._ROW_BLOCK + 500  # past the first block, which _CHUNK_BYTES does not cut below K=129
+        skipped = 0
+        for seed in range(3):
+            blocks, per_row = rng(seed), CountingRng(rng(seed))
+            for gen in (blocks, per_row):
+                gen.integers(0, 256, size=37, dtype=np.uint8)  # an odd-length draw first, as a source is
+            rows = rlnc.coefficient_rows(blocks, window)
+            for _ in range(n_rows):
+                assert next(rows) == draw_coefficients(per_row, window).tobytes()
+            skipped += per_row.calls - n_rows  # all-zero rows draw_coefficients redrew
+        if window == 1:
+            assert skipped > 0
+
 
 def received_rows(window: int, gen) -> np.ndarray:
     """Rows drawn as a receiver gets them, the K x K block of those that raised its rank."""

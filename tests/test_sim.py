@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncbroadcast import sim
+from ncbroadcast import rlnc, sim
 from ncbroadcast.dp import solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
 from ncbroadcast.policies import POLICY_NAMES
@@ -134,21 +134,30 @@ class TestCodecMode:
         assert (times >= 12).all()
 
     def test_coding_stream_is_the_encoders(self, monkeypatch):
-        # the source first, then one draw_coefficients per sent packet
-        drawn = []
-        draw = sim.draw_coefficients
+        # the source first, then one draw_coefficients row per sent packet, and every row drawn is sent
+        drawn, sent = [], []
+        rows = sim.coefficient_rows
 
         def recording(rng, window):
-            drawn.append(draw(rng, window))
-            return drawn[-1]
+            for row in rows(rng, window):
+                drawn.append(row)
+                yield row
 
-        monkeypatch.setattr(sim, "draw_coefficients", recording)
+        class RecordingTracker(RankTracker):
+            def add(self, coefficients):
+                if not sent or sent[-1] != coefficients:  # the served receivers of one packet share its row
+                    sent.append(coefficients)
+                return super().add(coefficients)
+
+        monkeypatch.setattr(sim, "coefficient_rows", recording)
+        monkeypatch.setattr(sim, "RankTracker", RecordingTracker)
         run_trial(validate_config(12, 4, 3, 0.6), "rs", RngSpec(5), 2, packet_len=8)
         replay = RngSpec(5).substream(2, sim.ROLE_CODING)
         replay.integers(0, 256, size=(12, 8), dtype=np.uint8)  # the source
+        assert sent == drawn
         assert len(drawn) >= 12
         for row in drawn:
-            assert (draw_coefficients(replay, 4) == row).all()
+            assert draw_coefficients(replay, 4).tobytes() == row
 
 
 class TestCodecVerification:
@@ -218,6 +227,23 @@ class TestCodecSizeGuard:
         # K = F = 2^14 at two receivers is 2^30 bytes of rank state alone
         with pytest.raises(ConfigError, match="codec mode"):
             check_run(validate_config(2**14, 2**14, 2, 0.5), 1)
+
+    def test_coefficient_block_stays_small(self):
+        # every admitted window is below 2^14, and each row block coefficient_rows draws
+        # up to there stays within _CHUNK_BYTES
+        with pytest.raises(ConfigError, match="codec mode"):
+            check_run(validate_config(2**14, 2**14, 1, 0.5), 1)
+        blocks = []
+
+        class RecordingRng:
+            def integers(self, low, high, size, dtype):
+                blocks.append(np.random.default_rng(0).integers(low, high, size, dtype))
+                return blocks[-1]
+
+        for window in (1, 4, 100, 128, 129, 1000, 2**14):
+            next(rlnc.coefficient_rows(RecordingRng(), window))
+            assert blocks[-1].shape[1] * 4 >= window
+            assert blocks[-1].nbytes <= rlnc._CHUNK_BYTES
 
     def test_sweep_refuses_the_grid_first(self, monkeypatch):
         # at this packet length K=4 fits and K=8 does not
