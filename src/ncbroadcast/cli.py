@@ -11,7 +11,11 @@ ConfigError before any work starts: sim.sweep_coding_window for simulate
 and sweep, rlnc.run_codec_validation for codec-validate and
 dp.enumerate_policies_oracle for oracle.  check-lr refuses its grid here,
 before any cell prints: an empty or repeated list value, a bad
---tolerance, an oversized file, or a grid with no valid cell.
+--tolerance, an oversized file, or a grid with no valid cell.  It then
+solves once per (K, p), at the largest valid F of that pair, certifies
+every file size of the pair from that table, and prints the cells in
+grid order once every sweep is done; each sweep writes one progress line
+to stderr.
 
 simulate is a sweep of one policy over one window: both share their
 flags and run through sim.sweep_coding_window.  --mode ideal passes
@@ -95,6 +99,20 @@ def cmd_solve(args, argv) -> int:
     return 0
 
 
+def _certify_group(configs: list, tolerance: float) -> dict:
+    """Certify configs that share K and p from one sweep, at their largest F.
+
+    V_F(x0, x1) depends only on F - x0, F - x1, K and p, so the table of
+    each smaller F is the lower-right corner of the largest one, bit for
+    bit.  The table is freed on return, before the next group's sweep.
+    """
+    top = max(configs, key=lambda config: config.F)
+    n = len(configs)
+    print(f"check-lr: K={top.K} p={top.p}: solving F={top.F} for {n} file size{'s' * (n > 1)}", file=sys.stderr)
+    values = solve_optimal(top)[0]
+    return {config: certify(config, values[top.F - config.F:, top.F - config.F:], tolerance) for config in configs}
+
+
 def cmd_check_lr(args, argv) -> int:
     for flag, values in (("--file-sizes", args.file_sizes), ("--windows", args.windows), ("--ps", args.ps)):
         _require_values(values, flag)
@@ -113,6 +131,13 @@ def cmd_check_lr(args, argv) -> int:
             f"no valid cell among --file-sizes {','.join(map(str, args.file_sizes))} "
             f"--windows {','.join(map(str, args.windows))} --ps {','.join(map(str, args.ps))}"
         )
+    groups = {}  # (K, p) -> the valid configs of that pair, in grid order
+    for *_, config in grid:
+        if not isinstance(config, ConfigError):
+            groups.setdefault((config.K, config.p), []).append(config)
+    reports = {}
+    for configs in groups.values():
+        reports.update(_certify_group(configs, args.tolerance))
     rows = []
     failed = False
     for F, K, p, config in grid:
@@ -120,7 +145,7 @@ def cmd_check_lr(args, argv) -> int:
             rows.append((F, K, p, "config", 0, 0, "", "invalid"))
             print(f"F={F} K={K} p={p}: invalid ({config})")
             continue
-        report = certify(config, solve_optimal(config)[0], args.tolerance)
+        report = reports[config]
         failed |= not report.passed
         for check in report.checks:
             margin = "" if check.worst_margin is None else repr(check.worst_margin)

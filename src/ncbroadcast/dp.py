@@ -25,6 +25,18 @@ sweep) or evaluates a stack of policy tables (evaluate_policy,
 enumerate_policies_oracle).  ``certify`` checks a solved table: serve-least
 optimality and the structural inequality families, in one pass over row
 blocks of bounded size.
+
+Two identities of the solved tables hold bit for bit, because the sweep
+applies the same float operations to the same operands:
+  corner    a state's value depends only on the packets still missing,
+    F - x0 and F - x1, and on K and p.  So for F < F' with K dividing
+    both, the table at F, and its policy, are the lower-right (F+1)^2
+    corner of the table at F'.  check-lr solves each (K, p) once, at its
+    largest F, and certifies every smaller F on that corner.
+  mirror    swapping the receivers swaps x0 and x1, and every expression
+    of the sweep is symmetric under that swap, so V == V.T and the action
+    table equals its transpose.  write_table_csv formats each mirrored
+    value once.
 """
 
 from dataclasses import dataclass
@@ -341,12 +353,43 @@ def enumerate_policies_oracle(
     )
 
 
+def _reprs(row: np.ndarray) -> list[str]:
+    """repr of every float of a 1-d array: the repr of a float list is each repr, joined by ", "."""
+    return repr(row.tolist())[1:-1].split(", ") if row.size else []
+
+
 def write_table_csv(path, values: np.ndarray, actions: np.ndarray) -> None:
-    """Dump a value/policy table pair as CSV (x0,x1,value,action; lexicographic rows)."""
+    """Dump a value/policy table pair as CSV (x0,x1,value,action; lexicographic rows).
+
+    Each line is x0, x1, repr of the value and the action.  Rows go out in
+    blocks of about _CERTIFY_CELLS cells.  Where a block's diagonal square
+    of values equals its transpose bit for bit, as every solved table's
+    does, each mirrored pair is formatted once: row x0 reprs its cells
+    x1 >= x0 and takes the square's cells x1 < x0 from the strings of the
+    block's earlier rows, each dropped once used, so a block holds at most
+    about a quarter of its square's strings.  The strip left of the square,
+    and every row of a block whose square is not symmetric, is repr'd in
+    full.
+    """
     side = values.shape[0]
+    rows = max(1, _CERTIFY_CELLS // side)
+    pieces = [""] * (4 * side)  # x0 + ",", x1 + ",", value, "," + action + "\n" of each cell of a row
+    pieces[1::4] = [f"{x1}," for x1 in range(side)]
     with open(path, "w", newline="") as fh:
         fh.write("x0,x1,value,action\n")
-        for x0 in range(side):
-            # the repr of a list of floats is the repr of each, joined by ", "
-            row = zip(repr(values[x0].tolist())[1:-1].split(", "), actions[x0].tolist())
-            fh.write("".join([f"{x0},{x1},{value},{action}\n" for x1, (value, action) in enumerate(row)]))
+        for lo in range(0, side, rows):
+            hi = min(lo + rows, side)
+            square = values[lo:hi, lo:hi]
+            mirrored = np.array_equal(square.view(np.int64), square.T.view(np.int64))
+            pending = []  # per earlier row of the block: its square's reprs not yet mirrored, last column first
+            action_text = {a: f",{a}\n" for a in set(actions[lo:hi].ravel().tolist())}
+            for x0 in range(lo, hi):
+                if mirrored:
+                    right = _reprs(values[x0, x0:])
+                    pieces[2::4] = _reprs(values[x0, :lo]) + [reprs.pop() for reprs in pending] + right
+                    pending.append(right[hi - x0 - 1:0:-1])
+                else:
+                    pieces[2::4] = _reprs(values[x0])
+                pieces[0::4] = [f"{x0},"] * side
+                pieces[3::4] = map(action_text.__getitem__, actions[x0].tolist())
+                fh.write("".join(pieces))

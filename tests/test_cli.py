@@ -5,6 +5,7 @@ imported, whether it is installed or taken from ``src/`` through
 ``PYTHONPATH``, and whatever the child's working directory is.
 """
 
+import itertools
 import os
 import shlex
 import subprocess
@@ -15,6 +16,8 @@ import pytest
 
 import ncbroadcast
 from ncbroadcast import cli, sim
+from ncbroadcast.dp import certify, solve_optimal
+from ncbroadcast.model import ConfigError, validate_config
 from ncbroadcast.sim import MAX_RECEIVERS
 
 
@@ -110,6 +113,41 @@ class TestCheckLr:
         assert proc.returncode == 0
         assert "invalid" in proc.stdout
         assert "F=8 K=4 p=0.5: PASS" in proc.stdout
+
+    def test_one_sweep_per_window_and_p(self, monkeypatch, capsys):
+        solved = []
+        solve = cli.solve_optimal
+        monkeypatch.setattr(cli, "solve_optimal", lambda config: solved.append(config) or solve(config))
+        assert cli.main(["check-lr", "--file-sizes", "8,12,24", "--windows", "2,4", "--ps", "0.1,0.9"]) == 0
+        pairs = [(K, p) for K in (2, 4) for p in (0.1, 0.9)]
+        assert [(config.F, config.K, config.p) for config in solved] == [(24, K, p) for K, p in pairs]
+        captured = capsys.readouterr()
+        assert captured.out.count("PASS") == 12
+        assert captured.err.splitlines() == [f"check-lr: K={K} p={p}: solving F=24 for 3 file sizes" for K, p in pairs]
+
+    def test_report_equals_certifying_each_cell_on_its_own(self, tmp_path, capsys):
+        # The largest F comes third and invalid cells are interleaved; rows and
+        # lines still follow the grid, as a per-cell solve and certify gives them.
+        sizes, windows, ps = (12, 7, 24, 8), (3, 4, 2), (0.1, 0.9)
+        out = tmp_path / "report.csv"
+        argv = ["check-lr", "--file-sizes", "12,7,24,8", "--windows", "3,4,2", "--ps", "0.1,0.9", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows, lines = [], []
+        for F, K, p in itertools.product(sizes, windows, ps):
+            try:
+                config = validate_config(F, K, 2, p)
+            except ConfigError as exc:
+                rows.append(f"{F},{K},{p},config,0,0,,invalid")
+                lines.append(f"F={F} K={K} p={p}: invalid ({exc})")
+                continue
+            report = certify(config, solve_optimal(config)[0])
+            for check in report.checks:
+                margin = "" if check.worst_margin is None else repr(check.worst_margin)
+                status = "pass" if check.violations == 0 else "fail"
+                rows.append(f"{F},{K},{p},{check.name},{check.examined},{check.violations},{margin},{status}")
+            lines.append(f"F={F} K={K} p={p}: {'PASS' if report.passed else 'FAIL'}")
+        assert out.read_text().splitlines()[1:] == rows
+        assert capsys.readouterr().out.splitlines() == lines + [f"wrote {out}"]
 
 
 ORACLE_GOLDEN = Path(__file__).parent / "data" / "oracle_golden.txt"

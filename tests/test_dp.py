@@ -143,6 +143,23 @@ class TestSolveOptimal:
                 expected = Action.SERVE_LEAST if v_least <= v_most + tie_tolerance else Action.SERVE_MOST
                 assert actions[s] == expected, s
 
+    @pytest.mark.parametrize("F,larger_F,K,p", [
+        (1, 7, 1, 1.0), (5, 12, 1, 0.123456789), (6, 18, 6, 1.0), (6, 12, 6, 0.123456789),
+        (8, 24, 4, 0.5), (12, 24, 3, 0.123456789),
+    ])
+    def test_smaller_file_is_the_lower_right_corner_and_tables_are_symmetric(self, F, larger_F, K, p):
+        # A value depends only on the packets still missing, F - x0 and F - x1,
+        # and swapping the receivers transposes the table: check-lr and the
+        # CSV export rely on both identities holding bit for bit.
+        values, actions = solve_optimal(validate_config(F, K, 2, p))
+        larger_values, larger_actions = solve_optimal(validate_config(larger_F, K, 2, p))
+        top = larger_F - F
+        assert np.array_equal(values.view(np.int64), larger_values[top:, top:].view(np.int64))
+        assert np.array_equal(actions, larger_actions[top:, top:])
+        for v, a in ((values, actions), (larger_values, larger_actions)):
+            assert np.array_equal(v.view(np.int64), v.T.view(np.int64))
+            assert np.array_equal(a, a.T)
+
     def test_rejects_wrong_receiver_count(self):
         cfg = validate_config(4, 2, 3, 0.5)
         table = np.zeros((5, 5))
@@ -428,6 +445,58 @@ def solve_golden_table(tmp_path) -> bytes:
 
 def test_solve_tables_match_golden(tmp_path):
     assert solve_golden_table(tmp_path) == SOLVE_GOLDEN_CSV.read_bytes()
+
+
+def per_cell_table_csv(values, actions) -> str:
+    """The CSV export formatted one cell at a time: the reference for write_table_csv."""
+    lines = ["x0,x1,value,action\n"]
+    for x0, (row, acts) in enumerate(zip(values.tolist(), actions.tolist())):
+        lines += [f"{x0},{x1},{v!r},{a}\n" for x1, (v, a) in enumerate(zip(row, acts))]
+    return "".join(lines)
+
+
+def asymmetric_table():
+    """A 7x7 table whose 3-row blocks exercise both writer paths.
+
+    The first block's square holds a 0.0 / -0.0 pair, equal as floats but
+    not bit for bit, so it must not be mirrored; the second block's square
+    is symmetric and holds a nan pair and an inf.  The strips and the
+    actions are asymmetric.
+    """
+    rng = np.random.default_rng(7)
+    r = rng.random((7, 7))
+    values = r + r.T  # addition commutes, so this is symmetric bit for bit
+    values[0, 1], values[1, 0] = 0.0, -0.0
+    values[3, 5] = values[5, 3] = np.nan
+    values[4, 4], values[6, 0] = np.inf, -np.inf
+    return values, rng.integers(-1, 2, (7, 7), dtype=np.int8)
+
+
+@pytest.mark.parametrize("table,cells", [
+    (lambda: solve_optimal(validate_config(24, 4, 2, 0.3)), 1),
+    (lambda: solve_optimal(validate_config(24, 4, 2, 0.3)), 5 * 25),  # blocks of 5 of the 25 rows
+    (lambda: solve_optimal(validate_config(24, 4, 2, 0.3)), 8 * 25 + 3),
+    (asymmetric_table, 3 * 7),
+    (asymmetric_table, None),  # the default budget: one asymmetric block
+    (lambda: (np.array([[0.0]]), np.array([[0]], dtype=np.int8)), None),
+], ids=["solve-1-row", "solve-5-rows", "solve-8-rows", "asymmetric-3-rows", "asymmetric-one-block", "1x1"])
+def test_csv_export_matches_the_per_cell_reference(monkeypatch, tmp_path, table, cells):
+    values, actions = table()
+    if cells is not None:
+        monkeypatch.setattr(dp, "_CERTIFY_CELLS", cells)
+    out = tmp_path / "table.csv"
+    write_table_csv(out, values, actions)
+    assert out.read_text() == per_cell_table_csv(values, actions)
+
+
+def test_csv_export_memory_is_bounded_by_the_block_budget(tmp_path):
+    # F=511 fills one default block, whose square is the whole table: the
+    # writer holds at most about a quarter of the square's reprs at once (5 MB,
+    # about 19 bytes per block cell) and one row of text.
+    values, actions = solve_optimal(validate_config(511, 7, 2, 0.5))
+    assert values.size == dp._CERTIFY_CELLS
+    _, peak = traced_peak(write_table_csv, tmp_path / "table.csv", values, actions)
+    assert peak < 32 * dp._CERTIFY_CELLS, f"write_table_csv peaked at {peak / 2**20:.1f} MB"
 
 
 def test_csv_export_golden(tmp_path):
