@@ -33,7 +33,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dp import ORACLE_MAX_CAP, certify, check_table_size, enumerate_policies_oracle, solve_optimal, write_table_csv
+from .dp import ORACLE_MAX_CAP, TOLERANCE, certify, check_table_size, enumerate_policies_oracle, solve_optimal
+from .dp import write_table_csv
 from .model import ConfigError, validate_config
 from .policies import POLICY_NAMES
 from .rlnc import MAX_CODEC_BYTES, expected_extra_packets, run_codec_validation
@@ -54,11 +55,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _policy_list(text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    for name in names:
-        if name not in POLICY_NAMES:
-            raise argparse.ArgumentTypeError(f"unknown policy {name!r}; pick from {','.join(POLICY_NAMES)}")
-    return names
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _require_values(values: list, flag: str) -> None:
@@ -80,11 +77,14 @@ def _write_out(args, argv: list[str], params: dict, write) -> None:
     """If --out is set, write it with write(path), pair it with <out>.manifest and say so."""
     if not args.out:
         return
-    write(args.out)
     lines = [f"tool=ncbroadcast {__version__}", f"command={args.command}", f"argv={shlex.join(argv)}"]
     lines += [f"{key}={value}" for key, value in params.items()]
     lines.append(f"output={args.out}")
-    Path(f"{args.out}.manifest").write_text("\n".join(lines) + "\n")
+    try:
+        write(args.out)
+        Path(f"{args.out}.manifest").write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or args.out}: {exc.strerror or exc}") from exc
     print(f"wrote {args.out}")
 
 
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--file-sizes", type=_int_list, required=True, help="comma list of F values")
     check.add_argument("--windows", type=_int_list, required=True, help="comma list of K values")
     check.add_argument("--ps", type=_float_list, required=True, help="comma list of p values")
-    check.add_argument("--tolerance", type=float, default=1e-9, help="slack allowed in every check (finite, >= 0)")
+    check.add_argument("--tolerance", type=float, default=TOLERANCE, help="slack allowed in every check (finite, >= 0)")
     check.add_argument("--out", type=Path, help="write the per-check CSV report here")
     check.set_defaults(func=cmd_check_lr)
 

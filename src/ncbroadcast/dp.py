@@ -20,11 +20,11 @@ it, so each diagonal is a handful of array expressions over views.
 
 Value tables are dense (F+1) x (F+1) float arrays indexed [x0, x1];
 policy tables are int8 arrays holding ``mdp.Action`` values.  The same
-sweep minimizes (solve_optimal, which also reads its policy off the
-sweep) or evaluates a stack of policy tables (evaluate_policy,
-enumerate_policies_oracle).  ``certify`` checks a solved table: serve-least
-optimality and the structural inequality families, in one pass over row
-blocks of bounded size.
+sweep minimizes, writing solve_optimal's action table as it decides, or
+evaluates a stack of policies (evaluate_policy, enumerate_policies_oracle).
+``certify`` checks a solved table: serve-least optimality and the
+structural inequality families, in one pass over row blocks of bounded
+size.  The solver's ties, the oracle's verdict and certify share TOLERANCE.
 
 Two identities of the solved tables hold bit for bit, because the sweep
 applies the same float operations to the same operands:
@@ -50,6 +50,7 @@ MAX_STATES = 1 << 23  # (F+1)^2 cap of every table: admits F <= 2895
 ORACLE_MAX_CAP = 2**20  # default policy cap of the oracle, and the largest it accepts
 _ORACLE_CHUNK = 1 << 12  # policies evaluated per batched sweep
 _CERTIFY_CELLS = 1 << 18  # grid cells per row block of certify (at least one row)
+TOLERANCE = 1e-9  # ties within it go to SERVE_LEAST; the oracle's and certify's slack
 
 
 def check_table_size(F: int) -> None:
@@ -95,22 +96,20 @@ def _lookahead(advance_0, advance_1, r0_behind, config: SystemConfig):
 
 
 def _sweep(
-    config: SystemConfig,
-    batches: np.ndarray,
-    policies: np.ndarray | None = None,
-    least: np.ndarray | None = None,
-    tie_tolerance: float = 0.0,
-) -> np.ndarray:
+    config: SystemConfig, batches: np.ndarray, serve_least: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Backward induction: the edges by their scalar chain, then the unfinished
     states over the anti-diagonals x0 + x1 = 2F-2, ..., 0.
 
-    `batches` is the caller's ``_batches(config)``.  `policies` is a
-    (P, F+1, F+1) stack of legal policy tables, each evaluated.  Without
-    it the sweep minimizes over the actions, P is 1, and the bool array
-    `least` of shape (1, (F+1)^2) receives, at every unfinished state,
-    v_least <= v_most + tie_tolerance, where v_least and v_most are the
-    lookaheads into the final successor values.  Returns the
-    (P, F+1, F+1) value tables.
+    `batches` is the caller's ``_batches(config)``.  `serve_least` is a
+    (P, (F+1)^2) bool stack of flattened policies, True where a policy
+    serves the receiver that is behind; each is evaluated, and only its
+    entries at decision states are read.  Without it the sweep minimizes
+    over the actions, P is 1, and it writes the int8 action table as it
+    goes: NO_DECISION off the decision states, else SERVE_LEAST where
+    v_least <= v_most + TOLERANCE, v_least and v_most being the lookaheads
+    into the final successor values.  Returns the (P, F+1, F+1) value
+    tables and the action table (None when evaluating).
 
     Diagonal t holds the unfinished states x0 in [lo, hi]; in the flat
     table they are the slice [lo*F + t, hi*F + t + 1) with stride F, and
@@ -119,48 +118,44 @@ def _sweep(
     F, p, q = config.F, config.p, config.q
     pq, pp, denom = p * q, p * p, 1.0 - q * q
     side = F + 1
-    values = np.zeros((1 if policies is None else len(policies), side, side))
+    values = np.zeros((1 if serve_least is None else len(serve_least), side, side))
+    actions = np.zeros((side, side), dtype=np.int8) if serve_least is None else None  # edges: NO_DECISION
+    least_code, most_code, no_code = int(Action.SERVE_LEAST), int(Action.SERVE_MOST), int(Action.NO_DECISION)
     edge = [0.0]  # edge[k]: k packets left for the one unfinished receiver
     for _ in range(F):
         edge.append((1.0 + p * edge[-1]) / p)
     values[:, :, F] = values[:, F, :] = edge[::-1]
     flat = values.reshape(len(values), -1)
-    if policies is not None:
-        serve_least = (policies == Action.SERVE_LEAST).reshape(len(policies), -1)
     for total in range(2 * F - 2, -1, -1):
         lo, hi = max(0, total - F + 1), min(F - 1, total)
         start, stop = lo * F + total, hi * F + total + 1
         cells = slice(start, stop, F)
         h0, h1 = batches[lo:hi + 1], batches[total - hi:total - lo + 1][::-1]
+        same = h0 == h1
         advance_0 = flat[:, start + side:stop + side:F]
         advance_1 = flat[:, start + 1:stop + 1:F]
         advance_both = flat[:, start + side + 1:stop + side + 1:F]
         v_least, v_most = _lookahead(advance_0, advance_1, h0 < h1, config)
-        if policies is None:
+        if serve_least is None:
             decided = np.minimum(v_least, v_most)
-            np.less_equal(v_least, v_most + tie_tolerance, out=least[:, cells])
+            choice = np.where(v_least[0] <= v_most[0] + TOLERANCE, least_code, most_code)  # ints: enums are slow
+            actions.reshape(-1)[cells] = np.where(same, no_code, choice)
         else:
             decided = np.where(serve_least[:, cells], v_least, v_most)
-        flat[:, cells] = np.where(
-            h0 == h1, (1.0 + pq * (advance_0 + advance_1) + pp * advance_both) / denom, decided
-        )
-    return values
+        flat[:, cells] = np.where(same, (1.0 + pq * (advance_0 + advance_1) + pp * advance_both) / denom, decided)
+    return values, actions
 
 
-def solve_optimal(config: SystemConfig, tie_tolerance: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def solve_optimal(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Optimal expected-slots-to-completion table and a minimizing policy.
 
     At decision states the stored value is min(v_least, v_most); ties
-    within `tie_tolerance` are resolved toward SERVE_LEAST so the policy
-    table is canonical.  The choice is made in the sweep, from the same
-    lookaheads ``certify`` takes from the final table.
+    within TOLERANCE are resolved toward SERVE_LEAST so the policy table
+    is canonical.  The sweep makes the choice, from the same lookaheads
+    ``certify`` takes from the final table.
     """
-    batches = _batches(config)  # refuses a bad config before anything is allocated
-    side = config.F + 1
-    least = np.zeros((1, side * side), dtype=bool)
-    values = _sweep(config, batches, least=least, tie_tolerance=tie_tolerance)[0]
-    choice = np.where(least.reshape(side, side), np.int8(Action.SERVE_LEAST), np.int8(Action.SERVE_MOST))
-    return values, np.where(_decision_mask(batches), choice, np.int8(Action.NO_DECISION))
+    values, actions = _sweep(config, _batches(config))
+    return values[0], actions
 
 
 def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
@@ -174,7 +169,7 @@ def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
     if len(illegal):
         s = tuple(illegal[0].tolist())
         raise ValueError(f"illegal policy entry {policy[s]} at state {s}")
-    return _sweep(config, batches, policy[None])[0]
+    return _sweep(config, batches, (policy == Action.SERVE_LEAST).reshape(1, -1))[0][0]
 
 
 @dataclass(frozen=True)
@@ -220,7 +215,7 @@ class _Tally:
         return AuditCheck(self.name, self.examined, self.violations, float(self.worst if self.examined else np.nan))
 
 
-def certify(config: SystemConfig, values: np.ndarray, tolerance: float = 1e-9) -> AuditReport:
+def certify(config: SystemConfig, values: np.ndarray, tolerance: float = TOLERANCE) -> AuditReport:
     """Certify serve-least optimal and audit the structural properties of the optimal table.
 
     `values` is the optimal table of `config` (``solve_optimal(config)[0]``).
@@ -313,9 +308,7 @@ class OracleResult:
     lr_matches_best: bool
 
 
-def enumerate_policies_oracle(
-    config: SystemConfig, policy_cap: int = ORACLE_MAX_CAP, tolerance: float = 1e-9
-) -> OracleResult:
+def enumerate_policies_oracle(config: SystemConfig, policy_cap: int = ORACLE_MAX_CAP) -> OracleResult:
     """Evaluate every deterministic stationary policy and keep the best V(0,0).
 
     Independent, brute-force certification path: it never consults
@@ -327,21 +320,18 @@ def enumerate_policies_oracle(
     if not 1 <= policy_cap <= ORACLE_MAX_CAP:
         raise ConfigError(f"--cap must be between 1 and {ORACLE_MAX_CAP}, got {policy_cap}")
     batches = _batches(config)
-    decision = _decision_mask(batches)
-    cells = np.flatnonzero(decision)  # the decision states, in lexicographic order
+    cells = np.flatnonzero(_decision_mask(batches))  # the decision states, in lexicographic order
     D = len(cells)
     if D >= policy_cap.bit_length():  # i.e. 2**D > policy_cap, without the huge power
         raise ConfigError(f"{D} decision states give 2**{D} policies, over the cap {policy_cap}")
     n_policies = 2**D
-    base = np.where(decision, Action.SERVE_LEAST, Action.NO_DECISION).astype(np.int8)  # the LR table
     msb_first = np.arange(D - 1, -1, -1)
     origin = np.empty(n_policies)
     for start in range(0, n_policies, _ORACLE_CHUNK):
         n = np.arange(start, min(start + _ORACLE_CHUNK, n_policies))
-        stack = np.repeat(base[None], len(n), axis=0)
-        most = (n[:, None] >> msb_first) & 1
-        stack.reshape(len(n), -1)[:, cells] = np.where(most, Action.SERVE_MOST, Action.SERVE_LEAST)
-        origin[n] = _sweep(config, batches, stack)[:, 0, 0]
+        serve_least = np.ones((len(n), len(batches) ** 2), dtype=bool)
+        serve_least[:, cells] = ((n[:, None] >> msb_first) & 1) == 0
+        origin[n] = _sweep(config, batches, serve_least)[0][:, 0, 0]
     best_value = float(origin.min())
     lr_value = float(origin[0])  # policy 0 is all-SERVE_LEAST
     return OracleResult(
@@ -349,7 +339,7 @@ def enumerate_policies_oracle(
         n_policies=n_policies,
         best_value=best_value,
         lr_value=lr_value,
-        lr_matches_best=abs(lr_value - best_value) <= tolerance,
+        lr_matches_best=abs(lr_value - best_value) <= TOLERANCE,
     )
 
 

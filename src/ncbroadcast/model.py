@@ -28,29 +28,35 @@ class SystemConfig:
         K: coding window (batch) size in packets; must divide F.
         N: number of receivers.
         p: per-slot, per-receiver ON probability, 0 < p <= 1.
-        q: complement 1 - p.
     """
 
     F: int
     K: int
     N: int
     p: float
-    q: float
+
+    @property
+    def q(self) -> float:
+        """OFF probability 1 - p."""
+        return 1.0 - self.p
 
 
 def validate_config(F: int, K: int, N: int, p: float) -> SystemConfig:
-    """Check raw parameters and derive q.
+    """Check raw parameters.
 
-    p = 0 is rejected (the transfer would never finish); p = 1 is the
-    degenerate always-on channel and is allowed.
+    p = 0 is rejected (the transfer would never finish), and so is a p whose
+    1 - p rounds to 1.0 (the exact solver would divide by 1 - q^2 = 0); p = 1
+    is the degenerate always-on channel and is allowed.
     """
     if F <= 0 or K <= 0 or N <= 0:
         raise ConfigError(f"F, K and N must be positive, got F={F} K={K} N={N}")
     if not 0.0 < p <= 1.0:
         raise ConfigError(f"ON probability must satisfy 0 < p <= 1, got p={p}")
+    if 1.0 - p == 1.0:
+        raise ConfigError(f"ON probability p={p} is too small: 1 - p rounds to 1.0")
     if F % K != 0:
         raise ConfigError(f"file size must be a multiple of the window size, got F={F} K={K}")
-    return SystemConfig(F=F, K=K, N=N, p=float(p), q=1.0 - float(p))
+    return SystemConfig(F=F, K=K, N=N, p=float(p))
 
 
 def batch_id(x: int, config: SystemConfig) -> int:

@@ -18,12 +18,12 @@ source under those rows and decoding it again in one block solve
 block or a wrong decode.
 
 sweep_coding_window is the one experiment call: it runs every (policy,
-config) cell and returns each cell's completion-slot statistics.  It
-admits the whole run before any substream is drawn: at least two trials
-(the sample stddev needs two), a master seed >= 0, a codec packet length
->= 1, and check_run for every config, which refuses too many receivers,
-a file whose slot count could pass MAX_SLOTS and a codec trial over
-rlnc.MAX_CODEC_BYTES.  run_trial does not check its inputs again.
+config) cell and returns each cell's completion-slot statistics.  Before
+any substream is drawn it admits the whole run: known policy names, at
+least two trials (the sample stddev needs two), a seed >= 0, a codec
+packet length >= 1, and check_run for every config, which refuses too
+many receivers, a file whose slot count could pass MAX_SLOTS and a codec
+trial over rlnc.MAX_CODEC_BYTES.  run_trial does not check them again.
 
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigError, SystemConfig, require_at_least
-from .policies import conflict_rule
+from .policies import POLICY_NAMES, conflict_rule
 from .rlnc import (
     MAX_CODEC_BYTES, RankTracker, batch_chunk, block_solve_bytes, coefficient_rows, encode_blocks, verify_blocks,
 )
@@ -228,6 +228,9 @@ def sweep_coding_window(
     The run is admitted (see the module docstring) before the first
     substream is drawn.  Each cell runs trial indices 0..n_trials-1.
     """
+    for policy in policies:
+        if policy not in POLICY_NAMES:
+            raise ConfigError(f"unknown policy {policy!r}; pick from {','.join(POLICY_NAMES)}")
     require_at_least(n_trials, 2, "--trials")
     require_at_least(rng_spec.master_seed, 0, "--seed")
     if packet_len is not None:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ncbroadcast.dp import certify, enumerate_policies_oracle, solve_optimal
+from ncbroadcast.dp import TOLERANCE, certify, enumerate_policies_oracle, solve_optimal
 from ncbroadcast.model import validate_config
 from ncbroadcast.rlnc import _INV, _MUL, run_codec_validation
 from ncbroadcast.sim import RngSpec, run_trial, sweep_coding_window
@@ -96,9 +96,9 @@ def test_c4_lr_optimality_and_sign_equivalence():
 
 def test_c5_brute_force_certification():
     start = time.perf_counter()
-    ok = True
+    ok = TOLERANCE == 1e-9  # the oracle's verdict margin
     for p in (0.3, 0.5, 0.8):
-        result = enumerate_policies_oracle(validate_config(4, 2, 2, p), tolerance=1e-9)
+        result = enumerate_policies_oracle(validate_config(4, 2, 2, p))
         ok &= result.n_policies == 256 and result.lr_matches_best
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0

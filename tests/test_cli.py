@@ -114,6 +114,13 @@ class TestCheckLr:
         assert "invalid" in proc.stdout
         assert "F=8 K=4 p=0.5: PASS" in proc.stdout
 
+    def test_p_whose_complement_rounds_to_one_is_an_invalid_cell(self, capsys):
+        # at p = 1e-17 the DP would divide by 1 - q^2 = 0 and report inf
+        assert cli.main(["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "1e-17,0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("F=4 K=2 p=1e-17: invalid (ON probability p=1e-17 is too small")
+        assert lines[1:] == ["F=4 K=2 p=0.5: PASS"]
+
     def test_one_sweep_per_window_and_p(self, monkeypatch, capsys):
         solved = []
         solve = cli.solve_optimal
@@ -249,13 +256,6 @@ class TestSweep:
         rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
         assert [row.split(",")[3] for row in rows] == ["2", "6"]
 
-    def test_unknown_policy_is_usage_error(self, tmp_path):
-        proc = run_cli(
-            ["sweep", "--policies", "lru", "--file-size", "6", "--windows", "2", "--p", "0.5"],
-            tmp_path,
-        )
-        assert proc.returncode == 2
-
 
 class TestCodecValidate:
     def test_report_lines(self, tmp_path):
@@ -323,6 +323,18 @@ BAD_INPUTS = {
     "check-lr-repeated-p": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "0.5,0.50"],
     "check-lr-no-valid-cell": ["check-lr", "--file-sizes", "6", "--windows", "4", "--ps", "0.5"],
     "check-lr-no-valid-p": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "1.5", "--out", "r.csv"],
+    "sweep-unknown-policy": ["sweep", "--policies", "lru", "--file-size", "4", "--windows", "2", "--p", "0.5",
+                             "--trials", "2"],
+    "solve-p-complement-rounds-to-1": ["solve", "--file-size", "4", "--window", "2", "--p", "1e-17"],
+    "oracle-p-complement-rounds-to-1": ["oracle", "--file-size", "4", "--window", "2", "--p", "1e-17"],
+    # --out in a directory that does not exist
+    "solve-unwritable-out": ["solve", "--file-size", "4", "--window", "2", "--p", "0.5", "--out", "missing/t.csv"],
+    "check-lr-unwritable-out": ["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "0.5",
+                                "--out", "missing/r.csv"],
+    "simulate-unwritable-out": ["simulate", "--file-size", "4", "--window", "2", "--p", "0.5", "--trials", "2",
+                                "--out", "missing/s.csv"],
+    "sweep-unwritable-out": ["sweep", "--file-size", "4", "--windows", "2", "--p", "0.5", "--trials", "2",
+                             "--out", "missing/s.csv"],
 }
 
 

@@ -18,6 +18,15 @@ def test_validate_derives_q_and_b():
     assert cfg.q == 0.5
 
 
+def test_q_is_derived_from_p():
+    cfg = SystemConfig(12, 4, 2, 0.3)
+    assert cfg.q == 1.0 - 0.3
+    with pytest.raises(AttributeError):
+        cfg.q = 0.5
+    # the smallest p that validate_config admits still gives q < 1
+    assert validate_config(12, 4, 2, 2.0**-53).q < 1.0
+
+
 def test_single_batch_perfect_channel():
     cfg = validate_config(5, 5, 1, 1.0)
     assert cfg.q == 0.0
@@ -33,6 +42,8 @@ def test_single_batch_perfect_channel():
         (0, 1, 1, 0.5),
         (12, 0, 2, 0.5),
         (12, 4, 0, 0.5),
+        (12, 4, 2, 1e-17),  # 1 - p rounds to 1.0: the exact solver would divide by zero
+        (12, 4, 2, 2.0**-54),  # the largest such p, a tie rounded to even
     ],
 )
 def test_validate_rejects(F, K, N, p):

@@ -245,6 +245,11 @@ class TestCodecSizeGuard:
             assert blocks[-1].shape[1] * 4 >= window
             assert blocks[-1].nbytes <= rlnc._CHUNK_BYTES
 
+    def test_sweep_refuses_an_unknown_policy_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(ConfigError, match="^unknown policy 'bogus'; pick from lr,rrnc,rs$"):
+            sweep_coding_window(["lr", "bogus"], [validate_config(8, 4, 2, 0.5)], 4, RngSpec(0))
+
     def test_sweep_refuses_the_grid_first(self, monkeypatch):
         # at this packet length K=4 fits and K=8 does not
         monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
