@@ -3,7 +3,9 @@
 Subcommands: solve, check-lr, oracle, simulate, sweep, codec-validate.
 Every file written with --out is paired with a <out>.manifest recording
 the tool version and the full argument vector, so a run can be replayed
-byte-for-byte on the same build.
+byte-for-byte on the same build.  An --out that cannot be written (its
+directory is missing or not writable, or it is a directory) is refused
+with exit 2 before any solve or trial starts.
 
 This module parses flags, formats output and maps ConfigError to exit
 2.  Each run is admitted by the library call that owns it, which raises
@@ -26,8 +28,10 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 """
 
 import argparse
+import errno
 import itertools
 import math
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -71,6 +75,20 @@ def _run_cells(args, policies: list[str], configs: list) -> list:
     """Run every (policy, config) cell of simulate or sweep; packet_len None is ideal mode."""
     packet_len = args.packet_len if args.mode == "codec" else None
     return sweep_coding_window(policies, configs, args.trials, RngSpec(args.seed), packet_len)
+
+
+def _check_out(path: Path) -> None:
+    """Refuse an --out that cannot be written (a missing or unwritable directory,
+    or a directory as the file) before any work starts, as _write_out would after it."""
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_out(args, argv: list[str], params: dict, write) -> None:
@@ -324,6 +342,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args, argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

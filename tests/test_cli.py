@@ -346,6 +346,31 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, args):
     assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [proc.stderr.splitlines()[-1]]
 
 
+UNWRITABLE_OUT = {
+    "solve": ["solve", "--file-size", "4", "--window", "2", "--p", "0.5"],
+    "check-lr-at-size-cap": ["check-lr", "--file-sizes", "2895", "--windows", "5", "--ps", "0.5"],
+    "simulate": ["simulate", "--file-size", "4", "--window", "2", "--p", "0.5", "--trials", "2"],
+    "sweep": ["sweep", "--file-size", "4", "--windows", "2", "--p", "0.5", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("args", UNWRITABLE_OUT.values(), ids=UNWRITABLE_OUT.keys())
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x.csv", "No such file or directory"),
+    ("file/x.csv", "Not a directory"),
+    ("dir", "Is a directory"),
+])
+def test_unwritable_out_refused_before_any_work(monkeypatch, capsys, tmp_path, args, where, reason):
+    monkeypatch.setattr(cli, "sweep_coding_window", lambda *args: pytest.fail("a trial ran"))
+    monkeypatch.setattr(cli, "solve_optimal", lambda *args: pytest.fail("a table was solved"))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / where
+    assert cli.main([*args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: cannot write {out}: {reason}\n")
+
+
 @pytest.mark.parametrize("args,message", [
     (["sweep", "--policies", "lr,rs,lr", "--file-size", "4", "--windows", "2", "--p", "0.5"], "--policies repeats lr"),
     (["sweep", "--file-size", "4", "--windows", "1,2,1", "--p", "0.5"], "--windows repeats 1"),

@@ -21,10 +21,15 @@ def hits_of(eligible):
     return sorted(bits.items())
 
 
+def block_of(on_sets, N):
+    """A block of slots with the given ON sets, bit i of each standing for receiver i."""
+    return sim._OnBlock(np.array([[on >> i & 1 for i in range(N)] for on in on_sets], dtype=bool).reshape(-1, N))
+
+
 def scripted_trial(monkeypatch, policy, N, F, K, on_sets):
     """run_trial with the given ON sets for the first slots, all receivers ON after."""
-    script = itertools.chain(on_sets, itertools.repeat((1 << N) - 1))
-    monkeypatch.setattr(sim, "_on_masks", lambda rng, n, p: script)
+    script = itertools.chain([block_of(on_sets, N)], itertools.repeat(block_of([(1 << N) - 1] * sim._FLAG_BLOCK, N)))
+    monkeypatch.setattr(sim, "_on_blocks", lambda rng, n, p: script)
     return sim.run_trial(validate_config(F, K, N, 0.5), policy, sim.RngSpec(0), 0)
 
 
@@ -169,12 +174,25 @@ class TestRandomSelection:
 class TestOnMasks:
     @pytest.mark.parametrize("N", [1, 5, 63, 64, 65, 130, sim.MAX_RECEIVERS])
     def test_bit_i_is_receiver_i(self, N):
-        masks = sim._on_masks(rng(N), N, 0.4)
+        blocks = sim._on_blocks(rng(N), N, 0.4)
         reference = rng(N)
         for _ in range(2):
             flags = reference.random((sim._FLAG_BLOCK, N)) < 0.4
             expected = [sum(1 << int(i) for i in np.flatnonzero(row)) for row in flags]
-            assert [next(masks) for _ in range(sim._FLAG_BLOCK)] == expected
+            assert next(blocks).masks == expected
+
+    @pytest.mark.parametrize("N, n_slots", [(1, sim._FLAG_BLOCK), (5, sim._FLAG_BLOCK), (65, sim._FLAG_BLOCK), (3, 300)])
+    def test_on_keys_agree_with_masks(self, N, n_slots):
+        # page k of a block covers its slots k * _PAGE onwards; the last page of a short block is short
+        block = sim._OnBlock(rng(N).random((n_slots, N)) < 0.4)
+        for page in range(-(-n_slots // sim._PAGE)):
+            masks = block.masks[page * sim._PAGE : (page + 1) * sim._PAGE]
+            keys = list(block.on_keys(page))
+            assert keys == sorted(keys)
+            for rid in range(N):
+                expected = [offset for offset, on in enumerate(masks) if on >> rid & 1]
+                assert [key - rid * len(masks) for key in keys if rid * len(masks) <= key < (rid + 1) * len(masks)] == expected
+            assert len(keys) == sum(on.bit_count() for on in masks)
 
 
 @given(

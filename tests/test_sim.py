@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,13 @@ import pytest
 from ncbroadcast import rlnc, sim
 from ncbroadcast.dp import solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
-from ncbroadcast.policies import POLICY_NAMES
+from ncbroadcast.policies import POLICY_NAMES, conflict_rule
 from ncbroadcast.rlnc import RankTracker, draw_coefficients
 from ncbroadcast.sim import (
     MAX_CODEC_BYTES,
     MAX_RECEIVERS,
     RngSpec,
+    TrialResult,
     check_run,
     run_trial,
     sweep_coding_window,
@@ -118,6 +121,142 @@ class TestPolicyEquivalenceOffConflicts:
                 stats[small].mean + stats[small].ci95_half_width
                 >= stats[large].mean - stats[large].ci95_half_width
             )
+
+
+def stepped_trial(config, policy, rng_spec, trial_index):
+    """Reference for ideal-mode run_trial that steps every slot, stretches
+    included, and completes a receiver's batch when received % K == 0.
+
+    It draws the ON flags itself, a block of slots at a time, from the
+    connectivity substream, and takes the policy's uniforms from sim._uniforms.
+    """
+    F, K, N, p = config.F, config.K, config.N, config.p
+    pick = conflict_rule(policy, sim._uniforms(rng_spec, trial_index))
+    connectivity = rng_spec.substream(trial_index, sim.ROLE_CONNECTIVITY)
+
+    def on_sets():
+        while True:
+            packed = np.packbits(connectivity.random((sim._FLAG_BLOCK, N)) < p, axis=1, bitorder="little")
+            yield from (int.from_bytes(row.tobytes(), "little") for row in packed)
+
+    received = [0] * N
+    members = {0: (1 << N) - 1}
+    occupied = [0]
+    slot = conflicts = 0
+    for on in on_sets():
+        hits = [(batch, bits) for batch in occupied if (bits := members[batch] & on)]
+        if hits:
+            batch, served = hits[0]
+            if len(hits) > 1:
+                conflicts += 1
+                batch = pick(hits)
+                served = members[batch] & on
+            done = 0
+            while served:
+                low = served & -served
+                served ^= low
+                rid = low.bit_length() - 1
+                received[rid] += 1
+                if received[rid] % K == 0:
+                    done |= low
+            if done:
+                members[batch] ^= done
+                if not members[batch]:
+                    del members[batch]
+                if batch + 1 < F // K:
+                    members[batch + 1] = members.get(batch + 1, 0) | done
+                occupied = sorted(members)
+        slot += 1
+        if slot >= sim.MAX_SLOTS:
+            raise RuntimeError(f"no completion after {sim.MAX_SLOTS} slots; config {config}")
+        if not occupied:
+            return TrialResult(completion_slots=slot, conflict_slots=conflicts)
+
+
+def differential_cases():
+    """(config, seed, trial) for the jump's differential test, drawn once from a fixed seed.
+
+    Every N is paired with K = 1, 2, F / 3 (at least _JUMP_MIN, so stretches
+    are jumped between conflicts) and F, each at p = 1, a small p whose F / p
+    passes one block of slots, and a p in between.
+    """
+    draw = random.Random(17)
+    cases = []
+    for N in (1, 2, 5, 63, 64, 65, 130):
+        for window in ("1", "2", "F/3", "F"):
+            for p in (1.0, draw.choice((0.03, 0.05)), round(draw.uniform(0.15, 0.9), 2)):
+                F = draw.choice((48, 60)) if p < 0.1 else draw.choice((48, 60, 120))
+                K = {"1": 1, "2": 2, "F/3": F // 3, "F": F}[window]
+                cases.append((validate_config(F, K, N, p), draw.randrange(100), draw.randrange(100)))
+    return cases
+
+
+class TestStretchJumps:
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_jumps_match_slot_stepping(self, policy):
+        for config, seed, trial in differential_cases():
+            expected = stepped_trial(config, policy, RngSpec(seed), trial)
+            assert run_trial(config, policy, RngSpec(seed), trial) == expected, (config, seed, trial)
+
+    def test_cases_cover_jumps_across_blocks(self, monkeypatch):
+        # some stretch is jumped past the end of a block of flags
+        crossed = []
+        jump = sim._jump
+
+        def recording(config, blocks, block, base, slot, ids, left):
+            result = jump(config, blocks, block, base, slot, ids, left)
+            crossed.append(result[1] > base)
+            return result
+
+        monkeypatch.setattr(sim, "_jump", recording)
+        for config, seed, trial in differential_cases():
+            run_trial(config, "lr", RngSpec(seed), trial)
+        assert any(crossed) and not all(crossed)
+
+    def test_whole_file_window_mean_matches_closed_form(self):
+        # with K = F a receiver finishes at its F-th ON slot, so
+        # E[T] = sum over t >= 0 of 1 - P(Bin(t, p) >= F)^N
+        N, F, p = 20, 100, 0.5
+        cdf, exact, t = 0.0, 0.0, 0  # cdf = P(Bin(t, p) >= F), one receiver done by slot t
+        while t < F or 1 - cdf**N > 1e-15:
+            exact += 1 - cdf**N
+            t += 1
+            if t >= F:
+                cdf += math.exp(math.lgamma(t) - math.lgamma(F) - math.lgamma(t - F + 1) + F * math.log(p)
+                                + (t - F) * math.log(1 - p))
+        cell = one_cell(validate_config(F, F, N, p), "lr", 400, RngSpec(3))
+        assert abs(cell.mean - exact) <= 4 * cell.stddev / math.sqrt(cell.n_trials)
+
+
+class TestSlotCap:
+    @pytest.mark.parametrize("K, jumps", [(600, True), (1, False)], ids=["stretch", "stepping"])
+    def test_cap_raises_at_the_same_slot(self, monkeypatch, K, jumps):
+        # a trial finishing at slot T runs under MAX_SLOTS = T + 1 and is refused under T,
+        # like a cap that falls mid-trial: inside a jumped stretch at K = F, while stepping at K = 1
+        config = validate_config(600, K, 5, 0.5)
+        slots = run_trial(config, "rs", RngSpec(2), 0).completion_slots
+        assert slots > sim._FLAG_BLOCK + 50
+        jump = sim._jump
+        raised_in_jump = []
+
+        def recording(*args):
+            try:
+                return jump(*args)
+            except RuntimeError:
+                raised_in_jump.append(cap)
+                raise
+
+        monkeypatch.setattr(sim, "_jump", recording)
+        for cap in (sim._FLAG_BLOCK + 50, slots):
+            monkeypatch.setattr(sim, "MAX_SLOTS", cap)
+            message = f"^no completion after {cap} slots"
+            with pytest.raises(RuntimeError, match=message):
+                run_trial(config, "rs", RngSpec(2), 0)
+            with pytest.raises(RuntimeError, match=message):
+                stepped_trial(config, "rs", RngSpec(2), 0)
+        assert (sim._FLAG_BLOCK + 50 in raised_in_jump) == jumps
+        monkeypatch.setattr(sim, "MAX_SLOTS", slots + 1)
+        assert run_trial(config, "rs", RngSpec(2), 0).completion_slots == slots
 
 
 class TestCodecMode:
