@@ -5,23 +5,29 @@ Field: GF(2^8) under the reduction polynomial x^8 + x^4 + x^3 + x^2 + 1
 and the inverse table read off it, so combining and eliminating work on
 whole byte vectors at once.
 
-A coded packet is one draw_coefficients row of K coefficients and the
-matching combination of its batch's K source packets; coefficient_rows
-yields the same rows a block of draws at a time.  Whether a packet
-is innovative depends on its coefficients alone, so a RankTracker
-follows a receiver's rank on the K-byte coefficient rows in pure Python.
-Payloads are decoded a block at a time: encode_blocks encodes sources
-under K x K coefficient rows, and _reduce_blocks Gauss-Jordan-reduces a
-whole stack of K x (K+L) blocks at once (verify_blocks wraps the two for
-the simulator).  Codec validation encodes and reduces chunks of batches
-that way; the rare batch whose first K packets are not independent goes
-through a RankTracker until full rank and is then decoded from the rows
-the tracker kept.  run_codec_validation admits its own arguments and
-raises ConfigError on a bad one, including a block decode over
-MAX_CODEC_BYTES.
+A coded packet is one row of K coefficients and the matching combination
+of its batch's K source packets.  coefficient_rows draws the rows a block
+at a time: a row is the first K bytes of ceil(K/4) fresh 32-bit words, and
+all-zero rows are skipped, so every packet is a genuine combination.
+Whether a packet is innovative depends on its coefficients alone, so a
+RankTracker follows a receiver's rank on the K-byte coefficient rows in
+pure Python.  Payloads are decoded a block at a time: encode_blocks
+encodes sources under K x K coefficient rows, and _reduce_blocks
+Gauss-Jordan-reduces a whole stack of K x (K+L) blocks at once
+(verify_blocks wraps the two for the simulator).
+
+Codec validation draws from three substreams SeedSequence((seed, role)):
+role 0 gives the sources, role 1 each batch's first K coefficient rows,
+role 2 the further rows that only a rank-deficient batch pulls.  It
+encodes and reduces chunks of batches at once; the rare batch whose
+first K rows are not independent goes through a RankTracker until full
+rank and is then decoded from the rows the tracker kept.
+run_codec_validation admits its own arguments and raises ConfigError on
+a bad one, including a block decode over MAX_CODEC_BYTES.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -93,33 +99,26 @@ def encode_blocks(coefficients: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return np.concatenate((coefficients, payloads), axis=2)
 
 
-def draw_coefficients(rng: np.random.Generator, window: int) -> np.ndarray:
-    """One packet's K uniform coefficients, redrawn while all zero (probability 256**-K).
+def _byte_rows(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
+    """(count, width) uint8 draws: each row the first `width` bytes of ceil(width/4) fresh 32-bit words.
 
-    Every emitted packet is therefore a genuine combination.  Codec
-    validation draws a rank-deficient batch's further packets this way,
-    one call per packet, so that it stops right after its own rows; the
-    simulator takes the same rows from coefficient_rows.
+    The words are read low byte first, as numpy fills a uint8 draw.
     """
-    coeffs = rng.integers(0, 256, size=window, dtype=np.uint8)
-    while not coeffs.any():
-        coeffs = rng.integers(0, 256, size=window, dtype=np.uint8)
-    return coeffs
+    words = rng.integers(0, 2**32, size=(count, -(-width // 4)), dtype="<u4")
+    return words.view(np.uint8)[:, :width]
 
 
 def coefficient_rows(rng: np.random.Generator, window: int):
-    """Endless nonzero K-byte coefficient rows, the same bytes as repeated draw_coefficients calls.
+    """Endless nonzero K-byte coefficient rows.
 
-    A uint8 draw fills from fresh 32-bit words, low byte first, so one
-    row of draw_coefficients is the first K bytes of ceil(K/4) words, and
-    redrawing an all-zero row is skipping it.  This draws a block of rows
-    of words in one call, up to _ROW_BLOCK rows and at most _CHUNK_BYTES
-    (at least one row), and yields each nonzero row as bytes.
+    A row is the first K bytes of ceil(K/4) fresh 32-bit words, low byte
+    first, and an all-zero row is skipped.  This draws a block of rows in
+    one call, up to _ROW_BLOCK rows and at most _CHUNK_BYTES (at least one
+    row), and yields each nonzero row as bytes.
     """
-    words = -(-window // 4)
-    rows = max(1, min(_ROW_BLOCK, _CHUNK_BYTES // (4 * words)))
+    rows = max(1, min(_ROW_BLOCK, _CHUNK_BYTES // (4 * -(-window // 4))))
     while True:
-        block = rng.integers(0, 2**32, size=(rows, words), dtype="<u4").view(np.uint8)[:, :window]
+        block = _byte_rows(rng, rows, window)
         blob = block[block.any(axis=1)].tobytes()
         yield from [blob[i : i + window] for i in range(0, len(blob), window)]
 
@@ -214,12 +213,14 @@ def expected_extra_packets(window: int) -> float:
 
     At rank r a fresh packet is dependent with probability
     (256**r - 1) / (256**K - 1); summing the geometric means over r gives
-    about 0.0039 for any window of a few packets or more.
+    about 0.0039 for any window of a few packets or more.  The probability
+    is evaluated as (256**(r-K) - 256**-K) / (1 - 256**-K), whose powers
+    underflow to 0 instead of overflowing for K >= 128.
     """
     total = 0.0
-    denom = 256.0**window - 1.0
+    floor = 256.0**-window
     for r in range(window):
-        dep = (256.0**r - 1.0) / denom
+        dep = (256.0 ** (r - window) - floor) / (1.0 - floor)
         total += dep / (1.0 - dep)
     return total
 
@@ -253,27 +254,19 @@ def _reduce_blocks(blocks: np.ndarray, window: int) -> np.ndarray:
 def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int = 0) -> CodecValidationReport:
     """Encode/decode `n_batches` random batches and collect rank statistics.
 
-    Each batch draws its K x L source and then all K of its coefficient
-    rows in one call.  Batches go through in chunks of up to _BATCH_CHUNK
-    (fewer when _CHUNK_BYTES binds): the chunk is encoded at once,
-    row-reduced at once, and the batches up to the first one that is not
-    full rank are checked against their sources in one comparison.  Full
-    rank excludes an all-zero row, so these are exactly the batches
-    decoded from their first K packets.  The first batch that is not
-    (about 0.4% of them) is received as the simulator receives one: its
-    nonzero rows go into a RankTracker, then draw_coefficients draws
-    further rows from the generator state right after that batch's draws
-    until the rank is K.  The rows the tracker kept are encoded and
-    reduced as a block of one and compared with the source, and chunking
-    resumes with the next batch.  The report therefore does not depend
-    on the chunk size.
-
-    Stream note: one draw of K coefficient rows equals K draws of one row
-    when K % 4 == 0 or K == 1, so for those K the report, and with it the
-    codec-validate output, is identical to that of drawing and ingesting
-    packet by packet (C9 and the CLI default use K=16).  For other K the
-    coefficient stream differs and so do the reports of a given seed; the
-    statistics they estimate do not.
+    Draws come from three private substreams SeedSequence((seed, role)):
+    role 0 gives each batch's K x L source, cut from fresh 32-bit words;
+    role 1 gives each batch's first K coefficient rows and role 2, in
+    batch order, the further rows that only a rank-deficient batch pulls,
+    both through coefficient_rows.  Batches go through in chunks of up to
+    _BATCH_CHUNK (fewer when _CHUNK_BYTES binds): the chunk is encoded and
+    row-reduced at once.  A batch that is not full rank (about 0.4% of
+    them) is received as the simulator receives one: its rows go into a
+    RankTracker, role-2 rows follow until the rank is K, and the rows the
+    tracker kept are encoded and reduced again.  Every batch of the chunk
+    is then compared with its source in one comparison.  Each substream
+    is read in batch order whatever the chunking, so the report depends
+    only on the arguments.
 
     Bad arguments raise ConfigError before anything is drawn.
     """
@@ -287,48 +280,32 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
             f"--window {window} with --packet-len {packet_len} needs about {need} bytes per block decode, "
             f"more than the limit of {MAX_CODEC_BYTES}"
         )
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    failures = 0
-    extras_total = 0
-    exact = 0
-    done = 0
+    source_rng, first_rng, extra_rng = (
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, role)))) for role in range(3)
+    )
+    first_rows = coefficient_rows(first_rng, window)
+    extra_rows = coefficient_rows(extra_rng, window)
+    failures = extras_total = exact = 0
     chunk = batch_chunk(window, packet_len)
-    while done < n_batches:
-        count = min(chunk, n_batches - done)
-        sources = np.empty((count, window, packet_len), dtype=np.uint8)
-        coeffs = np.empty((count, window, window), dtype=np.uint8)
-        states = []  # generator state after each batch's draws
-        for b in range(count):
-            sources[b] = rng.integers(0, 256, size=(window, packet_len), dtype=np.uint8)
-            coeffs[b] = rng.integers(0, 256, size=(window, window), dtype=np.uint8)
-            states.append(rng.bit_generator.state)
+    for start in range(0, n_batches, chunk):
+        count = min(chunk, n_batches - start)
+        sources = _byte_rows(source_rng, count, window * packet_len).reshape(count, window, packet_len)
+        rows = b"".join(islice(first_rows, count * window))
+        coeffs = np.frombuffer(rows, dtype=np.uint8).reshape(count, window, window)
         blocks = encode_blocks(coeffs, sources)
         full = _reduce_blocks(blocks, window)
-        decoded = count if full.all() else int(full.argmin())
-        failures += int((blocks[:decoded, :, window:] != sources[:decoded]).any(axis=(1, 2)).sum())
-        exact += decoded
-        done += decoded
-        if decoded == count:
-            continue
-        # The batches drawn after this one are dropped and drawn again.
-        rng.bit_generator.state = states[decoded]
-        source = sources[decoded]
-        tracker = RankTracker(window)
-        received = 0
-        for row in coeffs[decoded]:
-            if row.any():  # an all-zero row stands for a draw that draw_coefficients redraws
-                received += 1
+        exact += int(full.sum())
+        for b in np.flatnonzero(~full):
+            tracker = RankTracker(window)
+            for row in coeffs[b]:
                 tracker.add(row.tobytes())
-        while tracker.rank < window:
-            received += 1
-            tracker.add(draw_coefficients(rng, window).tobytes())
-        extras_total += received - window
-        exact += received == window
-        kept = np.frombuffer(b"".join(tracker.raw), dtype=np.uint8).reshape(1, window, window)
-        block = encode_blocks(kept, source[None])
-        full = _reduce_blocks(block, window)
-        failures += int(not full[0] or (block[0, :, window:] != source).any())
-        done += 1
+            while tracker.rank < window:
+                tracker.add(next(extra_rows))
+                extras_total += 1
+            kept = np.frombuffer(b"".join(tracker.raw), dtype=np.uint8).reshape(1, window, window)
+            blocks[b] = encode_blocks(kept, sources[b, None])[0]
+            full[b] = _reduce_blocks(blocks[b, None], window)[0]
+        failures += int((~full | (blocks[:, :, window:] != sources).any(axis=(1, 2))).sum())
     return CodecValidationReport(
         n_batches=n_batches,
         window=window,

@@ -44,8 +44,9 @@ trial over rlnc.MAX_CODEC_BYTES.  run_trial does not check them again.
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
 0 = connectivity, 1 = policy (one uniform per rs conflict slot),
-2 = coding (the source, then one draw_coefficients row per sent packet,
-which coefficient_rows yields without a call per row).  Results
+2 = coding (the source, then one row per sent packet: the first K bytes
+of ceil(K/4) fresh 32-bit words, all-zero rows skipped, which
+coefficient_rows yields without a call per row).  Results
 therefore depend only on (master_seed, trial_index), never on execution
 order, and the connectivity sequence is identical across policies, modes
 and window sizes.

@@ -273,6 +273,13 @@ class TestCodecValidate:
         assert proc.returncode == 0
         assert "nothing to validate" in proc.stdout
 
+    def test_window_past_the_float_range(self, tmp_path):
+        # 256.0**128 overflows a float; the analytic value must not
+        proc = run_cli(["codec-validate", "--window", "128", "--packet-len", "1", "--batches", "2"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "round-trip success: 100.0000%" in proc.stdout
+        assert "(analytic for GF(256): 0.003937)" in proc.stdout
+
 
 BAD_INPUTS = {
     "simulate-trials-0": ["simulate", "--file-size", "4", "--window", "2", "--p", "0.5", "--trials", "0"],

@@ -18,7 +18,6 @@ from ncbroadcast.rlnc import (
     CodecValidationReport,
     RankTracker,
     _combine,
-    draw_coefficients,
     encode_blocks,
     expected_extra_packets,
     run_codec_validation,
@@ -41,6 +40,19 @@ def gf_mul_reference(a: int, b: int) -> int:
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def per_row_coefficients(gen, window: int) -> np.ndarray:
+    """Reference coefficient row: K bytes from one uint8 draw, redrawn while all zero.
+
+    The independent definition that rlnc.coefficient_rows, and with it the
+    coding streams of the simulator and of codec validation, is pinned
+    against (TestEncode::test_row_blocks_match_per_row_draws).
+    """
+    coeffs = gen.integers(0, 256, size=window, dtype=np.uint8)
+    while not coeffs.any():
+        coeffs = gen.integers(0, 256, size=window, dtype=np.uint8)
+    return coeffs
 
 
 class Eliminator:
@@ -77,21 +89,34 @@ class Eliminator:
 
 
 def per_packet_validation(window, packet_len, n_batches, seed=0):
-    """Reference for run_codec_validation: every packet drawn on its own and fed to an Eliminator."""
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    """Reference for run_codec_validation: every packet drawn on its own and fed to an Eliminator.
+
+    Per batch, the source comes from substream SeedSequence((seed, 0)), the
+    first K coefficient rows from (seed, 1) and any further rows from (seed, 2).
+    Returns the report and, sorted, the (source, K x K rows) bytes a block
+    decode must see: each batch under its first K rows and a batch that
+    needed more under the rows that raised its rank.
+    """
+    sources, first, extra = (np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, role))))
+                             for role in range(3))
     failures = extras_total = exact = 0
+    encoded = []
     for _ in range(n_batches):
-        source = gen.integers(0, 256, size=(window, packet_len), dtype=np.uint8)
+        source = sources.integers(0, 256, size=(window, packet_len), dtype=np.uint8)
         decoder = Eliminator(window)
-        received = 0
+        rows, raised = [], []
         while decoder.rank < window:
-            received += 1
-            coeffs = draw_coefficients(gen, window)
-            decoder.ingest(np.concatenate((coeffs, _combine(coeffs, source))))
-        extras_total += received - window
-        exact += received == window
+            coeffs = per_row_coefficients(first if len(rows) < window else extra, window)
+            rows.append(coeffs.tobytes())
+            if decoder.ingest(np.concatenate((coeffs, _combine(coeffs, source)))):
+                raised.append(rows[-1])
+        encoded.append((source.tobytes(), b"".join(rows[:window])))
+        if len(rows) > window:
+            encoded.append((source.tobytes(), b"".join(raised)))
+        extras_total += len(rows) - window
+        exact += len(rows) == window
         failures += int((decoder.recover() != source).any())
-    return CodecValidationReport(
+    report = CodecValidationReport(
         n_batches=n_batches,
         window=window,
         packet_len=packet_len,
@@ -99,18 +124,41 @@ def per_packet_validation(window, packet_len, n_batches, seed=0):
         mean_extra_packets=extras_total / n_batches if n_batches else 0.0,
         exact_rank_fraction=exact / n_batches if n_batches else 0.0,
     )
+    return report, sorted(encoded)
+
+
+def recording_encodes(monkeypatch):
+    """Record the (source, K x K coefficient rows) bytes of every block run_codec_validation encodes."""
+    encoded = []
+    encode = rlnc.encode_blocks
+
+    def recording(coefficients, sources):
+        encoded.extend((source.tobytes(), rows.tobytes()) for source, rows in zip(sources, coefficients))
+        return encode(coefficients, sources)
+
+    monkeypatch.setattr(rlnc, "encode_blocks", recording)
+    return encoded
 
 
 def counting_draws(monkeypatch):
-    """Route run_codec_validation's per-packet coefficient draws through a call counter."""
-    calls = [0]
+    """Count the coefficient rows run_codec_validation pulls from its role-2 substream,
+    the further rows of rank-deficient batches."""
+    pulled = [0]
+    rows = rlnc.coefficient_rows
 
-    def wrapped(*args, **kwargs):
-        calls[0] += 1
-        return draw_coefficients(*args, **kwargs)
+    def counting(gen, window):
+        further = gen.bit_generator.seed_seq.entropy[1] == 2  # SeedSequence((seed, role))
+        for row in rows(gen, window):
+            pulled[0] += further
+            yield row
 
-    monkeypatch.setattr(rlnc, "draw_coefficients", wrapped)
-    return calls
+    monkeypatch.setattr(rlnc, "coefficient_rows", counting)
+    return pulled
+
+
+# Chunkings run_codec_validation must not depend on: single batches, a chunk
+# that divides none of the batch counts below, one block per chunk by bytes.
+CHUNK_PATCHES = [("_BATCH_CHUNK", 1), ("_BATCH_CHUNK", 7), ("_CHUNK_BYTES", 1), None]
 
 
 class TestFieldArithmetic:
@@ -182,12 +230,12 @@ class TestEncode:
                 return np.array(self.draws.pop(0), dtype=dtype)
 
         scripted = ScriptedRng([[0, 0], [1, 0]])
-        assert draw_coefficients(scripted, 2).tolist() == [1, 0]
+        assert per_row_coefficients(scripted, 2).tolist() == [1, 0]
         assert scripted.draws == []
 
     def test_single_packet_window(self):
         packets = rng(2).integers(0, 256, size=(1, 1, 8), dtype=np.uint8)
-        coeffs = draw_coefficients(rng(3), 1).reshape(1, 1, 1)
+        coeffs = per_row_coefficients(rng(3), 1).reshape(1, 1, 1)
         verify_blocks(encode_blocks(coeffs, packets), packets)
 
     @pytest.mark.parametrize("window", [*range(1, 9), 13, 16, 20, 100])
@@ -210,8 +258,8 @@ class TestEncode:
                 gen.integers(0, 256, size=37, dtype=np.uint8)  # an odd-length draw first, as a source is
             rows = rlnc.coefficient_rows(blocks, window)
             for _ in range(n_rows):
-                assert next(rows) == draw_coefficients(per_row, window).tobytes()
-            skipped += per_row.calls - n_rows  # all-zero rows draw_coefficients redrew
+                assert next(rows) == per_row_coefficients(per_row, window).tobytes()
+            skipped += per_row.calls - n_rows  # all-zero rows per_row_coefficients redrew
         if window == 1:
             assert skipped > 0
 
@@ -220,7 +268,7 @@ def received_rows(window: int, gen) -> np.ndarray:
     """Rows drawn as a receiver gets them, the K x K block of those that raised its rank."""
     tracker = RankTracker(window)
     while tracker.rank < window:
-        tracker.add(draw_coefficients(gen, window).tobytes())
+        tracker.add(per_row_coefficients(gen, window).tobytes())
     return np.frombuffer(b"".join(tracker.raw), dtype=np.uint8).reshape(window, window)
 
 
@@ -229,7 +277,7 @@ class TestDecoder:
 
     def test_duplicate_is_not_innovative(self):
         tracker = RankTracker(4)
-        row = draw_coefficients(rng(5), 4).tobytes()
+        row = per_row_coefficients(rng(5), 4).tobytes()
         assert tracker.add(row)
         assert not tracker.add(row)
         assert tracker.rank == 1
@@ -255,7 +303,7 @@ class TestDecoder:
         tracker = RankTracker(window)
         previous = 0
         for _ in range(3 * window):
-            tracker.add(draw_coefficients(gen, window).tobytes())
+            tracker.add(per_row_coefficients(gen, window).tobytes())
             assert previous <= tracker.rank <= window
             previous = tracker.rank
         assert tracker.rank == window  # overwhelmingly likely and required downstream
@@ -344,6 +392,21 @@ class TestRankStatistics:
         assert expected_extra_packets(16) == pytest.approx(0.003937, abs=1e-6)
         assert expected_extra_packets(1) == pytest.approx(0.0, abs=1e-12)
 
+    def test_analytic_extra_packets_matches_direct_formula(self):
+        # the direct sum over (256**r - 1) / (256**K - 1), while 256.0**K is a float
+        for window in range(1, 128):
+            denom = 256.0**window - 1.0
+            direct = 0.0
+            for r in range(window):
+                dep = (256.0**r - 1.0) / denom
+                direct += dep / (1.0 - dep)
+            assert expected_extra_packets(window) == pytest.approx(direct, rel=1e-15, abs=0.0)
+
+    def test_analytic_extra_packets_past_the_float_range(self):
+        # 256.0**128 overflows; the terms a window past 127 adds are below a float's precision
+        assert expected_extra_packets(128) == expected_extra_packets(127)
+        assert expected_extra_packets(1000) == expected_extra_packets(127)
+
     def test_monte_carlo_matches_analytic(self):
         report = run_codec_validation(window=16, packet_len=8, n_batches=10_000, seed=3)
         assert report.roundtrip_failures == 0
@@ -354,29 +417,36 @@ class TestRankStatistics:
             dependence_free *= 1.0 - 256.0**-i
         assert report.exact_rank_fraction == pytest.approx(dependence_free, abs=0.002)
 
-    @pytest.mark.parametrize("window", [1, 4, 8, 16, 20, 32])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 8, 16, 20, 32])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_block_decoding_matches_per_packet_loop(self, window, seed):
-        # one draw of K rows equals K one-row draws when K % 4 == 0 or K == 1
-        block = run_codec_validation(window, 8, 150, seed)
-        assert astuple(block) == astuple(per_packet_validation(window, 8, 150, seed))
+    def test_block_decoding_matches_per_packet_loop(self, monkeypatch, window, seed):
+        # packet_len 5 makes K*L odd for odd K, so sources are cut from partial 32-bit words
+        report, encoded = per_packet_validation(window, 5, 150, seed)
+        for chunk in CHUNK_PATCHES:
+            with monkeypatch.context() as patch:
+                if chunk:
+                    patch.setattr(rlnc, *chunk)
+                seen = recording_encodes(patch)
+                assert astuple(run_codec_validation(window, 5, 150, seed)) == astuple(report), chunk
+                assert sorted(seen) == encoded, chunk
 
-    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("window,packet_len", [(3, 5), (4, 8)], ids=["3x5", "4x8"])
     @pytest.mark.parametrize(
-        "chunk",
-        [("_BATCH_CHUNK", 1), ("_BATCH_CHUNK", 7), ("_CHUNK_BYTES", 1), None],
-        ids=["batch-chunk-1", "batch-chunk-7", "chunk-bytes-1", "default"],
+        "chunk", CHUNK_PATCHES, ids=["batch-chunk-1", "batch-chunk-7", "chunk-bytes-1", "default"],
     )
-    def test_fallback_batches_match_per_packet_loop(self, monkeypatch, window, chunk):
-        # K=4 meets rank-deficient batches, K=1 all-zero coefficient rows;
+    def test_fallback_batches_match_per_packet_loop(self, monkeypatch, window, packet_len, chunk):
+        # both shapes meet rank-deficient batches at seed 4, and 3x5 has an odd K*L;
         # 2001 batches is a multiple of neither 7 nor the default chunk of 64.
-        expected = per_packet_validation(window, 8, 2001, seed=4)
+        expected, encoded = per_packet_validation(window, packet_len, 2001, seed=4)
         if chunk:
             monkeypatch.setattr(rlnc, *chunk)
-        fallback_draws = counting_draws(monkeypatch)
-        report = run_codec_validation(window, 8, 2001, seed=4)
+        further_rows = counting_draws(monkeypatch)
+        seen = recording_encodes(monkeypatch)
+        report = run_codec_validation(window, packet_len, 2001, seed=4)
         assert astuple(report) == astuple(expected)
-        assert fallback_draws[0] > 0
+        assert sorted(seen) == encoded
+        assert further_rows[0] > 0
+        assert further_rows[0] == round(report.mean_extra_packets * 2001)  # every extra packet is a role-2 row
         assert report.roundtrip_ok
 
     def test_wrong_decodes_are_counted(self, monkeypatch, capsys):
@@ -391,9 +461,9 @@ class TestRankStatistics:
 
         clean = run_codec_validation(4, 8, 2001, seed=4)
         monkeypatch.setattr(rlnc, "encode_blocks", corrupting)
-        fallback_draws = counting_draws(monkeypatch)
+        further_rows = counting_draws(monkeypatch)
         report = run_codec_validation(4, 8, 2001, seed=4)
-        assert fallback_draws[0] > 0
+        assert further_rows[0] > 0
         assert astuple(report) == astuple(replace(clean, roundtrip_failures=2001))
         args = ["codec-validate", "--window", "4", "--packet-len", "8", "--batches", "2001", "--seed", "4"]
         assert cli.main(args) == 1
@@ -401,7 +471,7 @@ class TestRankStatistics:
 
     @pytest.mark.parametrize("window", [2, 3, 5])
     def test_changed_stream_keeps_statistics(self, window):
-        # K % 4 != 0: the coefficient stream differs from per-packet draws
+        # windows whose rows are cut from a partial 32-bit word
         n = 10_000
         report = run_codec_validation(window, 8, n, seed=6)
         assert report.roundtrip_failures == 0

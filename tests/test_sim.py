@@ -10,7 +10,7 @@ from ncbroadcast import rlnc, sim
 from ncbroadcast.dp import solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
 from ncbroadcast.policies import POLICY_NAMES, conflict_rule
-from ncbroadcast.rlnc import RankTracker, draw_coefficients
+from ncbroadcast.rlnc import RankTracker
 from ncbroadcast.sim import (
     MAX_CODEC_BYTES,
     MAX_RECEIVERS,
@@ -20,6 +20,7 @@ from ncbroadcast.sim import (
     run_trial,
     sweep_coding_window,
 )
+from test_rlnc import per_row_coefficients
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "sim_golden.csv"
 CODEC_GOLDEN_CSV = Path(__file__).parent / "data" / "sim_codec_golden.csv"
@@ -273,7 +274,7 @@ class TestCodecMode:
         assert (times >= 12).all()
 
     def test_coding_stream_is_the_encoders(self, monkeypatch):
-        # the source first, then one draw_coefficients row per sent packet, and every row drawn is sent
+        # the source first, then one per_row_coefficients row per sent packet, and every row drawn is sent
         drawn, sent = [], []
         rows = sim.coefficient_rows
 
@@ -296,7 +297,7 @@ class TestCodecMode:
         assert sent == drawn
         assert len(drawn) >= 12
         for row in drawn:
-            assert draw_coefficients(replay, 4).tobytes() == row
+            assert per_row_coefficients(replay, 4).tobytes() == row
 
 
 class TestCodecVerification:
