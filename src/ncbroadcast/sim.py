@@ -20,18 +20,18 @@ block or a wrong decode.
 Idealized mode jumps over single-batch stretches.  While every unfinished
 receiver expects one batch, no slot can be a conflict and the policy has
 no say, so run_trial goes straight to the next slot at which one of them
-completes that batch.  A receiver that still needs left packets completes
-at its left-th ON slot from here, found by bisection in its sorted ON
-slots.  A block of flags builds those for all receivers one page of slots
-at a time (_OnBlock.on_keys), and only for the pages a jump reads.  Every
-receiver is credited with its ON slots up to that slot, and the
-membership update is the one stepping uses.  A stretch draws no policy
-uniform, so results are the same as when every slot is stepped.  A jump
-has a fixed cost of a few bisections per receiver and a page's ON slots,
-so it is taken only while each receiver of the batch needs at least
-_JUMP_MIN more packets.  That is tested when membership changes, never
-per slot.  Codec mode never jumps, because every sent packet must pass
-a RankTracker.
+completes that batch.  A running count of each receiver's ON flags in the
+current block (a cumulative sum down the block's bool flags) finds it:
+the first slot at which some receiver's count reaches the packets it
+still needs.  A block without that slot is credited whole before the
+next one is read.  Every receiver is credited with its ON slots up to
+that slot, and the membership update is the one stepping uses.  A
+stretch draws no policy uniform, so results are the same as when every
+slot is stepped.  A jump has a fixed cost of a few array operations over
+the rest of the block, so it is taken only while each receiver of the
+batch needs at least _JUMP_MIN more packets.  That is tested when
+membership changes, never per slot.  Codec mode never jumps, because
+every sent packet must pass a RankTracker.
 
 sweep_coding_window is the one experiment call: it runs every (policy,
 config) cell and returns each cell's completion-slot statistics.  Before
@@ -53,7 +53,6 @@ and window sizes.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +68,15 @@ ROLE_POLICY = 1
 ROLE_CODING = 2
 
 MAX_SLOTS = 10**9
-MAX_RECEIVERS = 1024  # a block of flags takes 8 KiB per receiver
-_FLAG_BLOCK = 1024
-_PAGE = 256  # slots per page of a block's ON slots, so a short stretch builds 256 slots' worth, not 1024
+MAX_RECEIVERS = 1024  # a block of flags takes 2 KiB of draws per receiver
+_FLAG_BLOCK = 256
 # The jump's gate: each receiver of the stretch needs at least this many more
-# packets.  Measured in-process on trials that are one stretch (K = F, N in
-# {2, 5, 20}, p in {0.5, 0.9}), on a 2-core x86 VM: jumping took 1.0-1.6x the
-# time of stepping at K = 8, 0.9-1.2x at 16, 0.85-1.1x at 24 and 0.8-1.0x at
-# 32.  On long trials (N=5, F=500, p=0.6 and N=20, F=2500, p=0.5) a gate of 16
-# kept the whole gain of 8, while 24 and 32 lost most of it at K=25.
+# packets.  Measured in-process on a 2-core x86 VM.  On trials that are one
+# stretch (K = F, N in {2, 5, 20}, p in {0.5, 0.9}), jumping every stretch took
+# 1.2-3.0x the time of stepping at K = 16, 0.9-2.1x at 32, 0.7-1.8x at 48 and
+# 0.6-1.4x at 64.  On long trials (N=5, F=500, p=0.6 and N=20, F=2500, p=0.5)
+# a gate of 16 kept the whole gain of 8, while 24, 32 and 48 lost most of it
+# at K=25, so the long trials set it.
 _JUMP_MIN = 16
 
 
@@ -111,10 +110,9 @@ class SweepCell:
 
 
 class _OnBlock:
-    """One block of slots: each slot's ON set as an int (masks) and, on
-    request, each receiver's ON slots (on_keys)."""
+    """One block of slots: each slot's ON flags as a bool row (flags) and as an int (masks)."""
 
-    __slots__ = ("flags", "masks", "_on_keys")
+    __slots__ = ("flags", "masks")
 
     def __init__(self, flags: np.ndarray):
         self.flags = flags  # bool, one row per slot and one column per receiver
@@ -127,21 +125,13 @@ class _OnBlock:
         for w in range(n_words - 2, -1, -1):
             masks = [mask << 64 | word for mask, word in zip(masks, words[:, w].tolist())]
         self.masks = masks
-        self._on_keys = {}
-
-    def on_keys(self, page: int) -> memoryview:
-        """The ON slots of page number page (slots page * _PAGE onwards, up
-        to _PAGE of them) as rid * width + offset for receiver rid ON at the
-        page's offset-th slot, ascending, width being the page's slot count.
-        So each receiver's ON slots form one sorted run.  Built on first use."""
-        keys = self._on_keys.get(page)
-        if keys is None:
-            keys = self._on_keys[page] = memoryview(np.flatnonzero(self.flags[page * _PAGE : (page + 1) * _PAGE].T))
-        return keys
 
 
 def _on_blocks(rng: np.random.Generator, N: int, p: float):
-    """Endless blocks of _FLAG_BLOCK slots, one Bernoulli(p) ON flag per receiver and slot."""
+    """Endless blocks of _FLAG_BLOCK slots, one Bernoulli(p) ON flag per receiver and slot.
+
+    The draws are row-major, one row of N per slot, so the flags of a slot
+    do not depend on _FLAG_BLOCK."""
     while True:
         yield _OnBlock(rng.random((_FLAG_BLOCK, N)) < p)
 
@@ -177,7 +167,9 @@ def check_run(config: SystemConfig, packet_len: int | None) -> None:
 
 
 def _uniforms(rng_spec: RngSpec, trial_index: int):
-    """The policy substream as endless uniforms, drawn _FLAG_BLOCK at a time on first use."""
+    """The policy substream as endless uniforms, drawn _FLAG_BLOCK at a time on
+    first use; random(n) gives the doubles of n calls of random(), so the
+    block size does not change them."""
     rng = rng_spec.substream(trial_index, ROLE_POLICY)
     while True:
         yield from rng.random(_FLAG_BLOCK).tolist()
@@ -310,41 +302,34 @@ def _jump(config: SystemConfig, blocks, block: _OnBlock, base: int, slot: int, i
     ids are the receivers expecting the batch, which alone are unfinished;
     slot counts the slots done, and base is the slot number of block's
     first slot.  No slot of a stretch is a conflict, so it draws no policy
-    uniform.  A receiver completes at its left-th ON slot from here; the
-    earliest of those is the event.  Each receiver is credited with its ON
-    slots up to and including the event, and one that reaches the batch's
-    last packet gets left reset to K.  A page of the block without the
-    event is credited whole before the next page (or block) is read.  A
+    uniform.  A running count of each receiver's ON flags from here finds
+    the event: the first slot at which some receiver's count reaches its
+    left.  Each receiver is credited with its count at the event, and one
+    that reaches the batch's last packet gets left reset to K.  A block
+    without the event is credited whole before the next block is read.  A
     stretch still unfinished at MAX_SLOTS raises as stepping would.
     Returns (block, base, slot, done), done being the set of receivers
     that completed.
     """
+    need = np.array([left[rid] for rid in ids])
     while True:
         if slot - base == len(block.masks):
             block, base = next(blocks), slot
-        page, start = divmod(slot - base, _PAGE)
-        width = min(_PAGE, len(block.masks) - page * _PAGE)
-        on = block.on_keys(page)
-        firsts = [bisect_left(on, rid * width + start) for rid in ids]  # each one's first ON slot from here
-        event = width
-        for rid, first in zip(ids, firsts):
-            last = first + left[rid] - 1  # the ON slot completing the batch, if it is on this page
-            if last < len(on) and on[last] - rid * width < event:
-                event = on[last] - rid * width
-        if event < width:
+        got = block.flags[slot - base :, ids].cumsum(axis=0)  # each receiver's ON count from here, slot by slot
+        reached = (got >= need).any(axis=1)  # some receiver has all it needs
+        if reached[-1]:
             break
-        for rid, first in zip(ids, firsts):
-            left[rid] -= bisect_left(on, (rid + 1) * width, first) - first
-        slot += width - start
+        need -= got[-1]
+        slot += len(got)
         if slot >= MAX_SLOTS:
             raise _slot_cap_error(config)
+    event = int(reached.argmax())
     done = 0
-    for rid, first in zip(ids, firsts):
-        left[rid] -= bisect_right(on, rid * width + event, first) - first
-        if not left[rid]:
-            left[rid] = config.K
+    for rid, n in zip(ids, (need - got[event]).tolist()):
+        left[rid] = n or config.K
+        if not n:
             done |= 1 << rid
-    slot += event - start + 1
+    slot += event + 1
     if slot >= MAX_SLOTS:
         raise _slot_cap_error(config)
     return block, base, slot, done

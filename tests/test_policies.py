@@ -181,19 +181,6 @@ class TestOnMasks:
             expected = [sum(1 << int(i) for i in np.flatnonzero(row)) for row in flags]
             assert next(blocks).masks == expected
 
-    @pytest.mark.parametrize("N, n_slots", [(1, sim._FLAG_BLOCK), (5, sim._FLAG_BLOCK), (65, sim._FLAG_BLOCK), (3, 300)])
-    def test_on_keys_agree_with_masks(self, N, n_slots):
-        # page k of a block covers its slots k * _PAGE onwards; the last page of a short block is short
-        block = sim._OnBlock(rng(N).random((n_slots, N)) < 0.4)
-        for page in range(-(-n_slots // sim._PAGE)):
-            masks = block.masks[page * sim._PAGE : (page + 1) * sim._PAGE]
-            keys = list(block.on_keys(page))
-            assert keys == sorted(keys)
-            for rid in range(N):
-                expected = [offset for offset, on in enumerate(masks) if on >> rid & 1]
-                assert [key - rid * len(masks) for key in keys if rid * len(masks) <= key < (rid + 1) * len(masks)] == expected
-            assert len(keys) == sum(on.bit_count() for on in masks)
-
 
 @given(
     batch=st.integers(0, 9),

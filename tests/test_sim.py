@@ -214,6 +214,24 @@ class TestStretchJumps:
             run_trial(config, "lr", RngSpec(seed), trial)
         assert any(crossed) and not all(crossed)
 
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_block_size_does_not_change_trials(self, monkeypatch, policy):
+        # row-major random((B, N)) and random(B) give the same doubles for any B, and a jump
+        # credits a block without the event whole: stretches across many blocks at K >= 16,
+        # conflicts at K = 4, multi-word masks at N = 65, and codec mode
+        runs = [
+            (validate_config(600, 200, 8, 0.3), None),
+            (validate_config(120, 40, 65, 0.4), None),
+            (validate_config(120, 4, 5, 0.5), None),
+            (validate_config(24, 4, 3, 0.6), 8),
+        ]
+        results = []
+        for size in (1, 7, 256, 1024):
+            monkeypatch.setattr(sim, "_FLAG_BLOCK", size)
+            results.append([run_trial(config, policy, RngSpec(4), trial, packet_len)
+                            for config, packet_len in runs for trial in range(3)])
+        assert results[1:] == results[:1] * 3
+
     def test_whole_file_window_mean_matches_closed_form(self):
         # with K = F a receiver finishes at its F-th ON slot, so
         # E[T] = sum over t >= 0 of 1 - P(Bin(t, p) >= F)^N
