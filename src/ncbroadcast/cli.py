@@ -1,16 +1,20 @@
 """Command-line front end.
 
 Subcommands: solve, check-lr, oracle, simulate, sweep, codec-validate.
-Every file written with --out is paired with a <out>.manifest recording
-the tool version and the full argument vector, so a run can be replayed
-byte-for-byte on the same build.  An --out that cannot be written (its
-directory is missing or not writable, or it is a directory) is refused
-with exit 2 before any solve or trial starts.
+Each cmd_* computes, prints and returns its exit code and the writer of
+its --out file, or None.  main owns --out: it refuses one that cannot be
+written (a missing or unwritable directory, or a directory) with exit 2
+before any solve or trial starts.  Once the command returns, whatever its
+exit code, main writes the file and <out>.manifest: the tool version,
+the command, the argument vector, then every parsed flag with its
+default filled in, so a run can be replayed byte-for-byte on the same
+build.
 
-This module parses flags, formats output and maps ConfigError to exit
-2.  Each run is admitted by the library call that owns it, which raises
-ConfigError before any work starts: sim.sweep_coding_window for simulate
-and sweep, rlnc.run_codec_validation for codec-validate and
+This module parses flags, formats output and maps ConfigError, and an
+OSError while writing --out, to exit 2.  Each run is admitted by the
+library call that owns it, which raises ConfigError before any work
+starts: sim.sweep_coding_window for simulate and sweep,
+rlnc.run_codec_validation for codec-validate and
 dp.enumerate_policies_oracle for oracle.  check-lr refuses its grid here,
 before any cell prints: an empty or repeated list value, a bad
 --tolerance, an oversized file, or a grid with no valid cell.  It then
@@ -91,12 +95,12 @@ def _check_out(path: Path) -> None:
     raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
-def _write_out(args, argv: list[str], params: dict, write) -> None:
-    """If --out is set, write it with write(path), pair it with <out>.manifest and say so."""
-    if not args.out:
-        return
+def _write_out(args, argv: list[str], write) -> None:
+    """Write --out with write(path) and <out>.manifest, each flag a sorted name=value line, and say so."""
     lines = [f"tool=ncbroadcast {__version__}", f"command={args.command}", f"argv={shlex.join(argv)}"]
-    lines += [f"{key}={value}" for key, value in params.items()]
+    for key, value in sorted(vars(args).items()):
+        if key not in ("func", "command", "out"):
+            lines.append(f"{key}={','.join(map(str, value)) if isinstance(value, list) else value}")
     lines.append(f"output={args.out}")
     try:
         write(args.out)
@@ -106,15 +110,11 @@ def _write_out(args, argv: list[str], params: dict, write) -> None:
     print(f"wrote {args.out}")
 
 
-def cmd_solve(args, argv) -> int:
+def cmd_solve(args):
     config = validate_config(args.file_size, args.window, 2, args.p)
     values, actions = solve_optimal(config)
     print(f"V(0,0) = {values[0, 0]:.6f}")
-    _write_out(
-        args, argv, {"file_size": config.F, "window": config.K, "p": config.p},
-        lambda path: write_table_csv(path, values, actions),
-    )
-    return 0
+    return 0, lambda path: write_table_csv(path, values, actions)
 
 
 def _certify_group(configs: list, tolerance: float) -> dict:
@@ -131,7 +131,7 @@ def _certify_group(configs: list, tolerance: float) -> dict:
     return {config: certify(config, values[top.F - config.F:, top.F - config.F:], tolerance) for config in configs}
 
 
-def cmd_check_lr(args, argv) -> int:
+def cmd_check_lr(args):
     for flag, values in (("--file-sizes", args.file_sizes), ("--windows", args.windows), ("--ps", args.ps)):
         _require_values(values, flag)
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
@@ -177,20 +177,10 @@ def cmd_check_lr(args, argv) -> int:
             for row in rows:
                 fh.write(",".join(str(item) for item in row) + "\n")
 
-    _write_out(
-        args, argv,
-        {
-            "file_sizes": ",".join(map(str, args.file_sizes)),
-            "windows": ",".join(map(str, args.windows)),
-            "ps": ",".join(map(str, args.ps)),
-            "tolerance": args.tolerance,
-        },
-        write_report,
-    )
-    return 1 if failed else 0
+    return 1 if failed else 0, write_report
 
 
-def cmd_oracle(args, argv) -> int:
+def cmd_oracle(args):
     config = validate_config(args.file_size, args.window, 2, args.p)
     result = enumerate_policies_oracle(config, policy_cap=args.cap)
     print(
@@ -199,10 +189,10 @@ def cmd_oracle(args, argv) -> int:
         f"over {result.n_decision_states} decision states"
     )
     print(f"{result.n_policies} policies; LR {'optimal' if result.lr_matches_best else 'NOT optimal'}")
-    return 0 if result.lr_matches_best else 1
+    return 0 if result.lr_matches_best else 1, None
 
 
-def cmd_simulate(args, argv) -> int:
+def cmd_simulate(args):
     config = validate_config(args.file_size, args.window, args.receivers, args.p)
     cells = _run_cells(args, [args.policy], [config])
     cell = cells[0]
@@ -211,27 +201,17 @@ def cmd_simulate(args, argv) -> int:
         f"trials={cell.n_trials} mean={cell.mean:.4f} "
         f"stddev={cell.stddev:.4f} ci95=±{cell.ci95_half_width:.4f}"
     )
-    _write_out(
-        args, argv,
-        {
-            "policy": args.policy, "receivers": config.N, "file_size": config.F,
-            "window": config.K, "p": config.p, "trials": args.trials,
-            "seed": args.seed, "mode": args.mode,
-        },
-        lambda path: write_stats_csv(path, cells),
-    )
-    return 0
+    return 0, lambda path: write_stats_csv(path, cells)
 
 
-def cmd_sweep(args, argv) -> int:
+def cmd_sweep(args):
     _require_values(args.policies, "--policies")
     _require_values(args.windows, "--windows")
-    configs, skipped = [], []
+    configs = []
     for K in args.windows:
         try:
             configs.append(validate_config(args.file_size, K, args.receivers, args.p))
         except ConfigError as exc:
-            skipped.append(K)
             print(f"skipping window {K}: {exc}", file=sys.stderr)
     if not configs:
         raise ConfigError(f"no valid window among --windows {','.join(map(str, args.windows))}")
@@ -242,24 +222,14 @@ def cmd_sweep(args, argv) -> int:
             f"{cell.policy:<6}  {cell.config.K:<5}  {cell.mean:<8.2f}  "
             f"{cell.stddev:<8.2f}  ±{cell.ci95_half_width:.2f}"
         )
-    _write_out(
-        args, argv,
-        {
-            "policies": ",".join(args.policies), "receivers": args.receivers,
-            "file_size": args.file_size, "windows": ",".join(str(c.K) for c in configs),
-            "skipped_windows": ",".join(map(str, skipped)), "p": args.p,
-            "trials": args.trials, "seed": args.seed, "mode": args.mode,
-        },
-        lambda path: write_stats_csv(path, cells),
-    )
-    return 0
+    return 0, lambda path: write_stats_csv(path, cells)
 
 
-def cmd_codec_validate(args, argv) -> int:
+def cmd_codec_validate(args):
     report = run_codec_validation(args.window, args.packet_len, args.batches, args.seed)
     if report.n_batches == 0:
         print("no batches requested; nothing to validate")
-        return 0
+        return 0, None
     success = 100.0 * (report.n_batches - report.roundtrip_failures) / report.n_batches
     print(f"batches={report.n_batches} window={report.window} packet_len={report.packet_len}")
     print(f"round-trip success: {success:.4f}% ({report.roundtrip_failures} failures)")
@@ -268,7 +238,7 @@ def cmd_codec_validate(args, argv) -> int:
         f"(analytic for GF(256): {expected_extra_packets(report.window):.6f})"
     )
     print(f"fraction decoded with exactly K packets: {report.exact_rank_fraction:.6f}")
-    return 0 if report.roundtrip_ok else 1
+    return 0 if report.roundtrip_ok else 1, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,13 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        if getattr(args, "out", None):
-            _check_out(args.out)
-        return args.func(args, argv)
+        if out:
+            _check_out(out)
+        code, write = args.func(args)
+        if out:
+            _write_out(args, argv, write)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -192,7 +192,7 @@ def run_trial(
     if codec:
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
         sources = coding_rng.integers(0, 256, size=(F, packet_len), dtype=np.uint8).reshape(F // K, K, packet_len)
-        trackers: list[RankTracker | None] = [None] * N
+        trackers = [RankTracker(K) for _ in range(N)]
         pending = []  # (batch, K x K coefficient rows) of decodes not yet verified
         chunk = batch_chunk(K, packet_len)
         rows = coefficient_rows(coding_rng, K)
@@ -237,12 +237,10 @@ def run_trial(
                 rid = low.bit_length() - 1
                 if codec:
                     tracker = trackers[rid]
-                    if tracker is None:
-                        tracker = trackers[rid] = RankTracker(K)
                     if not tracker.add(coefficients):
                         continue
                     if tracker.rank == K:
-                        trackers[rid] = None
+                        trackers[rid] = RankTracker(K)
                         pending.append((batch, tracker.raw))
                         if len(pending) == chunk:
                             _verify_decodes(pending, sources)

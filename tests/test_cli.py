@@ -16,7 +16,7 @@ import pytest
 
 import ncbroadcast
 from ncbroadcast import cli, sim
-from ncbroadcast.dp import certify, solve_optimal
+from ncbroadcast.dp import TOLERANCE, AuditCheck, AuditReport, certify, solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
 from ncbroadcast.sim import MAX_RECEIVERS
 
@@ -155,6 +155,14 @@ class TestCheckLr:
             lines.append(f"F={F} K={K} p={p}: {'PASS' if report.passed else 'FAIL'}")
         assert out.read_text().splitlines()[1:] == rows
         assert capsys.readouterr().out.splitlines() == lines + [f"wrote {out}"]
+
+    def test_failed_check_still_writes_out(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(cli, "certify", lambda *args: AuditReport((AuditCheck("lr_optimal", 3, 1, -0.5),)))
+        out = tmp_path / "r.csv"
+        assert cli.main(["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "0.5", "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == ["F=4 K=2 p=0.5: FAIL", f"wrote {out}"]
+        assert out.read_text().splitlines()[1:] == ["4,2,0.5,lr_optimal,3,1,-0.5,fail"]
+        assert (tmp_path / "r.csv.manifest").read_text().endswith(f"output={out}\n")
 
 
 ORACLE_GOLDEN = Path(__file__).parent / "data" / "oracle_golden.txt"
@@ -376,6 +384,45 @@ def test_unwritable_out_refused_before_any_work(monkeypatch, capsys, tmp_path, a
     assert cli.main([*args, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: cannot write {out}: {reason}\n")
+
+
+# Each command's flags as the manifest lists them: sorted by name, defaults
+# filled in, lists comma-joined as given (the sweep's window 4 is skipped).
+MANIFEST_FLAGS = {
+    "solve": (["solve", "--file-size", "4", "--window", "2", "--p", "0.5"], ["file_size=4", "p=0.5", "window=2"]),
+    "check-lr": (
+        ["check-lr", "--file-sizes", "8,4", "--windows", "2", "--ps", "0.5,0.9"],
+        ["file_sizes=8,4", "ps=0.5,0.9", f"tolerance={TOLERANCE}", "windows=2"],
+    ),
+    "simulate-codec": (
+        ["simulate", "-N", "2", "--file-size", "8", "--window", "4", "--p", "0.5", "--trials", "2",
+         "--mode", "codec", "--packet-len", "8"],
+        ["file_size=8", "mode=codec", "p=0.5", "packet_len=8", "policy=lr", "receivers=2", "seed=0", "trials=2",
+         "window=4"],
+    ),
+    "sweep-invalid-window": (
+        ["sweep", "--policies", "lr,rs", "--file-size", "6", "--windows", "2,4,6", "--p", "0.6", "--trials", "4",
+         "--seed", "2"],
+        ["file_size=6", "mode=ideal", "p=0.6", "packet_len=16", "policies=lr,rs", "receivers=2", "seed=2", "trials=4",
+         "windows=2,4,6"],
+    ),
+}
+
+
+@pytest.mark.parametrize("args,flags", MANIFEST_FLAGS.values(), ids=MANIFEST_FLAGS.keys())
+def test_manifest_lists_every_parsed_flag_and_replays(monkeypatch, capsys, tmp_path, args, flags):
+    monkeypatch.chdir(tmp_path)
+    argv = [*args, "--out", "o.csv"]
+    assert cli.main(argv) == 0
+    first = (tmp_path / "o.csv").read_bytes()
+    manifest = (tmp_path / "o.csv.manifest").read_text().splitlines()
+    assert manifest == [
+        f"tool=ncbroadcast {ncbroadcast.__version__}", f"command={args[0]}", f"argv={shlex.join(argv)}",
+        *flags, "output=o.csv",
+    ]
+    (tmp_path / "o.csv").unlink()
+    assert cli.main(shlex.split(manifest[2].removeprefix("argv="))) == 0
+    assert (tmp_path / "o.csv").read_bytes() == first
 
 
 @pytest.mark.parametrize("args,message", [
