@@ -3,12 +3,12 @@
 Subcommands: solve, check-lr, oracle, simulate, sweep, codec-validate.
 Each cmd_* computes, prints and returns its exit code and the writer of
 its --out file, or None.  main owns --out: it refuses one that cannot be
-written (a missing or unwritable directory, or a directory) with exit 2
-before any solve or trial starts.  Once the command returns, whatever its
-exit code, main writes the file and <out>.manifest: the tool version,
-the command, the argument vector, then every parsed flag with its
-default filled in, so a run can be replayed byte-for-byte on the same
-build.
+written (a missing or unwritable directory, or a directory), or whose
+<out>.manifest cannot be, with exit 2 before any solve or trial starts.
+Once the command returns, whatever its exit code, main writes the file
+and <out>.manifest: the tool version, the command, the argument vector,
+then every parsed flag with its default filled in, so a run can be
+replayed byte-for-byte on the same build.
 
 This module parses flags, formats output and maps ConfigError, and an
 OSError while writing --out, to exit 2.  Each run is admitted by the
@@ -81,18 +81,20 @@ def _run_cells(args, policies: list[str], configs: list) -> list:
     return sweep_coding_window(policies, configs, args.trials, RngSpec(args.seed), packet_len)
 
 
-def _check_out(path: Path) -> None:
-    """Refuse an --out that cannot be written (a missing or unwritable directory,
-    or a directory as the file) before any work starts, as _write_out would after it."""
-    if path.is_dir():
-        code = errno.EISDIR
-    elif not path.parent.is_dir():
-        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
-    elif not os.access(path if path.exists() else path.parent, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+def _check_out(out: Path) -> None:
+    """Refuse an --out, or its <out>.manifest, that cannot be written (a missing or
+    unwritable directory, or a directory as the file) before any work starts, as
+    _write_out would after it."""
+    for path in (out, Path(f"{out}.manifest")):
+        if path.is_dir():
+            code = errno.EISDIR
+        elif not path.parent.is_dir():
+            code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_out(args, argv: list[str], write) -> None:
@@ -261,7 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--file-sizes", type=_int_list, required=True, help="comma list of F values")
     check.add_argument("--windows", type=_int_list, required=True, help="comma list of K values")
     check.add_argument("--ps", type=_float_list, required=True, help="comma list of p values")
-    check.add_argument("--tolerance", type=float, default=TOLERANCE, help="slack allowed in every check (finite, >= 0)")
+    check.add_argument(
+        "--tolerance", type=float, default=TOLERANCE,
+        help="slack allowed in every check, in ON slots (expected slots times p; finite, >= 0)",
+    )
     check.add_argument("--out", type=Path, help="write the per-check CSV report here")
     check.set_defaults(func=cmd_check_lr)
 

@@ -3,20 +3,25 @@
 The absorbing structure makes the balance equations solvable in a single
 backward pass: grouping states by x0 + x1 and walking the groups in
 decreasing order, every successor of a state other than its own
-self-loop (eliminated algebraically by the 1 / (1 - p_stay) factor)
-already holds its final value.  No fixed-point iteration and no stopping
-tolerance enter the computation; the only float error is accumulation in
-64-bit arithmetic.
+self-loop (eliminated algebraically) already holds its final value.  No
+fixed-point iteration and no stopping tolerance enter the computation;
+the only float error is accumulation in 64-bit arithmetic.
 
-The two finished-receiver edges V(x0, F) and V(F, x1) follow one scalar
-chain, V = (1 + p * V_next) / p, and are filled before the sweep.  The
-sweep then covers the unfinished states only.  On the row-major flat
-table of (F+1)^2 states, the unfinished part of one anti-diagonal is a
-basic slice with stride F, and its successors V(x0+1, x1), V(x0, x1+1)
-and V(x0+1, x1+1) are the same slice shifted by F+1, 1 and F+2.  Policy
-stacks are sliced alike, and the diagonal's states are classified by
-comparing a slice of the batch-id vector x // K with a reversed slice of
-it, so each diagonal is a handful of array expressions over views.
+The sweep counts U = p * V, the expected number of ON slots, and divides
+by p once at the end.  In U the finished-receiver edges are the integers
+U(x0, F) = F - x0, and every unfinished state obeys one Bellman formula,
+_bellman: U = (1 + q * (U0 + U1) + p * S) / (2 - p), with U0 and U1 the
+states where one receiver gained a packet and S the state after a slot in
+which both were ON.  Only S depends on the state: the advance of both in
+a same-batch state, else the lag or the lead (receiver behind or ahead
+served).  No 1 - q^2 is formed, so nothing cancels at small p.  On the
+row-major flat table of (F+1)^2 states, the unfinished part of one
+anti-diagonal is a basic slice with stride F, and its successors
+U(x0+1, x1), U(x0, x1+1) and U(x0+1, x1+1) are the same slice shifted by
+F+1, 1 and F+2.  Policy stacks are sliced alike, and the diagonal's
+states are classified by comparing a slice of the batch-id vector x // K
+with a reversed slice of it, so each diagonal is a handful of array
+expressions over views.
 
 Value tables are dense (F+1) x (F+1) float arrays indexed [x0, x1];
 policy tables are int8 arrays holding ``mdp.Action`` values.  The same
@@ -24,7 +29,8 @@ sweep minimizes, writing solve_optimal's action table as it decides, or
 evaluates a stack of policies (evaluate_policy, enumerate_policies_oracle).
 ``certify`` checks a solved table: serve-least optimality and the
 structural inequality families, in one pass over row blocks of bounded
-size.  The solver's ties, the oracle's verdict and certify share TOLERANCE.
+size.  The solver's ties, the oracle's verdict and certify share TOLERANCE,
+a slack in ON slots (V * p).
 
 Two identities of the solved tables hold bit for bit, because the sweep
 applies the same float operations to the same operands:
@@ -50,7 +56,7 @@ MAX_STATES = 1 << 23  # (F+1)^2 cap of every table: admits F <= 2895
 ORACLE_MAX_CAP = 2**20  # default policy cap of the oracle, and the largest it accepts
 _ORACLE_CHUNK = 1 << 12  # policies evaluated per batched sweep
 _CERTIFY_CELLS = 1 << 18  # grid cells per row block of certify (at least one row)
-TOLERANCE = 1e-9  # ties within it go to SERVE_LEAST; the oracle's and certify's slack
+TOLERANCE = 1e-9  # slack in ON slots: the solver's ties to SERVE_LEAST, the oracle's and certify's slack
 
 
 def check_table_size(F: int) -> None:
@@ -65,8 +71,8 @@ def _batches(config: SystemConfig) -> np.ndarray:
     The class of an unfinished state (x0, x1) follows from the two ids: a
     same-batch state where they are equal, else a decision state, with
     receiver 0 behind where its id is the smaller.  The finished-receiver
-    edges x0 = F and x1 = F have no class: the sweep fills them by their
-    own recurrence.
+    edges x0 = F and x1 = F have no class: the sweep fills them in closed
+    form.
     """
     if config.N != 2:
         raise ValueError(f"exact solving covers N=2 only, got N={config.N}")
@@ -82,24 +88,22 @@ def _decision_mask(batches: np.ndarray) -> np.ndarray:
     return decision
 
 
-def _lookahead(advance_0, advance_1, r0_behind, config: SystemConfig):
-    """(serve_least, serve_most) one-step values from the successors' values.
+def _bellman(advance_0, advance_1, both, config: SystemConfig):
+    """ON-slot value U of unfinished states from their successors' U values.
 
-    `advance_i` holds the value of the state where receiver i gained a
-    packet; the arrays may have any common shape.
+    `advance_i` holds U of the state where receiver i gained a packet and
+    `both` U of the state after a slot with both receivers ON; the arrays
+    may have any common shape.
     """
-    lag = np.where(r0_behind, advance_0, advance_1)
-    lead = np.where(r0_behind, advance_1, advance_0)
-    p, q = config.p, config.q
-    denom = 1.0 - q * q
-    return (1.0 + p * lag + p * q * lead) / denom, (1.0 + p * q * lag + p * lead) / denom
+    return (1.0 + config.q * (advance_0 + advance_1) + config.p * both) / (2.0 - config.p)
 
 
 def _sweep(
     config: SystemConfig, batches: np.ndarray, serve_least: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Backward induction: the edges by their scalar chain, then the unfinished
-    states over the anti-diagonals x0 + x1 = 2F-2, ..., 0.
+    """Backward induction in ON slots: the edges in closed form, then the
+    unfinished states over the anti-diagonals x0 + x1 = 2F-2, ..., 0, each
+    by _bellman; the tables are divided by p once at the end.
 
     `batches` is the caller's ``_batches(config)``.  `serve_least` is a
     (P, (F+1)^2) bool stack of flattened policies, True where a policy
@@ -107,52 +111,50 @@ def _sweep(
     entries at decision states are read.  Without it the sweep minimizes
     over the actions, P is 1, and it writes the int8 action table as it
     goes: NO_DECISION off the decision states, else SERVE_LEAST where
-    v_least <= v_most + TOLERANCE, v_least and v_most being the lookaheads
-    into the final successor values.  Returns the (P, F+1, F+1) value
-    tables and the action table (None when evaluating).
+    lag <= lead + TOLERANCE, lag and lead being the final ON-slot values of
+    the successors that serve the receiver behind and ahead.  Returns the
+    (P, F+1, F+1) expected-slot tables and the action table (None when
+    evaluating).
 
     Diagonal t holds the unfinished states x0 in [lo, hi]; in the flat
     table they are the slice [lo*F + t, hi*F + t + 1) with stride F, and
     their x1 = t - x0 runs down from t - lo to t - hi.
     """
-    F, p, q = config.F, config.p, config.q
-    pq, pp, denom = p * q, p * p, 1.0 - q * q
+    F = config.F
     side = F + 1
     values = np.zeros((1 if serve_least is None else len(serve_least), side, side))
     actions = np.zeros((side, side), dtype=np.int8) if serve_least is None else None  # edges: NO_DECISION
     least_code, most_code, no_code = int(Action.SERVE_LEAST), int(Action.SERVE_MOST), int(Action.NO_DECISION)
-    edge = [0.0]  # edge[k]: k packets left for the one unfinished receiver
-    for _ in range(F):
-        edge.append((1.0 + p * edge[-1]) / p)
-    values[:, :, F] = values[:, F, :] = edge[::-1]
+    values[:, :, F] = values[:, F, :] = np.arange(F, -1, -1)  # U(x, F) = F - x: one ON slot per packet
     flat = values.reshape(len(values), -1)
     for total in range(2 * F - 2, -1, -1):
         lo, hi = max(0, total - F + 1), min(F - 1, total)
         start, stop = lo * F + total, hi * F + total + 1
         cells = slice(start, stop, F)
         h0, h1 = batches[lo:hi + 1], batches[total - hi:total - lo + 1][::-1]
-        same = h0 == h1
+        same, r0_behind = h0 == h1, h0 < h1
         advance_0 = flat[:, start + side:stop + side:F]
         advance_1 = flat[:, start + 1:stop + 1:F]
-        advance_both = flat[:, start + side + 1:stop + side + 1:F]
-        v_least, v_most = _lookahead(advance_0, advance_1, h0 < h1, config)
+        lag, lead = np.where(r0_behind, advance_0, advance_1), np.where(r0_behind, advance_1, advance_0)
         if serve_least is None:
-            decided = np.minimum(v_least, v_most)
-            choice = np.where(v_least[0] <= v_most[0] + TOLERANCE, least_code, most_code)  # ints: enums are slow
+            both = np.minimum(lag, lead)
+            choice = np.where(lag[0] <= lead[0] + TOLERANCE, least_code, most_code)  # ints: enums are slow
             actions.reshape(-1)[cells] = np.where(same, no_code, choice)
         else:
-            decided = np.where(serve_least[:, cells], v_least, v_most)
-        flat[:, cells] = np.where(same, (1.0 + pq * (advance_0 + advance_1) + pp * advance_both) / denom, decided)
+            both = np.where(serve_least[:, cells], lag, lead)
+        both = np.where(same, flat[:, start + side + 1:stop + side + 1:F], both)  # same batch: both advance
+        flat[:, cells] = _bellman(advance_0, advance_1, both, config)
+    values /= config.p
     return values, actions
 
 
 def solve_optimal(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Optimal expected-slots-to-completion table and a minimizing policy.
 
-    At decision states the stored value is min(v_least, v_most); ties
-    within TOLERANCE are resolved toward SERVE_LEAST so the policy table
-    is canonical.  The sweep makes the choice, from the same lookaheads
-    ``certify`` takes from the final table.
+    At decision states the stored value serves whichever of the lag and
+    lead successors has the smaller value; ties within TOLERANCE ON slots
+    are resolved toward SERVE_LEAST so the policy table is canonical.  The
+    sweep makes the choice from the successors' final values.
     """
     values, actions = _sweep(config, _batches(config))
     return values[0], actions
@@ -218,31 +220,31 @@ class _Tally:
 def certify(config: SystemConfig, values: np.ndarray, tolerance: float = TOLERANCE) -> AuditReport:
     """Certify serve-least optimal and audit the structural properties of the optimal table.
 
-    `values` is the optimal table of `config` (``solve_optimal(config)[0]``).
-    Families, in report order:
-      lr_optimality            v_least < v_most + tolerance at every decision
-        state, v_least and v_most being the one-step lookaheads into
-        `values` (no margin is recorded)
-      edge_closed_form         V(x0, F) equals (F - x0) / p           (margin: -|error|)
-      corner_sandwich          V(F-1, F) < V(F-1, F-1) < V(F-2, F)
-      monotone_in_x0           V(x0, x1) > V(x0+1, x1) on the last-batch band
-      monotone_in_x1           V(x0, x1) < V(x0, x1-1) on the last-batch band
-      balance_preference       V(x0, x1) < V(x0-1, x1+1): imbalance costs time
+    `values` is the optimal expected-slot table of `config`
+    (``solve_optimal(config)[0]``); every family reads it in ON slots,
+    U = p * V.  Families, in report order:
+      lr_optimality            u_least < u_most + tolerance at every decision
+        state, u_least and u_most being _bellman with S the lag and the
+        lead successor (no margin is recorded)
+      edge_closed_form         U(x0, F) equals F - x0                 (margin: -|error|)
+      corner_sandwich          U(F-1, F) < U(F-1, F-1) < U(F-2, F)
+      monotone_in_x0           U(x0, x1) > U(x0+1, x1) on the last-batch band
+      monotone_in_x1           U(x0, x1) < U(x0, x1-1) on the last-batch band
+      balance_preference       U(x0, x1) < U(x0-1, x1+1): imbalance costs time
       decision_sign_equivalence  at decision states the serve-most minus
-        serve-least gap and the lead-advance minus lag-advance value gap
-        carry the same sign (margin: the smaller of the two gaps).  The
-        lookahead formulas make this an identity,
-        v_most - v_least = p^2 / (1 - q^2) * (lead - lag),
-        so the check guards the lookahead and the table against each other.
+        serve-least gap and the lead minus lag gap carry the same sign
+        (margin: the smaller of the two gaps).  _bellman makes this an
+        identity, u_most - u_least = p / (2 - p) * (lead - lag), so the
+        check guards the formula and the table against each other.
       neighbor_implication     whenever both advanced neighbors of a decision
         state prefer serve-least, so does the state itself
 
     Inequality margins are slack (right side minus left side); a margin
-    below -tolerance counts as a violation.  The unfinished rows are
-    walked once, in blocks of about _CERTIFY_CELLS cells.  Each block
-    reads its successors as basic-slice views of `values`, takes the
-    lookahead once, for one row beyond its own (the neighbors below its
-    last row), and feeds every family from it.
+    below -tolerance ON slots counts as a violation.  The unfinished rows
+    are walked once, in blocks of about _CERTIFY_CELLS cells.  Each block
+    scales its rows and the one below them to ON slots, evaluates
+    _bellman once for each choice of S, over one row beyond its own (the
+    neighbors below its last row), and feeds every family from it.
     """
     batches = _batches(config)
     F, p = config.F, config.p
@@ -257,38 +259,34 @@ def certify(config: SystemConfig, values: np.ndarray, tolerance: float = TOLERAN
     def add(tally: _Tally, margins: np.ndarray) -> None:
         tally.add(margins, np.count_nonzero(margins < -tolerance))
 
-    add(edge, -np.abs(values[:, F] - (F - np.arange(F + 1)) / p))
-    add(sandwich, np.array(
-        [values[F - 1, F - 1] - values[F - 1, F], values[F - 2, F] - values[F - 1, F - 1]] if F >= 2 else []
-    ))
+    add(edge, -np.abs(values[:, F] * p - (F - np.arange(F + 1))))
+    corner = values[F - 2:, F - 2:] * p  # rows and columns F-2, F-1, F
+    add(sandwich, np.array([corner[1, 1] - corner[1, 2], corner[0, 2] - corner[1, 1]] if F >= 2 else []))
     x1 = np.arange(F + 1)
     rows = max(1, _CERTIFY_CELLS // (F + 1))
     for lo in range(0, F, rows):
         hi = min(lo + rows, F)
-        n = hi - lo
+        n, ext = hi - lo, min(hi + 1, F)
+        u = values[lo:ext + 1] * p  # rows lo .. ext
         x0 = np.arange(lo, hi)[:, None]
         band = (x1 > last_band_start) & (x0 < x1)
-        add(mono_x0, (values[lo:hi] - values[lo + 1:hi + 1])[band])
-        add(mono_x1, (values[lo:hi, :F] - values[lo:hi, 1:])[band[:, 1:]])
-        top = max(lo, 1)
-        x0 = np.arange(top, hi)[:, None]
-        band = (x1[:F] >= last_band_start) & (x0 < x1[:F])
-        add(balance, (values[top - 1:hi - 1, 1:] - values[top:hi, :F])[band])
+        add(mono_x0, (u[:n] - u[1:n + 1])[band])
+        add(mono_x1, (u[:n, :F] - u[:n, 1:])[band[:, 1:]])
+        band = (x1[:F] >= last_band_start) & (x0 + 1 < x1[:F])
+        add(balance, (u[:n, 1:] - u[1:n + 1, :F])[band])  # U(x0+1, x1) < U(x0, x1+1)
 
-        ext = min(hi + 1, F)
-        advance_0, advance_1 = values[lo + 1:ext + 1, :F], values[lo:ext, 1:]
+        advance_0, advance_1 = u[1:, :F], u[:-1, 1:]
         h0, h1 = batches[lo:ext, None], batches[None, :F]
         decision, r0_behind = h0 != h1, h0 < h1
-        v_least, v_most = _lookahead(advance_0, advance_1, r0_behind, config)
-        prefer = v_most - v_least  # serve-most minus serve-least gap
+        lag, lead = np.where(r0_behind, advance_0, advance_1), np.where(r0_behind, advance_1, advance_0)
+        u_least, u_most = _bellman(advance_0, advance_1, lag, config), _bellman(advance_0, advance_1, lead, config)
+        prefer = u_most - u_least  # serve-most minus serve-least gap
         here = decision[:n]
-        lr_violations += np.count_nonzero(here & ~(v_least[:n] < v_most[:n] + tolerance))
+        lr_violations += np.count_nonzero(here & ~(u_least[:n] < u_most[:n] + tolerance))
 
-        gap = prefer[:n][here]
-        a0, a1 = advance_0[:n][here], advance_1[:n][here]
-        neighbor_gap = np.where(r0_behind[:n][here], a1 - a0, a0 - a1)
-        mismatch = (gap > tolerance) & (neighbor_gap < -tolerance) | (gap < -tolerance) & (neighbor_gap > tolerance)
-        signs.add(gap, np.count_nonzero(mismatch), neighbor_gap)
+        gap, lead_gap = prefer[:n][here], (lead - lag)[:n][here]
+        mismatch = (gap > tolerance) & (lead_gap < -tolerance) | (gap < -tolerance) & (lead_gap > tolerance)
+        signs.add(gap, np.count_nonzero(mismatch), lead_gap)
 
         prefers = np.zeros((n + 1, F + 1), dtype=bool)  # row F and column F hold no decision
         np.logical_and(decision, prefer > tolerance, out=prefers[:ext - lo, :F])
@@ -339,7 +337,7 @@ def enumerate_policies_oracle(config: SystemConfig, policy_cap: int = ORACLE_MAX
         n_policies=n_policies,
         best_value=best_value,
         lr_value=lr_value,
-        lr_matches_best=abs(lr_value - best_value) <= TOLERANCE,
+        lr_matches_best=config.p * abs(lr_value - best_value) <= TOLERANCE,
     )
 
 

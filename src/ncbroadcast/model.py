@@ -45,8 +45,9 @@ def validate_config(F: int, K: int, N: int, p: float) -> SystemConfig:
     """Check raw parameters.
 
     p = 0 is rejected (the transfer would never finish), and so is a p whose
-    1 - p rounds to 1.0 (the exact solver would divide by 1 - q^2 = 0); p = 1
-    is the degenerate always-on channel and is allowed.
+    1 - p rounds to 1.0 (q = 1 - p is not representable, so the model's p
+    and q would not sum to one); p = 1 is the degenerate always-on channel
+    and is allowed.
     """
     if F <= 0 or K <= 0 or N <= 0:
         raise ConfigError(f"F, K and N must be positive, got F={F} K={K} N={N}")

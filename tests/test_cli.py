@@ -114,8 +114,16 @@ class TestCheckLr:
         assert "invalid" in proc.stdout
         assert "F=8 K=4 p=0.5: PASS" in proc.stdout
 
+    @pytest.mark.parametrize("F,K,p", [(240, 8, 1e-6), (96, 8, 2e-7), (1000, 8, 3e-6), (2895, 5, 1e-6)])
+    def test_small_p_passes(self, capsys, F, K, p):
+        # Expected slots reach F/p ~ 1e9 here.  The solver and certify count
+        # ON slots (V * p), so no 1 - q^2 cancels and the slack is not an
+        # absolute 1e-9 on values near 1e9.
+        assert cli.main(["check-lr", "--file-sizes", str(F), "--windows", str(K), "--ps", repr(p)]) == 0
+        assert capsys.readouterr().out == f"F={F} K={K} p={p}: PASS\n"
+
     def test_p_whose_complement_rounds_to_one_is_an_invalid_cell(self, capsys):
-        # at p = 1e-17 the DP would divide by 1 - q^2 = 0 and report inf
+        # at p = 1e-17, q = 1 - p rounds to 1.0: the model's p and q would not sum to 1
         assert cli.main(["check-lr", "--file-sizes", "4", "--windows", "2", "--ps", "1e-17,0.5"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("F=4 K=2 p=1e-17: invalid (ON probability p=1e-17 is too small")
@@ -384,6 +392,20 @@ def test_unwritable_out_refused_before_any_work(monkeypatch, capsys, tmp_path, a
     assert cli.main([*args, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: cannot write {out}: {reason}\n")
+
+
+@pytest.mark.parametrize("args", UNWRITABLE_OUT.values(), ids=UNWRITABLE_OUT.keys())
+def test_unwritable_manifest_refused_before_any_work(monkeypatch, capsys, tmp_path, args):
+    # <out>.manifest is written after <out>: refusing it only then would
+    # leave the data file behind without its manifest.
+    monkeypatch.setattr(cli, "sweep_coding_window", lambda *args: pytest.fail("a trial ran"))
+    monkeypatch.setattr(cli, "solve_optimal", lambda *args: pytest.fail("a table was solved"))
+    (tmp_path / "t.csv.manifest").mkdir()
+    out = tmp_path / "t.csv"
+    assert cli.main([*args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: cannot write {out}.manifest: Is a directory\n")
+    assert not out.exists()
 
 
 # Each command's flags as the manifest lists them: sorted by name, defaults

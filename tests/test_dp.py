@@ -124,13 +124,18 @@ class TestSolveOptimal:
         )
         np.testing.assert_allclose(values, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("tolerance", [dp.TOLERANCE, 0.0, 1.0, -1.0])
+    # lead - lag spans (0, 1] ON slots at these configs, so -0.5 sets some
+    # states apart from a margin taken in expected slots
+    @pytest.mark.parametrize("tolerance", [dp.TOLERANCE, 0.0, 1.0, -1.0, -0.5])
     @pytest.mark.parametrize("F,K,p", [(12, 4, 0.5), (12, 1, 1.0), (24, 3, 0.1), (8, 8, 0.7)])
     def test_actions_follow_the_lookahead_into_the_final_table(self, monkeypatch, F, K, p, tolerance):
         # The sweep writes each action as it decides a diagonal; the rule
         # applied afterwards to the finished table, with one-step lookaheads
         # taken from the transition kernel, must give the same policy, at
-        # the module's tie margin and at others put in its place.
+        # the module's tie margin and at others put in its place.  The
+        # margin is in ON slots: the sweep serves the receiver behind where
+        # lag <= lead + tolerance, lag and lead in U = p * V, and the
+        # lookahead gap is v_least - v_most = (lag - lead) / (2 - p).
         monkeypatch.setattr(dp, "TOLERANCE", tolerance)
         cfg = validate_config(F, K, 2, p)
         values, actions = solve_optimal(cfg)
@@ -142,7 +147,7 @@ class TestSolveOptimal:
                     assert actions[s] == Action.NO_DECISION
                     continue
                 v_least, v_most = (lookahead(values, s, a, cfg) for a in (Action.SERVE_LEAST, Action.SERVE_MOST))
-                expected = Action.SERVE_LEAST if v_least <= v_most + tolerance else Action.SERVE_MOST
+                expected = Action.SERVE_LEAST if (2 - p) * (v_least - v_most) <= tolerance else Action.SERVE_MOST
                 assert actions[s] == expected, s
 
     @pytest.mark.parametrize("F,larger_F,K,p", [
@@ -220,7 +225,7 @@ class TestEvaluatePolicy:
         cfg = validate_config(4, 2, 2, 0.7)
         table = lr_policy_table(cfg)
         np.testing.assert_allclose(
-            evaluate_policy(cfg, table), linear_solve_policy(cfg, table), atol=1e-9
+            evaluate_policy(cfg, table), linear_solve_policy(cfg, table), rtol=1e-12, atol=0
         )
 
     @pytest.mark.parametrize("F,K,p,seed", [(12, 4, 0.5, 0), (8, 2, 0.3, 1), (12, 3, 1.0, 2), (6, 1, 0.9, 3)])
