@@ -24,7 +24,7 @@ with a reversed slice of it, so each diagonal is a handful of array
 expressions over views.
 
 Value tables are dense (F+1) x (F+1) float arrays indexed [x0, x1];
-policy tables are int8 arrays holding ``mdp.Action`` values.  The same
+policy tables are int8 arrays holding ``Action`` values.  The same
 sweep minimizes, writing solve_optimal's action table as it decides, or
 evaluates a stack of policies (evaluate_policy, enumerate_policies_oracle).
 ``certify`` checks a solved table: serve-least optimality and the
@@ -46,10 +46,10 @@ applies the same float operations to the same operands:
 """
 
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
-from .mdp import Action
 from .model import ConfigError, SystemConfig
 
 MAX_STATES = 1 << 23  # (F+1)^2 cap of every table: admits F <= 2895
@@ -57,6 +57,14 @@ ORACLE_MAX_CAP = 2**20  # default policy cap of the oracle, and the largest it a
 _ORACLE_CHUNK = 1 << 12  # policies evaluated per batched sweep
 _CERTIFY_CELLS = 1 << 18  # grid cells per row block of certify (at least one row)
 TOLERANCE = 1e-9  # slack in ON slots: the solver's ties to SERVE_LEAST, the oracle's and certify's slack
+
+
+class Action(IntEnum):
+    """Batch-selection choices; only nonzero values are real decisions."""
+
+    SERVE_MOST = -1
+    NO_DECISION = 0
+    SERVE_LEAST = 1
 
 
 def check_table_size(F: int) -> None:
@@ -192,12 +200,6 @@ class AuditReport:
     @property
     def passed(self) -> bool:
         return all(c.violations == 0 for c in self.checks)
-
-    def by_name(self, name: str) -> AuditCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 class _Tally:

@@ -1,4 +1,4 @@
-"""System parameters and batch arithmetic for broadcasting a segmented file.
+"""System parameters for broadcasting a segmented file.
 
 A file of F packets is cut into consecutive batches of K packets each
 (F must be a multiple of K).  A receiver's progress is counted in decoded
@@ -58,15 +58,4 @@ def validate_config(F: int, K: int, N: int, p: float) -> SystemConfig:
     if F % K != 0:
         raise ConfigError(f"file size must be a multiple of the window size, got F={F} K={K}")
     return SystemConfig(F=F, K=K, N=N, p=float(p))
-
-
-def batch_id(x: int, config: SystemConfig) -> int:
-    """Index of the batch a receiver holding x packets expects next.
-
-    For x = F the result F // K is one past the last batch and marks a
-    finished receiver.
-    """
-    if not 0 <= x <= config.F:
-        raise ValueError(f"received count {x} outside [0, {config.F}]")
-    return x // config.K
 

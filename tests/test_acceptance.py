@@ -69,9 +69,9 @@ def test_c3_sandwich_and_monotonicity_families():
         for K in GRID_K:
             for p in GRID_P:
                 cfg = validate_config(F, K, 2, p)
-                rep = certify(cfg, solve_optimal(cfg)[0], tolerance=1e-9)
+                rep = {c.name: c for c in certify(cfg, solve_optimal(cfg)[0], tolerance=1e-9).checks}
                 for name in ("corner_sandwich", "monotone_in_x0", "monotone_in_x1", "balance_preference"):
-                    violations += rep.by_name(name).violations
+                    violations += rep[name].violations
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 10.0
     report("C3", "sandwich and monotonicity families", ok, f"{violations} violations, {elapsed:.2f}s")
@@ -84,9 +84,9 @@ def test_c4_lr_optimality_and_sign_equivalence():
         for K in GRID_K:
             for p in GRID_P:
                 cfg = validate_config(F, K, 2, p)
-                rep = certify(cfg, solve_optimal(cfg)[0], tolerance=1e-9)
-                lr_violations += rep.by_name("lr_optimality").violations
-                sign_violations += rep.by_name("decision_sign_equivalence").violations
+                rep = {c.name: c for c in certify(cfg, solve_optimal(cfg)[0], tolerance=1e-9).checks}
+                lr_violations += rep["lr_optimality"].violations
+                sign_violations += rep["decision_sign_equivalence"].violations
     ok = lr_violations == 0 and sign_violations == 0
     report(
         "C4", "serve-least optimal at every decision state", ok,

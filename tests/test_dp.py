@@ -8,7 +8,6 @@ deterministic policy of small instances (the optimal stationary policy
 dominates everywhere, so the minimum is attained by it at all states).
 """
 
-import itertools
 import time
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +21,7 @@ from ncbroadcast import dp
 from ncbroadcast.dp import (
     MAX_STATES,
     ORACLE_MAX_CAP,
+    Action,
     _sweep,
     certify,
     enumerate_policies_oracle,
@@ -29,49 +29,25 @@ from ncbroadcast.dp import (
     solve_optimal,
     write_table_csv,
 )
-from ncbroadcast.mdp import Action, classify, reward, transitions
 from ncbroadcast.model import ConfigError, validate_config
+from reference import (
+    all_policy_tables,
+    classify,
+    decision_states,
+    linear_solve_policy,
+    lookahead,
+    lr_policy_table,
+    reward,
+    transitions,
+)
 
 SOLVE_GOLDEN_CSV = Path(__file__).parent / "data" / "solve_golden.csv"
 SOLVE_GOLDEN_GRID = ((12, 4, 0.5), (12, 1, 0.1), (12, 12, 0.9), (24, 3, 1.0), (24, 8, 0.3))
 
 
-def linear_solve_policy(cfg, policy):
-    """Evaluate a fixed policy with a dense generic linear solver."""
-    side = cfg.F + 1
-    states = [(x0, x1) for x0 in range(side) for x1 in range(side)]
-    index = {s: i for i, s in enumerate(states)}
-    A = np.zeros((len(states), len(states)))
-    b = np.zeros(len(states))
-    for i, s in enumerate(states):
-        A[i, i] = 1.0
-        if s == (cfg.F, cfg.F):
-            continue
-        b[i] = reward(s, cfg)
-        for nxt, pr in transitions(s, Action(int(policy[s])), cfg):
-            A[i, index[nxt]] -= pr
-    return np.linalg.solve(A, b).reshape(side, side)
-
-
-def lookahead(values, s, action, cfg):
-    """One-step value of `action` at `s` from the transition kernel, its self-loop solved out."""
-    stay = sum(pr for nxt, pr in transitions(s, action, cfg) if nxt == s)
-    move = sum(pr * values[nxt] for nxt, pr in transitions(s, action, cfg) if nxt != s)
-    return (reward(s, cfg) + move) / (1.0 - stay)
-
-
-def decision_states(cfg):
-    """All states offering a serve-least/serve-most choice, by the scalar classification, lexicographic."""
-    side = range(cfg.F + 1)
-    return [(x0, x1) for x0 in side for x1 in side if classify((x0, x1), cfg).is_decision]
-
-
-def lr_policy_table(cfg):
-    """The least-received rule as a policy table: SERVE_LEAST wherever there is a choice."""
-    table = np.full((cfg.F + 1, cfg.F + 1), Action.NO_DECISION, dtype=np.int8)
-    for s in decision_states(cfg):
-        table[s] = Action.SERVE_LEAST
-    return table
+def family(report, name):
+    """The inequality family `name` of a certify report; KeyError when the report has none."""
+    return {c.name: c for c in report.checks}[name]
 
 
 def traced_peak(call, *args):
@@ -81,16 +57,6 @@ def traced_peak(call, *args):
         return call(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def all_policy_tables(cfg):
-    base = lr_policy_table(cfg)
-    ds = decision_states(cfg)
-    for bits in itertools.product((Action.SERVE_LEAST, Action.SERVE_MOST), repeat=len(ds)):
-        table = base.copy()
-        for s, a in zip(ds, bits):
-            table[s] = a
-        yield table
 
 
 class TestSolveOptimal:
@@ -303,13 +269,13 @@ class TestCheckLrOptimality:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.6, 0.9])
     def test_holds_across_p(self, p):
         cfg = validate_config(12, 4, 2, p)
-        lr = certify(cfg, solve_optimal(cfg)[0]).by_name("lr_optimality")
+        lr = family(certify(cfg, solve_optimal(cfg)[0]), "lr_optimality")
         assert lr.violations == 0
         assert lr.examined == len(decision_states(cfg))
 
     def test_vacuous_without_decision_states(self):
         cfg = validate_config(4, 4, 2, 0.5)
-        lr = certify(cfg, solve_optimal(cfg)[0]).by_name("lr_optimality")
+        lr = family(certify(cfg, solve_optimal(cfg)[0]), "lr_optimality")
         assert (lr.examined, lr.violations, lr.worst_margin) == (0, 0, None)
 
     def test_reports_the_state_whose_lagging_successor_got_worse(self):
@@ -317,9 +283,9 @@ class TestCheckLrOptimality:
         values = solve_optimal(cfg)[0]
         values[2, 4] += 100.0  # lag successor of (1, 4), lead successor of (2, 3)
         report = certify(cfg, values)
-        assert report.by_name("lr_optimality").violations == 1
+        assert family(report, "lr_optimality").violations == 1
         assert not report.passed
-        assert certify(cfg, values, tolerance=1e3).by_name("lr_optimality").violations == 0
+        assert family(certify(cfg, values, tolerance=1e3), "lr_optimality").violations == 0
 
 
 class TestAudit:
@@ -338,19 +304,19 @@ class TestAudit:
     def test_edge_value_exact(self):
         cfg = validate_config(12, 4, 2, 0.5)
         report = certify(cfg, solve_optimal(cfg)[0])
-        edge = report.by_name("edge_closed_form")
+        edge = family(report, "edge_closed_form")
         assert edge.examined == 13
         assert edge.worst_margin == pytest.approx(0.0, abs=1e-9)
 
     def test_decision_checks_cover_all_decision_states(self):
         cfg = validate_config(12, 4, 2, 0.5)
         report = certify(cfg, solve_optimal(cfg)[0])
-        assert report.by_name("decision_sign_equivalence").examined == len(decision_states(cfg))
+        assert family(report, "decision_sign_equivalence").examined == len(decision_states(cfg))
 
     def test_vacuous_checks_report_nan_margin(self):
         cfg = validate_config(2, 2, 2, 0.5)
         report = certify(cfg, solve_optimal(cfg)[0])
-        signs = report.by_name("decision_sign_equivalence")
+        signs = family(report, "decision_sign_equivalence")
         assert signs.examined == 0
         assert np.isnan(signs.worst_margin)
 

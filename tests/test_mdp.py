@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ncbroadcast.mdp import Action, StateKind, classify, legal_actions, reward, transitions
+from ncbroadcast.dp import Action
 from ncbroadcast.model import validate_config
+from reference import StateKind, classify, legal_actions, reward, transitions
 
 
 def small_configs():

