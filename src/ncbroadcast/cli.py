@@ -27,8 +27,9 @@ simulate is a sweep of one policy over one window: both share their
 flags and run through sim.sweep_coding_window.  --mode ideal passes
 packet_len=None to the simulator, which means idealized reception.
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or configuration error.
+Exit codes: 0 success / all checks pass, 1 verification failure or a
+stdout closed before the output was written, 2 usage or configuration
+error.
 """
 
 import argparse
@@ -323,9 +324,15 @@ def main(argv=None) -> int:
         code, write = args.func(args)
         if out:
             _write_out(args, argv, write)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head -c1` does); stdout goes to devnull
+        # so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -163,19 +163,22 @@ class RankTracker:
         return False
 
 
-def verify_blocks(blocks: np.ndarray, sources: np.ndarray) -> None:
+def verify_blocks(blocks: np.ndarray, sources: np.ndarray, deficient_ok: bool = False) -> bool:
     """Decode a (B, K, K+L) stack of coded blocks and compare it with (B, K, L) sources.
 
-    Raises RuntimeError naming the first block that is not full rank or
-    does not decode to its source.  `blocks` is reduced in place.
+    Returns True iff every block is full rank.  Raises RuntimeError naming
+    the first full-rank block that does not decode to its source and,
+    unless deficient_ok, the first block that is not full rank.  `blocks`
+    is reduced in place.
     """
     window = sources.shape[1]
     full = _reduce_blocks(blocks, window)
-    if not full.all():
+    if not (deficient_ok or full.all()):
         raise RuntimeError(f"coded block {int(full.argmin())} of {len(blocks)} is not full rank")
-    wrong = (blocks[:, :, window:] != sources).any(axis=(1, 2))
+    wrong = full & (blocks[:, :, window:] != sources).any(axis=(1, 2))
     if wrong.any():
         raise RuntimeError(f"coded block {int(wrong.argmax())} of {len(blocks)} does not decode to its source")
+    return bool(full.all())
 
 
 def block_solve_bytes(window: int, packet_len: int) -> int:

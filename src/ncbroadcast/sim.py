@@ -9,13 +9,25 @@ expecting its batch.  Idealized mode (packet_len=None) counts every
 delivery as one packet of progress.  Codec mode (packet_len payload bytes
 per packet) takes the packet's GF(256) coefficients from
 rlnc.coefficient_rows, which draws them a block of rows at a time, and
-counts progress only when they raise the receiver's rank, tracked on
-coefficient rows by an rlnc.RankTracker.  Each receiver that reaches
-rank K hands its K x K coefficient block to a pending list; the list is
-verified in chunks, and at the end of the trial, by encoding the batch's
-source under those rows and decoding it again in one block solve
-(rlnc.verify_blocks), which raises RuntimeError on a rank-deficient
-block or a wrong decode.
+counts progress only when they raise the receiver's rank.  Each receiver
+that reaches rank K hands its K x K coefficient block to a pending list;
+the list is verified in chunks, and at the end of the trial, by encoding
+the batch's source under those rows and decoding it again in one block
+solve (rlnc.verify_blocks), which raises RuntimeError on a wrong decode.
+
+A codec trial runs speculatively first.  Each receiver only holds the
+rows it receives for its batch, and every reception counts as progress,
+so a batch completes at its K-th reception.  The block solve then says
+whether each completed block is full rank.  If all of them are, the pass
+is exact: K rows of rank K were each innovative when they arrived, every
+received row belongs to a block that completes, and codec mode never
+jumps, so the pass is slot for slot the eager one that tracks each
+receiver's rank on an rlnc.RankTracker.  The first rank-deficient block
+(about 1 - (1 - 1/255)^(N*F/K) of trials hold one) ends the pass, and
+the trial is run again by the eager pass from fresh substreams, with the
+same result as if it had run eagerly from the start.  In the eager pass a
+block that is not full rank raises RuntimeError, since every tracker
+claimed rank K.
 
 Idealized mode jumps over single-batch stretches.  While every unfinished
 receiver expects one batch, no slot can be a conflict and the policy has
@@ -31,7 +43,7 @@ slot is stepped.  A jump has a fixed cost of a few array operations over
 the rest of the block, so it is taken only while each receiver of the
 batch needs at least _JUMP_MIN more packets.  That is tested when
 membership changes, never per slot.  Codec mode never jumps, because
-every sent packet must pass a RankTracker.
+every sent packet carries a coefficient row to its receivers.
 
 sweep_coding_window is the one experiment call: it runs every (policy,
 config) cell and returns each cell's completion-slot statistics.  Before
@@ -139,7 +151,10 @@ def _on_blocks(rng: np.random.Generator, N: int, p: float):
 def check_run(config: SystemConfig, packet_len: int | None) -> None:
     """Raise ConfigError unless trials of this config fit the slot budget,
     MAX_RECEIVERS and, in codec mode, MAX_CODEC_BYTES: the source (F*L
-    bytes), the rank state (about 2*N*K^2 bytes) and one block solve.
+    bytes), the rank state and one block solve.  The speculative pass
+    holds N*K^2 bytes of received rows and the eager replay about
+    2*N*K^2 (the rows each RankTracker reduces and the raw rows it keeps),
+    so the 2*N*K^2 term bounds both.
     The budget leaves out the coefficient rows, which rlnc.coefficient_rows
     draws in blocks of at most rlnc._CHUNK_BYTES (128 KiB) for every
     window it admits (K < 2^14).
@@ -184,15 +199,57 @@ def run_trial(
 ) -> TrialResult:
     """Simulate one file transfer of an admitted config (see check_run).
 
-    Returns slots to completion and the conflict-slot count.
+    Returns slots to completion and the conflict-slot count.  A codec
+    trial runs speculatively first and is replayed with a RankTracker per
+    receiver only if a completed block is rank-deficient (see the module
+    docstring).
+    """
+    if packet_len is None:
+        return _run_pass(config, policy, rng_spec, trial_index)
+    result = _run_pass(config, policy, rng_spec, trial_index, packet_len, _HeldRows)
+    if result is None:
+        result = _run_pass(config, policy, rng_spec, trial_index, packet_len, RankTracker)
+    return result
+
+
+class _HeldRows:
+    """The speculative pass's tracker: it keeps every row its receiver gets
+    for the batch and counts each one as raising the rank."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, window: int):
+        self.raw: list[bytes] = []
+
+    def add(self, coefficients: bytes) -> bool:
+        self.raw.append(coefficients)
+        return True
+
+
+def _run_pass(
+    config: SystemConfig,
+    policy: str,
+    rng_spec: RngSpec,
+    trial_index: int,
+    packet_len: int | None = None,
+    tracker=None,
+) -> TrialResult | None:
+    """One pass of the slot loop over a trial, drawing every substream afresh.
+
+    In codec mode, tracker is the class of each receiver's per-batch
+    tracker: _HeldRows for the speculative pass, RankTracker (or a
+    subclass) for the eager one.  A speculative pass returns None as soon
+    as a verified block is rank-deficient; in the eager pass that block
+    raises RuntimeError, since every tracker claimed rank K.
     """
     F, K, N, p = config.F, config.K, config.N, config.p
     pick = conflict_rule(policy, _uniforms(rng_spec, trial_index))
     codec = packet_len is not None
+    speculative = codec and not issubclass(tracker, RankTracker)
     if codec:
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
         sources = coding_rng.integers(0, 256, size=(F, packet_len), dtype=np.uint8).reshape(F // K, K, packet_len)
-        trackers = [RankTracker(K) for _ in range(N)]
+        trackers = [tracker(K) for _ in range(N)]
         pending = []  # (batch, K x K coefficient rows) of decodes not yet verified
         chunk = batch_chunk(K, packet_len)
         rows = coefficient_rows(coding_rng, K)
@@ -219,6 +276,8 @@ def run_trial(
         for on in steps:
             slot += 1
             if slot >= MAX_SLOTS:
+                if speculative and pending and not _verify_decodes(pending, sources, True):
+                    return None  # a rank-deficient block may have led here
                 raise _slot_cap_error(config)
             hits = [(batch, bits) for batch in occupied if (bits := members[batch] & on)]
             if not hits:
@@ -235,25 +294,24 @@ def run_trial(
                 low = served & -served
                 served ^= low
                 rid = low.bit_length() - 1
-                if codec:
-                    tracker = trackers[rid]
-                    if not tracker.add(coefficients):
-                        continue
-                    if tracker.rank == K:
-                        trackers[rid] = RankTracker(K)
-                        pending.append((batch, tracker.raw))
-                        if len(pending) == chunk:
-                            _verify_decodes(pending, sources)
-                            pending = []
+                if codec and not trackers[rid].add(coefficients):
+                    continue
                 left[rid] -= 1
                 if not left[rid]:
                     left[rid] = K
                     done |= low
+                    if codec:
+                        pending.append((batch, trackers[rid].raw))
+                        trackers[rid] = tracker(K)
+                        if len(pending) == chunk:
+                            if not _verify_decodes(pending, sources, speculative):
+                                return None
+                            pending = []
             if done:
                 occupied = _move_on(members, batch, done, F // K)
                 if not occupied:
-                    if codec and pending:
-                        _verify_decodes(pending, sources)
+                    if codec and pending and not _verify_decodes(pending, sources, speculative):
+                        return None
                     return TrialResult(completion_slots=slot, conflict_slots=conflicts)
                 if jumps:
                     stretch = _stretch(members, occupied, left)
@@ -333,14 +391,16 @@ def _jump(config: SystemConfig, blocks, block: _OnBlock, base: int, slot: int, i
     return block, base, slot, done
 
 
-def _verify_decodes(pending: list[tuple[int, list[bytes]]], sources: np.ndarray) -> None:
-    """Encode each pending batch's source under its rows, decode it and compare."""
+def _verify_decodes(pending: list[tuple[int, list[bytes]]], sources: np.ndarray, deficient_ok: bool) -> bool:
+    """Encode each pending batch's source under its rows, decode it and compare.
+
+    Returns False if some block is not full rank, which raises unless deficient_ok."""
     K = sources.shape[1]
     batches = [batch for batch, _ in pending]
     rows = b"".join(b"".join(raw) for _, raw in pending)
     coefficients = np.frombuffer(rows, dtype=np.uint8).reshape(len(pending), K, K)
     expected = sources[batches]
-    verify_blocks(encode_blocks(coefficients, expected), expected)
+    return verify_blocks(encode_blocks(coefficients, expected), expected, deficient_ok)
 
 
 def sweep_coding_window(

@@ -21,20 +21,24 @@ from ncbroadcast.model import ConfigError, validate_config
 from ncbroadcast.sim import MAX_RECEIVERS
 
 
-def run_cli(args, cwd):
+def child_env() -> dict:
     # The imported package's directory goes first, so that a relative
     # PYTHONPATH entry (such as ``src``) cannot depend on the child's cwd.
     package_root = str(Path(ncbroadcast.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def run_cli(args, cwd):
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "ncbroadcast", *args],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=env,
         capture_output=True,
         text=True,
     )
     if "No module named ncbroadcast" in proc.stderr:
-        pytest.fail(f"test harness: child could not import ncbroadcast with PYTHONPATH={pythonpath!r}")
+        pytest.fail(f"test harness: child could not import ncbroadcast with PYTHONPATH={env['PYTHONPATH']!r}")
     return proc
 
 
@@ -491,3 +495,28 @@ def test_version_flag(tmp_path):
 def test_missing_subcommand_is_usage_error(tmp_path):
     proc = run_cli([], tmp_path)
     assert proc.returncode == 2
+
+
+CLOSED_STDOUT = {
+    "solve": ["solve", "--file-size", "4", "--window", "2", "--p", "0.5"],
+    "simulate": ["simulate", "--file-size", "8", "--window", "4", "--p", "0.5", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("args", CLOSED_STDOUT.values(), ids=CLOSED_STDOUT.keys())
+def test_closed_stdout_exits_1_without_traceback(tmp_path, args, unbuffered):
+    # `ncbroadcast ... | head -c1` with the reader gone before the first write, so it
+    # always fails: at the first print when unbuffered, else at the flush of the output
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncbroadcast", *args], cwd=tmp_path, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, "")

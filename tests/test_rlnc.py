@@ -373,6 +373,20 @@ class TestVerifyBlocks:
         with pytest.raises(RuntimeError, match="block 1 of 3 is not full rank"):
             verify_blocks(encode_blocks(coeffs, sources), sources)
 
+    def test_rank_deficient_block_is_reported_when_allowed(self):
+        coeffs, sources = coded_batches()
+        assert verify_blocks(encode_blocks(coeffs, sources), sources, deficient_ok=True) is True
+        coeffs[1, 3] = rlnc._MUL[7, coeffs[1, 0]] ^ coeffs[1, 2]
+        assert verify_blocks(encode_blocks(coeffs, sources), sources, deficient_ok=True) is False
+
+    def test_wrong_decode_raises_beside_an_allowed_deficient_block(self):
+        coeffs, sources = coded_batches()
+        coeffs[1, 3] = rlnc._MUL[7, coeffs[1, 0]] ^ coeffs[1, 2]
+        blocks = encode_blocks(coeffs, sources)
+        sources[2, 1, 3] ^= 0x40
+        with pytest.raises(RuntimeError, match="block 2 of 3 does not decode"):
+            verify_blocks(blocks, sources, deficient_ok=True)
+
 
 class TestRankStatistics:
     def test_analytic_extra_packets_value(self):

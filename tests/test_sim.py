@@ -278,6 +278,9 @@ class TestSlotCap:
         assert run_trial(config, "rs", RngSpec(2), 0).completion_slots == slots
 
 
+PASS_KINDS = (sim._HeldRows, RankTracker)  # the trackers of a codec trial's speculative and eager passes
+
+
 class TestCodecMode:
     def test_dominates_idealized_per_trial(self):
         # same connectivity substream in both modes; dependent packets can only delay
@@ -292,7 +295,8 @@ class TestCodecMode:
         assert (times >= 12).all()
 
     def test_coding_stream_is_the_encoders(self, monkeypatch):
-        # the source first, then one per_row_coefficients row per sent packet, and every row drawn is sent
+        # the source first, then one per_row_coefficients row per sent packet, and every row drawn is sent,
+        # in the speculative pass and in the eager one
         drawn, sent = [], []
         rows = sim.coefficient_rows
 
@@ -301,21 +305,24 @@ class TestCodecMode:
                 drawn.append(row)
                 yield row
 
-        class RecordingTracker(RankTracker):
-            def add(self, coefficients):
-                if not sent or sent[-1] != coefficients:  # the served receivers of one packet share its row
-                    sent.append(coefficients)
-                return super().add(coefficients)
-
         monkeypatch.setattr(sim, "coefficient_rows", recording)
-        monkeypatch.setattr(sim, "RankTracker", RecordingTracker)
-        run_trial(validate_config(12, 4, 3, 0.6), "rs", RngSpec(5), 2, packet_len=8)
-        replay = RngSpec(5).substream(2, sim.ROLE_CODING)
-        replay.integers(0, 256, size=(12, 8), dtype=np.uint8)  # the source
-        assert sent == drawn
-        assert len(drawn) >= 12
-        for row in drawn:
-            assert per_row_coefficients(replay, 4).tobytes() == row
+        for kind in PASS_KINDS:
+            class RecordingTracker(kind):
+                def add(self, coefficients):
+                    if not sent or sent[-1] != coefficients:  # the served receivers of one packet share its row
+                        sent.append(coefficients)
+                    return super().add(coefficients)
+
+            drawn.clear()
+            sent.clear()
+            config = validate_config(12, 4, 3, 0.6)
+            assert sim._run_pass(config, "rs", RngSpec(5), 2, 8, RecordingTracker) is not None
+            replay = RngSpec(5).substream(2, sim.ROLE_CODING)
+            replay.integers(0, 256, size=(12, 8), dtype=np.uint8)  # the source
+            assert sent == drawn
+            assert len(drawn) >= 12
+            for row in drawn:
+                assert per_row_coefficients(replay, 4).tobytes() == row
 
 
 class TestCodecVerification:
@@ -323,16 +330,19 @@ class TestCodecVerification:
         verified = []
         verify = sim.verify_blocks
 
-        def counting(blocks, sources):
-            verified.append(len(blocks))
-            verify(blocks, sources)
+        def counting(blocks, sources, deficient_ok):
+            verified.append((len(blocks), deficient_ok))
+            return verify(blocks, sources, deficient_ok)
 
         monkeypatch.setattr(sim, "verify_blocks", counting)
         monkeypatch.setattr(sim, "batch_chunk", lambda window, packet_len: 5)
-        run_trial(validate_config(24, 4, 3, 0.7), "lr", RngSpec(1), 0, PACKET_LEN)
-        assert verified == [5, 5, 5, 3]  # 3 receivers x 6 batches
+        for kind in PASS_KINDS:
+            verified.clear()
+            assert sim._run_pass(validate_config(24, 4, 3, 0.7), "lr", RngSpec(1), 0, PACKET_LEN, kind) is not None
+            speculative = kind is sim._HeldRows  # only the speculative pass lets a deficient block through
+            assert verified == [(5, speculative)] * 3 + [(3, speculative)]  # 3 receivers x 6 batches
 
-    def test_rank_claims_are_cross_checked(self, monkeypatch):
+    def test_rank_claims_are_cross_checked(self):
         class RepeatingTracker(RankTracker):
             """Counts every packet as innovative and keeps its first row again."""
 
@@ -340,9 +350,8 @@ class TestCodecVerification:
                 self.raw.append(self.raw[0] if self.raw else coefficients)
                 return True
 
-        monkeypatch.setattr(sim, "RankTracker", RepeatingTracker)
         with pytest.raises(RuntimeError, match="not full rank"):
-            run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, PACKET_LEN)
+            sim._run_pass(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, PACKET_LEN, RepeatingTracker)
 
     def test_wrong_decode_raises(self, monkeypatch):
         encode_blocks = sim.encode_blocks
@@ -353,8 +362,108 @@ class TestCodecVerification:
             return blocks
 
         monkeypatch.setattr(sim, "encode_blocks", corrupting)
+        for kind in PASS_KINDS:
+            with pytest.raises(RuntimeError, match="does not decode"):
+                sim._run_pass(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, PACKET_LEN, kind)
         with pytest.raises(RuntimeError, match="does not decode"):
             run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, PACKET_LEN)
+
+
+def record_passes(monkeypatch) -> list:
+    """Patch sim._run_pass to record the tracker class of each pass run_trial makes."""
+    kinds = []
+    run_pass = sim._run_pass
+
+    def recording(config, policy, rng_spec, trial_index, packet_len=None, tracker=None):
+        kinds.append(tracker)
+        return run_pass(config, policy, rng_spec, trial_index, packet_len, tracker)
+
+    monkeypatch.setattr(sim, "_run_pass", recording)
+    return kinds
+
+
+def eager_trial(config, policy, seed, trial, tracker=RankTracker):
+    """A codec trial run by the eager pass alone."""
+    return sim._run_pass(config, policy, RngSpec(seed), trial, PACKET_LEN, tracker)
+
+
+# (config, policy, seed, trial) for the speculative pass: K = 1 never holds a
+# dependent row, and the rest replay often enough (about 1 - (1 - 1/255)^(N*F/K))
+SPECULATION_CASES = [
+    (validate_config(40, K, 4, 0.6), policy, seed, trial)
+    for policy in POLICY_NAMES for K in (1, 2, 4, 20) for seed in (0, 1, 2) for trial in range(4)
+]
+
+
+class TestSpeculativePass:
+    def test_trials_match_the_eager_pass(self, monkeypatch):
+        kinds = record_passes(monkeypatch)
+        replays = 0
+        for config, policy, seed, trial in SPECULATION_CASES:
+            kinds.clear()
+            result = run_trial(config, policy, RngSpec(seed), trial, PACKET_LEN)
+            assert kinds in ([sim._HeldRows], [sim._HeldRows, RankTracker])
+            replays += len(kinds) == 2
+            assert result == eager_trial(config, policy, seed, trial), (config, policy, seed, trial)
+        assert replays > 0
+
+    def test_replays_exactly_when_some_packet_is_dependent(self):
+        # a full-rank block of K rows held K innovative rows, so an accepted pass is the eager pass;
+        # a block that is not full rank held a row the eager pass found dependent
+        accepted = 0
+        for config, policy, seed, trial in SPECULATION_CASES:
+            flags = []
+
+            class FlagRecording(RankTracker):
+                def add(self, coefficients):
+                    flags.append(super().add(coefficients))
+                    return flags[-1]
+
+            speculative = sim._run_pass(config, policy, RngSpec(seed), trial, PACKET_LEN, sim._HeldRows)
+            eager_trial(config, policy, seed, trial, FlagRecording)
+            assert (speculative is not None) == all(flags), (config, policy, seed, trial)
+            accepted += speculative is not None
+        assert 0 < accepted < len(SPECULATION_CASES)
+
+    @staticmethod
+    def repeat_first_row(monkeypatch):
+        """Send the coding stream's first row twice, so at p = 1 every receiver's first block is deficient."""
+        rows = sim.coefficient_rows
+
+        def repeating(rng, window):
+            stream = rows(rng, window)
+            first = next(stream)
+            yield from (first, first)
+            yield from stream
+
+        monkeypatch.setattr(sim, "coefficient_rows", repeating)
+
+    def test_a_repeated_row_forces_a_replay(self, monkeypatch):
+        self.repeat_first_row(monkeypatch)
+        config = validate_config(8, 4, 2, 1.0)
+        expected = eager_trial(config, "lr", 0, 0)
+        assert expected.completion_slots == 9  # the repeat costs the eager pass one slot
+        kinds = record_passes(monkeypatch)
+        assert run_trial(config, "lr", RngSpec(0), 0, PACKET_LEN) == expected
+        assert kinds == [sim._HeldRows, RankTracker]
+
+    def test_slot_cap_with_a_deficient_block_pending_replays(self, monkeypatch):
+        # with its deficient first blocks let through, this rrnc trial would end at slot 21, not 17;
+        # under a cap of 18 the speculative pass must replay while they are pending, not raise
+        self.repeat_first_row(monkeypatch)
+        config = validate_config(8, 4, 2, 0.5)
+        expected = eager_trial(config, "rrnc", 12, 0)
+        assert expected.completion_slots == 17
+        monkeypatch.setattr(sim, "MAX_SLOTS", 18)
+        kinds = record_passes(monkeypatch)
+        assert run_trial(config, "rrnc", RngSpec(12), 0, PACKET_LEN) == expected
+        assert kinds == [sim._HeldRows, RankTracker]
+        # a cap that stops the eager pass too raises as it would
+        monkeypatch.setattr(sim, "MAX_SLOTS", 17)
+        kinds.clear()
+        with pytest.raises(RuntimeError, match="^no completion after 17 slots"):
+            run_trial(config, "rrnc", RngSpec(12), 0, PACKET_LEN)
+        assert kinds == [sim._HeldRows, RankTracker]
 
 
 class TestCodecSizeGuard:
