@@ -1,19 +1,25 @@
 """Monte Carlo engine for N-receiver broadcast over per-slot ON/OFF channels.
 
-Sets of receivers are Python ints, bit i standing for receiver i.  Each
-slot draws the ON set (one Bernoulli(p) flag per receiver) and ANDs it
-with the unfinished receivers grouped by the batch they expect.  One
-batch hit is sent outright; two or more make a conflict slot, settled by
-the policy's kernel (see policies).  The packet reaches every ON receiver
-expecting its batch.  Idealized mode (packet_len=None) counts every
-delivery as one packet of progress.  Codec mode (packet_len payload bytes
-per packet) takes the packet's GF(256) coefficients from
-rlnc.coefficient_rows, which draws them a block of rows at a time, and
-counts progress only when they raise the receiver's rank.  Each receiver
-that reaches rank K hands its K x K coefficient block to a pending list;
-the list is verified in chunks, and at the end of the trial, by encoding
-the batch's source under those rows and decoding it again in one block
-solve (rlnc.verify_blocks), which raises RuntimeError on a wrong decode.
+Sets of receivers are Python ints, bit i standing for receiver i.  A
+trial keeps the unfinished receivers (alive), the unfinished receivers
+grouped by the batch they expect (members, with its keys ascending in
+occupied) and each receiver's batch (batch_of).  Each slot draws the ON
+set (one Bernoulli(p) flag per receiver); live = alive & ON are the
+receivers a packet could serve.  The slot scans occupied upward to the
+first batch with an ON member, and it is a conflict slot exactly when
+that batch's ON members are not all of live.  Otherwise that batch is
+sent outright; a conflict slot is settled by the policy's kernel, which
+reads the trial's receiver sets in place (see policies).  The packet
+reaches every ON receiver expecting its batch.  Idealized mode
+(packet_len=None) counts every delivery as one packet of progress.
+Codec mode (packet_len payload bytes per packet) takes the packet's
+GF(256) coefficients from rlnc.coefficient_rows, which draws them a
+block of rows at a time, and counts progress only when they raise the
+receiver's rank.  Each receiver that reaches rank K hands its K x K
+coefficient block to a pending list; the list is verified in chunks, and
+at the end of the trial, by encoding the batch's source under those rows
+and decoding it again in one block solve (rlnc.verify_blocks), which
+raises RuntimeError on a wrong decode.
 
 A codec trial runs speculatively first.  Each receiver only holds the
 rows it receives for its batch, and every reception counts as progress,
@@ -243,7 +249,6 @@ def _run_pass(
     raises RuntimeError, since every tracker claimed rank K.
     """
     F, K, N, p = config.F, config.K, config.N, config.p
-    pick = conflict_rule(policy, _uniforms(rng_spec, trial_index))
     codec = packet_len is not None
     speculative = codec and not issubclass(tracker, RankTracker)
     if codec:
@@ -255,8 +260,11 @@ def _run_pass(
         rows = coefficient_rows(coding_rng, K)
 
     left = [K] * N  # packets each receiver still needs of the batch it expects
-    members = {0: (1 << N) - 1}  # batch -> unfinished receivers expecting it
-    occupied = [0]  # the keys of members, ascending
+    batch_of = [0] * N  # the batch each receiver expects
+    alive = (1 << N) - 1  # the unfinished receivers
+    members = {0: alive}  # batch -> unfinished receivers expecting it
+    occupied = [0]  # the keys of members, ascending, updated in place
+    pick = conflict_rule(policy, members, occupied, batch_of, _uniforms(rng_spec, trial_index))
     slot = conflicts = 0
     blocks = _on_blocks(rng_spec.substream(trial_index, ROLE_CONNECTIVITY), N, p)
     block = next(blocks)
@@ -268,7 +276,7 @@ def _run_pass(
         while stretch:
             batch = occupied[0]
             block, base, slot, done = _jump(config, blocks, block, base, slot, stretch, left)
-            occupied = _move_on(members, batch, done, F // K)
+            alive ^= _move_on(members, occupied, batch_of, batch, done, F // K)
             if not occupied:
                 return TrialResult(completion_slots=slot, conflict_slots=conflicts)
             stretch = _stretch(members, occupied, left)
@@ -279,13 +287,15 @@ def _run_pass(
                 if speculative and pending and not _verify_decodes(pending, sources, True):
                     return None  # a rank-deficient block may have led here
                 raise _slot_cap_error(config)
-            hits = [(batch, bits) for batch in occupied if (bits := members[batch] & on)]
-            if not hits:
+            live = alive & on
+            if not live:
                 continue
-            batch, served = hits[0]
-            if len(hits) > 1:
+            for batch in occupied:
+                if served := members[batch] & on:
+                    break
+            if served != live:
                 conflicts += 1
-                batch = pick(hits)
+                batch = pick(batch, live)
                 served = members[batch] & on
             if codec:
                 coefficients = next(rows)
@@ -308,7 +318,7 @@ def _run_pass(
                                 return None
                             pending = []
             if done:
-                occupied = _move_on(members, batch, done, F // K)
+                alive ^= _move_on(members, occupied, batch_of, batch, done, F // K)
                 if not occupied:
                     if codec and pending and not _verify_decodes(pending, sources, speculative):
                         return None
@@ -328,15 +338,24 @@ def _slot_cap_error(config: SystemConfig) -> RuntimeError:
     return RuntimeError(f"no completion after {MAX_SLOTS} slots; config {config}")
 
 
-def _move_on(members: dict[int, int], batch: int, done: int, n_batches: int) -> list[int]:
-    """Move the receivers in done from batch to the next one (or out, after the
-    last batch) and return the occupied batches, ascending."""
+def _move_on(
+    members: dict[int, int], occupied: list[int], batch_of: list[int], batch: int, done: int, n_batches: int
+) -> int:
+    """Move the receivers in done from batch to the next one, updating members,
+    occupied and batch_of in place, and return those that finished the file:
+    done after the last batch, 0 before it."""
     members[batch] ^= done
     if not members[batch]:
         del members[batch]
-    if batch + 1 < n_batches:
+    finished = done if batch + 1 == n_batches else 0
+    if not finished:
         members[batch + 1] = members.get(batch + 1, 0) | done
-    return sorted(members)
+    occupied[:] = sorted(members)
+    while done:  # ascending receiver id
+        low = done & -done
+        done ^= low
+        batch_of[low.bit_length() - 1] = batch + 1
+    return finished
 
 
 def _stretch(members: dict[int, int], occupied: list[int], left: list[int]) -> list[int]:

@@ -19,6 +19,10 @@ that share no code.
   (decision_states, lr_policy_table, all_policy_tables).
 - The per-row coefficient draw (per_row_coefficients) that
   rlnc.coefficient_rows is pinned against.
+- The batch-selection kernels over a conflict slot's hits list (lr_pick,
+  rrnc_pick, rs_pick and their dispatch hits_rule) that the simulator's
+  kernels in policies, which read the trial's receiver sets, are held
+  against.
 """
 
 import itertools
@@ -28,6 +32,7 @@ import numpy as np
 
 from ncbroadcast.dp import Action
 from ncbroadcast.model import SystemConfig
+from ncbroadcast.policies import POLICY_NAMES
 
 State = tuple[int, int]
 
@@ -199,3 +204,64 @@ def per_row_coefficients(gen, window: int) -> np.ndarray:
     while not coeffs.any():
         coeffs = gen.integers(0, 256, size=window, dtype=np.uint8)
     return coeffs
+
+
+def lr_pick(hits: list[tuple[int, int]]) -> int:
+    """Least-received rule: the smallest batch id among connected receivers.
+
+    A conflict slot's hits are its (batch, bits) pairs in ascending batch
+    order, bit i of bits set when receiver i is connected and expects that
+    batch."""
+    return hits[0][0]
+
+
+def rrnc_pick(hits: list[tuple[int, int]], rr_last: int) -> tuple[int, int]:
+    """Round-robin over receiver ids; returns (batch, new rr_last).
+
+    The pick is the smallest connected receiver id strictly greater than
+    rr_last, the previous pick (-1 before the first conflict slot),
+    wrapping to the smallest connected id when none is greater.
+    """
+    connected = 0
+    for _, bits in hits:
+        connected |= bits
+    later = connected >> (rr_last + 1) << (rr_last + 1)
+    lowest = (later or connected) & -(later or connected)
+    for batch, bits in hits:
+        if bits & lowest:
+            return batch, lowest.bit_length() - 1
+
+
+def rs_pick(hits: list[tuple[int, int]], u: float) -> int:
+    """Random rule: batch i with probability (#connected at i) / (#connected).
+
+    Inverse CDF of the uniform u over batch ids in increasing order.
+    """
+    total = 0
+    for _, bits in hits:
+        total += bits.bit_count()
+    acc = 0.0
+    for batch, bits in hits:
+        acc += bits.bit_count() / total
+        if u < acc:
+            return batch
+    return hits[-1][0]  # u landed in the rounding tail
+
+
+def hits_rule(policy: str, uniforms):
+    """One trial's rule, mapping the hits of a conflict slot to a batch; rrnc
+    keeps rr_last between calls and rs takes one value of uniforms per call."""
+    if policy == "lr":
+        return lr_pick
+    if policy == "rs":
+        return lambda hits: rs_pick(hits, next(uniforms))
+    if policy == "rrnc":
+        rr_last = -1
+
+        def pick(hits):
+            nonlocal rr_last
+            batch, rr_last = rrnc_pick(hits, rr_last)
+            return batch
+
+        return pick
+    raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")

@@ -9,7 +9,7 @@ import pytest
 from ncbroadcast import rlnc, sim
 from ncbroadcast.dp import solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
-from ncbroadcast.policies import POLICY_NAMES, conflict_rule
+from ncbroadcast.policies import POLICY_NAMES
 from ncbroadcast.rlnc import RankTracker
 from ncbroadcast.sim import (
     MAX_CODEC_BYTES,
@@ -20,7 +20,7 @@ from ncbroadcast.sim import (
     run_trial,
     sweep_coding_window,
 )
-from reference import per_row_coefficients
+from reference import hits_rule, per_row_coefficients
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "sim_golden.csv"
 CODEC_GOLDEN_CSV = Path(__file__).parent / "data" / "sim_codec_golden.csv"
@@ -129,10 +129,11 @@ def stepped_trial(config, policy, rng_spec, trial_index):
     included, and completes a receiver's batch when received % K == 0.
 
     It draws the ON flags itself, a block of slots at a time, from the
-    connectivity substream, and takes the policy's uniforms from sim._uniforms.
+    connectivity substream, takes the policy's uniforms from sim._uniforms
+    and settles a conflict slot with the reference kernels over its hits list.
     """
     F, K, N, p = config.F, config.K, config.N, config.p
-    pick = conflict_rule(policy, sim._uniforms(rng_spec, trial_index))
+    pick = hits_rule(policy, sim._uniforms(rng_spec, trial_index))
     connectivity = rng_spec.substream(trial_index, sim.ROLE_CONNECTIVITY)
 
     def on_sets():
@@ -213,6 +214,35 @@ class TestStretchJumps:
         for config, seed, trial in differential_cases():
             run_trial(config, "lr", RngSpec(seed), trial)
         assert any(crossed) and not all(crossed)
+
+    def test_cases_cover_rrnc_picks_after_jumps(self, monkeypatch):
+        # rrnc serves batch_of of the receiver it picks, so some rrnc case at K >= _JUMP_MIN
+        # must settle a conflict after a jump has moved receivers on to their next batch
+        events = []
+        jump, rule = sim._jump, sim.conflict_rule
+
+        def recording_jump(*args):
+            events.append("jump")
+            return jump(*args)
+
+        def recording_rule(*args):
+            pick = rule(*args)
+
+            def recorded(first, live):
+                events.append("pick")
+                return pick(first, live)
+
+            return recorded
+
+        monkeypatch.setattr(sim, "_jump", recording_jump)
+        monkeypatch.setattr(sim, "conflict_rule", recording_rule)
+        covered = 0
+        for config, seed, trial in differential_cases():
+            events.clear()
+            run_trial(config, "rrnc", RngSpec(seed), trial)
+            if config.K >= sim._JUMP_MIN and "jump" in events:
+                covered += "pick" in events[events.index("jump"):]
+        assert covered > 0
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_block_size_does_not_change_trials(self, monkeypatch, policy):
