@@ -8,20 +8,23 @@ written (a missing or unwritable directory, or a directory), or whose
 Once the command returns, whatever its exit code, main writes the file
 and <out>.manifest: the tool version, the command, the argument vector,
 then every parsed flag with its default filled in, so a run can be
-replayed byte-for-byte on the same build.
+replayed byte-for-byte on the same build.  If a write fails anyway,
+main removes what it wrote, so no file is left without its manifest.
 
 This module parses flags, formats output and maps ConfigError, and an
 OSError while writing --out, to exit 2.  Each run is admitted by the
 library call that owns it, which raises ConfigError before any work
 starts: sim.sweep_coding_window for simulate and sweep,
 rlnc.run_codec_validation for codec-validate and
-dp.enumerate_policies_oracle for oracle.  check-lr refuses its grid here,
-before any cell prints: an empty or repeated list value, a bad
---tolerance, an oversized file, or a grid with no valid cell.  It then
+dp.enumerate_policies_oracle for oracle, which refuses an instance of
+more than dp.ORACLE_MAX_CAP policies.  check-lr refuses its grid here,
+before any cell prints: an empty or repeated list value, an oversized
+file, or a grid with no valid cell.  It then
 solves once per (K, p), at the largest valid F of that pair, certifies
 every file size of the pair from that table, and prints the cells in
 grid order once every sweep is done; each sweep writes one progress line
-to stderr.
+to stderr.  Every check-lr and oracle verdict allows the one slack
+dp.TOLERANCE.
 
 simulate is a sweep of one policy over one window: both share their
 flags and run through sim.sweep_coding_window.  --mode ideal passes
@@ -33,16 +36,16 @@ error.
 """
 
 import argparse
+import contextlib
 import errno
 import itertools
-import math
 import os
 import shlex
 import sys
 from pathlib import Path
 
 from . import __version__
-from .dp import ORACLE_MAX_CAP, TOLERANCE, certify, check_table_size, enumerate_policies_oracle, solve_optimal
+from .dp import certify, check_table_size, enumerate_policies_oracle, solve_optimal
 from .dp import write_table_csv
 from .model import ConfigError, validate_config
 from .policies import POLICY_NAMES
@@ -105,10 +108,16 @@ def _write_out(args, argv: list[str], write) -> None:
         if key not in ("func", "command", "out"):
             lines.append(f"{key}={','.join(map(str, value)) if isinstance(value, list) else value}")
     lines.append(f"output={args.out}")
+    manifest = Path(f"{args.out}.manifest")
+    begun = [args.out]  # the files to remove if a write fails
     try:
         write(args.out)
-        Path(f"{args.out}.manifest").write_text("\n".join(lines) + "\n")
+        begun.append(manifest)
+        manifest.write_text("\n".join(lines) + "\n")
     except OSError as exc:
+        for path in begun:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {exc.filename or args.out}: {exc.strerror or exc}") from exc
     print(f"wrote {args.out}")
 
@@ -120,7 +129,7 @@ def cmd_solve(args):
     return 0, lambda path: write_table_csv(path, values, actions)
 
 
-def _certify_group(configs: list, tolerance: float) -> dict:
+def _certify_group(configs: list) -> dict:
     """Certify configs that share K and p from one sweep, at their largest F.
 
     V_F(x0, x1) depends only on F - x0, F - x1, K and p, so the table of
@@ -131,14 +140,12 @@ def _certify_group(configs: list, tolerance: float) -> dict:
     n = len(configs)
     print(f"check-lr: K={top.K} p={top.p}: solving F={top.F} for {n} file size{'s' * (n > 1)}", file=sys.stderr)
     values = solve_optimal(top)[0]
-    return {config: certify(config, values[top.F - config.F:, top.F - config.F:], tolerance) for config in configs}
+    return {config: certify(config, values[top.F - config.F:, top.F - config.F:]) for config in configs}
 
 
 def cmd_check_lr(args):
     for flag, values in (("--file-sizes", args.file_sizes), ("--windows", args.windows), ("--ps", args.ps)):
         _require_values(values, flag)
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise ConfigError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
     for F in args.file_sizes:
         check_table_size(F)  # refuse the grid before any cell prints
     grid = []  # (F, K, p, config or the ConfigError refusing it)
@@ -158,7 +165,7 @@ def cmd_check_lr(args):
             groups.setdefault((config.K, config.p), []).append(config)
     reports = {}
     for configs in groups.values():
-        reports.update(_certify_group(configs, args.tolerance))
+        reports.update(_certify_group(configs))
     rows = []
     failed = False
     for F, K, p, config in grid:
@@ -185,7 +192,7 @@ def cmd_check_lr(args):
 
 def cmd_oracle(args):
     config = validate_config(args.file_size, args.window, 2, args.p)
-    result = enumerate_policies_oracle(config, policy_cap=args.cap)
+    result = enumerate_policies_oracle(config)
     print(
         f"best V(0,0) = {result.best_value:.9f}, "
         f"serve-least-everywhere V(0,0) = {result.lr_value:.9f} "
@@ -264,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--file-sizes", type=_int_list, required=True, help="comma list of F values")
     check.add_argument("--windows", type=_int_list, required=True, help="comma list of K values")
     check.add_argument("--ps", type=_float_list, required=True, help="comma list of p values")
-    check.add_argument(
-        "--tolerance", type=float, default=TOLERANCE,
-        help="slack allowed in every check, in ON slots (expected slots times p; finite, >= 0)",
-    )
     check.add_argument("--out", type=Path, help="write the per-check CSV report here")
     check.set_defaults(func=cmd_check_lr)
 
@@ -275,16 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--file-size", type=int, required=True)
     oracle.add_argument("--window", type=int, required=True)
     oracle.add_argument("--p", type=float, required=True)
-    oracle.add_argument(
-        "--cap", type=int, default=ORACLE_MAX_CAP,
-        help=f"refuse instances with more policies than this (1 to {ORACLE_MAX_CAP})",
-    )
     oracle.set_defaults(func=cmd_oracle)
 
     run = argparse.ArgumentParser(add_help=False)  # the flags simulate and sweep share
-    run.add_argument(
-        "--receivers", "-N", "--N", type=int, default=2, help=f"number of receivers (at most {MAX_RECEIVERS})"
-    )
+    run.add_argument("--receivers", "-N", type=int, default=2, help=f"number of receivers (at most {MAX_RECEIVERS})")
     run.add_argument("--file-size", type=int, required=True)
     run.add_argument("--p", type=float, required=True)
     run.add_argument("--seed", type=int, default=0, help="master seed of the trial streams (>= 0)")

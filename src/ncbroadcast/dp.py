@@ -29,8 +29,9 @@ sweep minimizes, writing solve_optimal's action table as it decides, or
 evaluates a stack of policies (evaluate_policy, enumerate_policies_oracle).
 ``certify`` checks a solved table: serve-least optimality and the
 structural inequality families, in one pass over row blocks of bounded
-size.  The solver's ties, the oracle's verdict and certify share TOLERANCE,
-a slack in ON slots (V * p).
+size.  The solver's ties, the oracle's verdict and every certify check
+share one slack, TOLERANCE, in ON slots (V * p), and the oracle refuses an
+instance of more than ORACLE_MAX_CAP policies.
 
 Two identities of the solved tables hold bit for bit, because the sweep
 applies the same float operations to the same operands:
@@ -53,7 +54,7 @@ import numpy as np
 from .model import ConfigError, SystemConfig
 
 MAX_STATES = 1 << 23  # (F+1)^2 cap of every table: admits F <= 2895
-ORACLE_MAX_CAP = 2**20  # default policy cap of the oracle, and the largest it accepts
+ORACLE_MAX_CAP = 2**20  # the most policies the oracle enumerates
 _ORACLE_CHUNK = 1 << 12  # policies evaluated per batched sweep
 _CERTIFY_CELLS = 1 << 18  # grid cells per row block of certify (at least one row)
 TOLERANCE = 1e-9  # slack in ON slots: the solver's ties to SERVE_LEAST, the oracle's and certify's slack
@@ -185,7 +186,7 @@ def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class AuditCheck:
     """One inequality family: how many instances were examined and the
-    smallest slack seen (negative slack beyond tolerance is a violation)."""
+    smallest slack seen (negative slack beyond TOLERANCE is a violation)."""
 
     name: str
     examined: int
@@ -208,9 +209,10 @@ class _Tally:
     def __init__(self, name: str):
         self.name, self.examined, self.violations, self.worst = name, 0, 0, np.inf
 
-    def add(self, margins: np.ndarray, violations: int, *more: np.ndarray) -> None:
+    def add(self, margins: np.ndarray, *more: np.ndarray, violations: int | None = None) -> None:
+        """Violations default to the margins below -TOLERANCE; the worst spans `margins` and `more`."""
         self.examined += margins.size
-        self.violations += int(violations)
+        self.violations += int(np.count_nonzero(margins < -TOLERANCE) if violations is None else violations)
         for m in (margins, *more):
             if m.size:
                 self.worst = np.minimum(self.worst, m.min())
@@ -219,13 +221,13 @@ class _Tally:
         return AuditCheck(self.name, self.examined, self.violations, float(self.worst if self.examined else np.nan))
 
 
-def certify(config: SystemConfig, values: np.ndarray, tolerance: float = TOLERANCE) -> AuditReport:
+def certify(config: SystemConfig, values: np.ndarray) -> AuditReport:
     """Certify serve-least optimal and audit the structural properties of the optimal table.
 
     `values` is the optimal expected-slot table of `config`
     (``solve_optimal(config)[0]``); every family reads it in ON slots,
     U = p * V.  Families, in report order:
-      lr_optimality            u_least < u_most + tolerance at every decision
+      lr_optimality            u_least < u_most + TOLERANCE at every decision
         state, u_least and u_most being _bellman with S the lag and the
         lead successor (no margin is recorded)
       edge_closed_form         U(x0, F) equals F - x0                 (margin: -|error|)
@@ -242,7 +244,7 @@ def certify(config: SystemConfig, values: np.ndarray, tolerance: float = TOLERAN
         state prefer serve-least, so does the state itself
 
     Inequality margins are slack (right side minus left side); a margin
-    below -tolerance ON slots counts as a violation.  The unfinished rows
+    below -TOLERANCE ON slots counts as a violation.  The unfinished rows
     are walked once, in blocks of about _CERTIFY_CELLS cells.  Each block
     scales its rows and the one below them to ON slots, evaluates
     _bellman once for each choice of S, over one row beyond its own (the
@@ -257,13 +259,9 @@ def certify(config: SystemConfig, values: np.ndarray, tolerance: float = TOLERAN
     )))
     edge, sandwich, mono_x0, mono_x1, balance, signs, neighbor = tallies
     lr_violations = 0
-
-    def add(tally: _Tally, margins: np.ndarray) -> None:
-        tally.add(margins, np.count_nonzero(margins < -tolerance))
-
-    add(edge, -np.abs(values[:, F] * p - (F - np.arange(F + 1))))
+    edge.add(-np.abs(values[:, F] * p - (F - np.arange(F + 1))))
     corner = values[F - 2:, F - 2:] * p  # rows and columns F-2, F-1, F
-    add(sandwich, np.array([corner[1, 1] - corner[1, 2], corner[0, 2] - corner[1, 1]] if F >= 2 else []))
+    sandwich.add(np.array([corner[1, 1] - corner[1, 2], corner[0, 2] - corner[1, 1]] if F >= 2 else []))
     x1 = np.arange(F + 1)
     rows = max(1, _CERTIFY_CELLS // (F + 1))
     for lo in range(0, F, rows):
@@ -272,10 +270,10 @@ def certify(config: SystemConfig, values: np.ndarray, tolerance: float = TOLERAN
         u = values[lo:ext + 1] * p  # rows lo .. ext
         x0 = np.arange(lo, hi)[:, None]
         band = (x1 > last_band_start) & (x0 < x1)
-        add(mono_x0, (u[:n] - u[1:n + 1])[band])
-        add(mono_x1, (u[:n, :F] - u[:n, 1:])[band[:, 1:]])
+        mono_x0.add((u[:n] - u[1:n + 1])[band])
+        mono_x1.add((u[:n, :F] - u[:n, 1:])[band[:, 1:]])
         band = (x1[:F] >= last_band_start) & (x0 + 1 < x1[:F])
-        add(balance, (u[:n, 1:] - u[1:n + 1, :F])[band])  # U(x0+1, x1) < U(x0, x1+1)
+        balance.add((u[:n, 1:] - u[1:n + 1, :F])[band])  # U(x0+1, x1) < U(x0, x1+1)
 
         advance_0, advance_1 = u[1:, :F], u[:-1, 1:]
         h0, h1 = batches[lo:ext, None], batches[None, :F]
@@ -284,15 +282,15 @@ def certify(config: SystemConfig, values: np.ndarray, tolerance: float = TOLERAN
         u_least, u_most = _bellman(advance_0, advance_1, lag, config), _bellman(advance_0, advance_1, lead, config)
         prefer = u_most - u_least  # serve-most minus serve-least gap
         here = decision[:n]
-        lr_violations += np.count_nonzero(here & ~(u_least[:n] < u_most[:n] + tolerance))
+        lr_violations += np.count_nonzero(here & ~(u_least[:n] < u_most[:n] + TOLERANCE))
 
         gap, lead_gap = prefer[:n][here], (lead - lag)[:n][here]
-        mismatch = (gap > tolerance) & (lead_gap < -tolerance) | (gap < -tolerance) & (lead_gap > tolerance)
-        signs.add(gap, np.count_nonzero(mismatch), lead_gap)
+        mismatch = (gap > TOLERANCE) & (lead_gap < -TOLERANCE) | (gap < -TOLERANCE) & (lead_gap > TOLERANCE)
+        signs.add(gap, lead_gap, violations=np.count_nonzero(mismatch))
 
         prefers = np.zeros((n + 1, F + 1), dtype=bool)  # row F and column F hold no decision
-        np.logical_and(decision, prefer > tolerance, out=prefers[:ext - lo, :F])
-        add(neighbor, prefer[:n][here & prefers[1:, :F] & prefers[:n, 1:]])
+        np.logical_and(decision, prefer > TOLERANCE, out=prefers[:ext - lo, :F])
+        neighbor.add(prefer[:n][here & prefers[1:, :F] & prefers[:n, 1:]])
     lr = AuditCheck("lr_optimality", signs.examined, int(lr_violations), None)
     return AuditReport((lr, *(tally.check() for tally in tallies)))
 
@@ -308,22 +306,20 @@ class OracleResult:
     lr_matches_best: bool
 
 
-def enumerate_policies_oracle(config: SystemConfig, policy_cap: int = ORACLE_MAX_CAP) -> OracleResult:
+def enumerate_policies_oracle(config: SystemConfig) -> OracleResult:
     """Evaluate every deterministic stationary policy and keep the best V(0,0).
 
     Independent, brute-force certification path: it never consults
-    solve_optimal.  Raises ConfigError unless 1 <= policy_cap <=
-    ORACLE_MAX_CAP, and when 2**D exceeds the cap, where D is the number
-    of decision states.  Bit D-1-k of policy n set means SERVE_MOST at
-    decision state k; policies are swept in fixed-size batches.
+    solve_optimal.  Raises ConfigError when 2**D exceeds ORACLE_MAX_CAP,
+    where D is the number of decision states.  Bit D-1-k of policy n set
+    means SERVE_MOST at decision state k; policies are swept in fixed-size
+    batches.
     """
-    if not 1 <= policy_cap <= ORACLE_MAX_CAP:
-        raise ConfigError(f"--cap must be between 1 and {ORACLE_MAX_CAP}, got {policy_cap}")
     batches = _batches(config)
     cells = np.flatnonzero(_decision_mask(batches))  # the decision states, in lexicographic order
     D = len(cells)
-    if D >= policy_cap.bit_length():  # i.e. 2**D > policy_cap, without the huge power
-        raise ConfigError(f"{D} decision states give 2**{D} policies, over the cap {policy_cap}")
+    if D >= ORACLE_MAX_CAP.bit_length():  # i.e. 2**D > ORACLE_MAX_CAP, without the huge power
+        raise ConfigError(f"{D} decision states give 2**{D} policies, over the cap {ORACLE_MAX_CAP}")
     n_policies = 2**D
     msb_first = np.arange(D - 1, -1, -1)
     origin = np.empty(n_policies)
