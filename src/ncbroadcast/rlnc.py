@@ -12,9 +12,10 @@ all-zero rows are skipped, so every packet is a genuine combination.
 Whether a packet is innovative depends on its coefficients alone, so a
 RankTracker follows a receiver's rank on the K-byte coefficient rows in
 pure Python.  Payloads are decoded a block at a time: encode_blocks
-encodes sources under K x K coefficient rows, and _reduce_blocks
-Gauss-Jordan-reduces a whole stack of K x (K+L) blocks at once
-(verify_blocks wraps the two for the simulator).
+encodes sources under K x K coefficient rows, and decode_blocks
+Gauss-Jordan-reduces a whole stack of K x (K+L) blocks at once and says
+which are full rank and which of those do not decode to their source;
+the simulator and codec validation both check their blocks with it.
 
 Codec validation draws from three substreams SeedSequence((seed, role)):
 role 0 gives the sources, role 1 each batch's first K coefficient rows,
@@ -163,22 +164,15 @@ class RankTracker:
         return False
 
 
-def verify_blocks(blocks: np.ndarray, sources: np.ndarray, deficient_ok: bool = False) -> bool:
-    """Decode a (B, K, K+L) stack of coded blocks and compare it with (B, K, L) sources.
+def decode_blocks(blocks: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a (B, K, K+L) stack of coded blocks in place and compare it with (B, K, L) sources.
 
-    Returns True iff every block is full rank.  Raises RuntimeError naming
-    the first full-rank block that does not decode to its source and,
-    unless deficient_ok, the first block that is not full rank.  `blocks`
-    is reduced in place.
+    Returns two (B,) bool masks: the full-rank blocks, and the full-rank
+    blocks that do not decode to their source.
     """
     window = sources.shape[1]
     full = _reduce_blocks(blocks, window)
-    if not (deficient_ok or full.all()):
-        raise RuntimeError(f"coded block {int(full.argmin())} of {len(blocks)} is not full rank")
-    wrong = full & (blocks[:, :, window:] != sources).any(axis=(1, 2))
-    if wrong.any():
-        raise RuntimeError(f"coded block {int(wrong.argmax())} of {len(blocks)} does not decode to its source")
-    return bool(full.all())
+    return full, full & (blocks[:, :, window:] != sources).any(axis=(1, 2))
 
 
 def block_solve_bytes(window: int, packet_len: int) -> int:
@@ -263,13 +257,13 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
     batch order, the further rows that only a rank-deficient batch pulls,
     both through coefficient_rows.  Batches go through in chunks of up to
     _BATCH_CHUNK (fewer when _CHUNK_BYTES binds): the chunk is encoded and
-    row-reduced at once.  A batch that is not full rank (about 0.4% of
-    them) is received as the simulator receives one: its rows go into a
-    RankTracker, role-2 rows follow until the rank is K, and the rows the
-    tracker kept are encoded and reduced again.  Every batch of the chunk
-    is then compared with its source in one comparison.  Each substream
-    is read in batch order whatever the chunking, so the report depends
-    only on the arguments.
+    decoded at once by decode_blocks.  A batch that is not full rank (about
+    0.4% of them) is received as the simulator receives one: its rows go
+    into a RankTracker, role-2 rows follow until the rank is K, and the
+    rows the tracker kept are encoded and decoded again.  A batch fails
+    the round trip if it is still not full rank or does not decode to its
+    source.  Each substream is read in batch order whatever the chunking,
+    so the report depends only on the arguments.
 
     Bad arguments raise ConfigError before anything is drawn.
     """
@@ -295,8 +289,7 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
         sources = _byte_rows(source_rng, count, window * packet_len).reshape(count, window, packet_len)
         rows = b"".join(islice(first_rows, count * window))
         coeffs = np.frombuffer(rows, dtype=np.uint8).reshape(count, window, window)
-        blocks = encode_blocks(coeffs, sources)
-        full = _reduce_blocks(blocks, window)
+        full, wrong = decode_blocks(encode_blocks(coeffs, sources), sources)
         exact += int(full.sum())
         for b in np.flatnonzero(~full):
             tracker = RankTracker(window)
@@ -306,9 +299,8 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
                 tracker.add(next(extra_rows))
                 extras_total += 1
             kept = np.frombuffer(b"".join(tracker.raw), dtype=np.uint8).reshape(1, window, window)
-            blocks[b] = encode_blocks(kept, sources[b, None])[0]
-            full[b] = _reduce_blocks(blocks[b, None], window)[0]
-        failures += int((~full | (blocks[:, :, window:] != sources).any(axis=(1, 2))).sum())
+            full[b : b + 1], wrong[b : b + 1] = decode_blocks(encode_blocks(kept, sources[b, None]), sources[b, None])
+        failures += int((~full | wrong).sum())
     return CodecValidationReport(
         n_batches=n_batches,
         window=window,

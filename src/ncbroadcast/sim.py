@@ -16,12 +16,13 @@ Codec mode (packet_len payload bytes per packet) takes the packet's
 GF(256) coefficients from rlnc.coefficient_rows, which draws them a
 block of rows at a time, and counts progress only when they raise the
 receiver's rank.  Each receiver that reaches rank K hands its K x K
-coefficient block to a pending list; the list is verified in chunks, and
-at the end of the trial, by encoding the batch's source under those rows
-and decoding it again in one block solve (rlnc.verify_blocks), which
-raises RuntimeError on a wrong decode.
+coefficient block to a pending list; the list is verified in chunks, at
+the end of the trial and at the slot cap, by encoding the batch's source
+under those rows and decoding it again in one block solve
+(rlnc.decode_blocks).  A wrong decode raises RuntimeError; a block that
+is not full rank ends the pass without a result.
 
-A codec trial runs speculatively first.  Each receiver only holds the
+A codec trial first runs a held-rows pass.  Each receiver only holds the
 rows it receives for its batch, and every reception counts as progress,
 so a batch completes at its K-th reception.  The block solve then says
 whether each completed block is full rank.  If all of them are, the pass
@@ -30,10 +31,10 @@ received row belongs to a block that completes, and codec mode never
 jumps, so the pass is slot for slot the eager one that tracks each
 receiver's rank on an rlnc.RankTracker.  The first rank-deficient block
 (about 1 - (1 - 1/255)^(N*F/K) of trials hold one) ends the pass, and
-the trial is run again by the eager pass from fresh substreams, with the
-same result as if it had run eagerly from the start.  In the eager pass a
-block that is not full rank raises RuntimeError, since every tracker
-claimed rank K.
+run_trial runs the trial again by the eager pass from fresh substreams,
+with the same result as if it had run eagerly from the start.  If the
+eager pass also meets a block that is not full rank, run_trial raises
+RuntimeError, since every tracker claimed rank K.
 
 Idealized mode jumps over single-batch stretches.  While every unfinished
 receiver expects one batch, no slot can be a conflict and the policy has
@@ -78,7 +79,7 @@ import numpy as np
 from .model import ConfigError, SystemConfig, require_at_least
 from .policies import POLICY_NAMES, conflict_rule
 from .rlnc import (
-    MAX_CODEC_BYTES, RankTracker, batch_chunk, block_solve_bytes, coefficient_rows, encode_blocks, verify_blocks,
+    MAX_CODEC_BYTES, RankTracker, batch_chunk, block_solve_bytes, coefficient_rows, decode_blocks, encode_blocks,
 )
 
 ROLE_CONNECTIVITY = 0
@@ -157,7 +158,7 @@ def _on_blocks(rng: np.random.Generator, N: int, p: float):
 def check_run(config: SystemConfig, packet_len: int | None) -> None:
     """Raise ConfigError unless trials of this config fit the slot budget,
     MAX_RECEIVERS and, in codec mode, MAX_CODEC_BYTES: the source (F*L
-    bytes), the rank state and one block solve.  The speculative pass
+    bytes), the rank state and one block solve.  The held-rows pass
     holds N*K^2 bytes of received rows and the eager replay about
     2*N*K^2 (the rows each RankTracker reduces and the raw rows it keeps),
     so the 2*N*K^2 term bounds both.
@@ -206,20 +207,22 @@ def run_trial(
     """Simulate one file transfer of an admitted config (see check_run).
 
     Returns slots to completion and the conflict-slot count.  A codec
-    trial runs speculatively first and is replayed with a RankTracker per
-    receiver only if a completed block is rank-deficient (see the module
-    docstring).
+    trial runs the held-rows pass first and is replayed with a RankTracker
+    per receiver only if a completed block is rank-deficient (see the
+    module docstring); a rank-deficient block in the replay raises
+    RuntimeError.
     """
     if packet_len is None:
         return _run_pass(config, policy, rng_spec, trial_index)
-    result = _run_pass(config, policy, rng_spec, trial_index, packet_len, _HeldRows)
-    if result is None:
-        result = _run_pass(config, policy, rng_spec, trial_index, packet_len, RankTracker)
-    return result
+    for tracker in (_HeldRows, RankTracker):
+        result = _run_pass(config, policy, rng_spec, trial_index, packet_len, tracker)
+        if result is not None:
+            return result
+    raise RuntimeError(f"a coded block is not full rank, though its RankTracker claimed rank K; config {config}")
 
 
 class _HeldRows:
-    """The speculative pass's tracker: it keeps every row its receiver gets
+    """The held-rows pass's tracker: it keeps every row its receiver gets
     for the batch and counts each one as raising the rank."""
 
     __slots__ = ("raw",)
@@ -243,14 +246,12 @@ def _run_pass(
     """One pass of the slot loop over a trial, drawing every substream afresh.
 
     In codec mode, tracker is the class of each receiver's per-batch
-    tracker: _HeldRows for the speculative pass, RankTracker (or a
-    subclass) for the eager one.  A speculative pass returns None as soon
-    as a verified block is rank-deficient; in the eager pass that block
-    raises RuntimeError, since every tracker claimed rank K.
+    tracker: _HeldRows for the held-rows pass, RankTracker (or a
+    subclass) for the eager one.  Either pass returns None as soon as a
+    verified block is rank-deficient, and run_trial decides what follows.
     """
     F, K, N, p = config.F, config.K, config.N, config.p
     codec = packet_len is not None
-    speculative = codec and not issubclass(tracker, RankTracker)
     if codec:
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
         sources = coding_rng.integers(0, 256, size=(F, packet_len), dtype=np.uint8).reshape(F // K, K, packet_len)
@@ -284,7 +285,7 @@ def _run_pass(
         for on in steps:
             slot += 1
             if slot >= MAX_SLOTS:
-                if speculative and pending and not _verify_decodes(pending, sources, True):
+                if codec and pending and not _verify_decodes(pending, sources):
                     return None  # a rank-deficient block may have led here
                 raise _slot_cap_error(config)
             live = alive & on
@@ -314,13 +315,13 @@ def _run_pass(
                         pending.append((batch, trackers[rid].raw))
                         trackers[rid] = tracker(K)
                         if len(pending) == chunk:
-                            if not _verify_decodes(pending, sources, speculative):
+                            if not _verify_decodes(pending, sources):
                                 return None
                             pending = []
             if done:
                 alive ^= _move_on(members, occupied, batch_of, batch, done, F // K)
                 if not occupied:
-                    if codec and pending and not _verify_decodes(pending, sources, speculative):
+                    if codec and pending and not _verify_decodes(pending, sources):
                         return None
                     return TrialResult(completion_slots=slot, conflict_slots=conflicts)
                 if jumps:
@@ -410,16 +411,20 @@ def _jump(config: SystemConfig, blocks, block: _OnBlock, base: int, slot: int, i
     return block, base, slot, done
 
 
-def _verify_decodes(pending: list[tuple[int, list[bytes]]], sources: np.ndarray, deficient_ok: bool) -> bool:
+def _verify_decodes(pending: list[tuple[int, list[bytes]]], sources: np.ndarray) -> bool:
     """Encode each pending batch's source under its rows, decode it and compare.
 
-    Returns False if some block is not full rank, which raises unless deficient_ok."""
+    Returns whether every block is full rank.  Raises RuntimeError naming
+    the first full-rank block that does not decode to its source."""
     K = sources.shape[1]
     batches = [batch for batch, _ in pending]
     rows = b"".join(b"".join(raw) for _, raw in pending)
     coefficients = np.frombuffer(rows, dtype=np.uint8).reshape(len(pending), K, K)
     expected = sources[batches]
-    return verify_blocks(encode_blocks(coefficients, expected), expected, deficient_ok)
+    full, wrong = decode_blocks(encode_blocks(coefficients, expected), expected)
+    if wrong.any():
+        raise RuntimeError(f"coded block {int(wrong.argmax())} of {len(pending)} does not decode to its source")
+    return bool(full.all())
 
 
 def sweep_coding_window(

@@ -257,6 +257,28 @@ class TestSimulate:
         assert "mean=" in proc.stdout
 
 
+    @pytest.mark.parametrize(
+        "args, mean",
+        [
+            # codec mode: at K=4 many trials hold a rank-deficient block and are replayed, at K=100 few are
+            ("-N 5 --file-size 100 --window 4 --p 0.6 --trials 6 --mode codec --seed 1", "223.1667"),
+            ("-N 5 --file-size 100 --window 100 --p 0.6 --trials 6 --mode codec --seed 1", "184.3333"),
+            # the rrnc and rs streams at one and at two words of receiver mask
+            ("--policy rrnc -N 5 --file-size 60 --window 3 --p 0.6 --trials 20 --seed 1", "220.6000"),
+            ("--policy rs -N 5 --file-size 60 --window 3 --p 0.6 --trials 20 --seed 1", "227.5500"),
+            ("--policy rrnc -N 65 --file-size 40 --window 2 --p 0.5 --trials 4 --seed 1", "681.0000"),
+            ("--policy rs -N 65 --file-size 40 --window 2 --p 0.5 --trials 4 --seed 1", "689.2500"),
+            # the receiver cap: ON masks of 16 words, and a jump that counts ON flags over 1024 columns
+            ("-N 1024 --file-size 64 --window 64 --p 0.5 --trials 4", "165.0000"),
+        ],
+        ids=["codec-K4", "codec-K100", "rrnc-N5", "rs-N5", "rrnc-N65", "rs-N65", "lr-N1024"],
+    )
+    def test_pinned_means(self, capsys, args, mean):
+        # the means the console-script CI step greps for
+        assert cli.main(["simulate", *args.split()]) == 0
+        assert f" mean={mean} " in capsys.readouterr().out
+
+
 class TestSweep:
     def test_whole_file_window_rows_agree_across_policies(self, tmp_path):
         proc = run_cli(

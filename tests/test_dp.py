@@ -8,6 +8,7 @@ deterministic policy of small instances (the optimal stationary policy
 dominates everywhere, so the minimum is attained by it at all states).
 """
 
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -216,6 +217,12 @@ class TestEvaluatePolicy:
         table[0, 0] = Action.SERVE_LEAST  # not a decision state
         with pytest.raises(ValueError):
             evaluate_policy(cfg, table)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 6), (5, 6), (5,), (1, 5, 5)])
+    def test_rejects_a_table_of_the_wrong_shape(self, shape):
+        cfg = validate_config(4, 2, 2, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"policy table must be (5, 5), got {shape}")):
+            evaluate_policy(cfg, np.full(shape, Action.NO_DECISION))
 
 
 class TestDecisionStates:

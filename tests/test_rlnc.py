@@ -18,10 +18,10 @@ from ncbroadcast.rlnc import (
     CodecValidationReport,
     RankTracker,
     _combine,
+    decode_blocks,
     encode_blocks,
     expected_extra_packets,
     run_codec_validation,
-    verify_blocks,
 )
 from reference import per_row_coefficients
 
@@ -224,7 +224,7 @@ class TestEncode:
     def test_single_packet_window(self):
         packets = rng(2).integers(0, 256, size=(1, 1, 8), dtype=np.uint8)
         coeffs = per_row_coefficients(rng(3), 1).reshape(1, 1, 1)
-        verify_blocks(encode_blocks(coeffs, packets), packets)
+        assert_decodes(encode_blocks(coeffs, packets), packets)
 
     @pytest.mark.parametrize("window", [*range(1, 9), 13, 16, 20, 100])
     def test_row_blocks_match_per_row_draws(self, window):
@@ -252,6 +252,12 @@ class TestEncode:
             assert skipped > 0
 
 
+def assert_decodes(blocks: np.ndarray, sources: np.ndarray) -> None:
+    """Every block is full rank and decodes to its source."""
+    full, wrong = decode_blocks(blocks, sources)
+    assert full.all() and not wrong.any()
+
+
 def received_rows(window: int, gen) -> np.ndarray:
     """Rows drawn as a receiver gets them, the K x K block of those that raised its rank."""
     tracker = RankTracker(window)
@@ -272,7 +278,7 @@ class TestDecoder:
 
     def test_scaled_single_packet_recovers_by_inverse(self):
         src = np.array([[[7, 80, 255, 0]]], dtype=np.uint8)
-        verify_blocks(encode_blocks(np.array([[[9]]], dtype=np.uint8), src), src)
+        assert_decodes(encode_blocks(np.array([[[9]]], dtype=np.uint8), src), src)
 
     @pytest.mark.parametrize("window", [1, 4, 16, 64])
     @pytest.mark.parametrize("packet_len", [1, 64, 1500])
@@ -280,7 +286,7 @@ class TestDecoder:
         gen = rng(window * 10_000 + packet_len)
         src = gen.integers(0, 256, size=(2, window, packet_len), dtype=np.uint8)
         coeffs = np.stack([received_rows(window, gen) for _ in src])
-        verify_blocks(encode_blocks(coeffs, src), src)
+        assert_decodes(encode_blocks(coeffs, src), src)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -358,34 +364,33 @@ def coded_batches(window=4, packet_len=6, count=3, seed=0):
 
 
 class TestVerifyBlocks:
-    """Blocks that must fail; full-rank ones pass in TestDecoder::test_round_trip."""
+    """decode_blocks on blocks that must be flagged; full-rank ones decode in TestDecoder::test_round_trip."""
 
     def test_corrupted_source_byte_raises(self):
         coeffs, sources = coded_batches()
         blocks = encode_blocks(coeffs, sources)
         sources[2, 1, 3] ^= 0x40
-        with pytest.raises(RuntimeError, match="block 2 of 3 does not decode"):
-            verify_blocks(blocks, sources)
-
-    def test_rank_deficient_block_raises(self):
-        coeffs, sources = coded_batches()
-        coeffs[1, 3] = rlnc._MUL[7, coeffs[1, 0]] ^ coeffs[1, 2]
-        with pytest.raises(RuntimeError, match="block 1 of 3 is not full rank"):
-            verify_blocks(encode_blocks(coeffs, sources), sources)
+        full, wrong = decode_blocks(blocks, sources)
+        assert full.tolist() == [True, True, True]
+        assert wrong.tolist() == [False, False, True]
 
     def test_rank_deficient_block_is_reported_when_allowed(self):
         coeffs, sources = coded_batches()
-        assert verify_blocks(encode_blocks(coeffs, sources), sources, deficient_ok=True) is True
+        full, wrong = decode_blocks(encode_blocks(coeffs, sources), sources)
+        assert full.all() and not wrong.any()
         coeffs[1, 3] = rlnc._MUL[7, coeffs[1, 0]] ^ coeffs[1, 2]
-        assert verify_blocks(encode_blocks(coeffs, sources), sources, deficient_ok=True) is False
+        full, wrong = decode_blocks(encode_blocks(coeffs, sources), sources)
+        assert full.tolist() == [True, False, True]
+        assert not wrong.any()  # a block that is not full rank is never called wrong
 
     def test_wrong_decode_raises_beside_an_allowed_deficient_block(self):
         coeffs, sources = coded_batches()
         coeffs[1, 3] = rlnc._MUL[7, coeffs[1, 0]] ^ coeffs[1, 2]
         blocks = encode_blocks(coeffs, sources)
         sources[2, 1, 3] ^= 0x40
-        with pytest.raises(RuntimeError, match="block 2 of 3 does not decode"):
-            verify_blocks(blocks, sources, deficient_ok=True)
+        full, wrong = decode_blocks(blocks, sources)
+        assert full.tolist() == [True, False, True]
+        assert wrong.tolist() == [False, False, True]
 
 
 class TestRankStatistics:

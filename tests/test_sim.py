@@ -307,6 +307,27 @@ class TestSlotCap:
         monkeypatch.setattr(sim, "MAX_SLOTS", slots + 1)
         assert run_trial(config, "rs", RngSpec(2), 0).completion_slots == slots
 
+    def test_cap_at_a_jumps_event_slot(self, monkeypatch):
+        # the first jump of this trial credits two whole blocks and ends at its event, slot 589
+        config = validate_config(600, 300, 5, 0.5)
+        jumps = []
+        jump = sim._jump
+
+        def recording(*args):
+            result = jump(*args)
+            jumps.append(result[2])
+            return result
+
+        monkeypatch.setattr(sim, "_jump", recording)
+        assert run_trial(config, "lr", RngSpec(2), 0).completion_slots > 589
+        assert jumps[0] == 589
+        monkeypatch.setattr(sim, "MAX_SLOTS", 589)
+        jumps.clear()
+        for trial in (run_trial, stepped_trial):
+            with pytest.raises(RuntimeError, match="^no completion after 589 slots"):
+                trial(config, "lr", RngSpec(2), 0)
+        assert jumps == []  # the cap fell at the event, inside the first jump
+
 
 PASS_KINDS = (sim._HeldRows, RankTracker)  # the trackers of a codec trial's speculative and eager passes
 
@@ -358,21 +379,20 @@ class TestCodecMode:
 class TestCodecVerification:
     def test_every_completed_batch_is_verified_in_chunks(self, monkeypatch):
         verified = []
-        verify = sim.verify_blocks
+        decode = sim.decode_blocks
 
-        def counting(blocks, sources, deficient_ok):
-            verified.append((len(blocks), deficient_ok))
-            return verify(blocks, sources, deficient_ok)
+        def counting(blocks, sources):
+            verified.append(len(blocks))
+            return decode(blocks, sources)
 
-        monkeypatch.setattr(sim, "verify_blocks", counting)
+        monkeypatch.setattr(sim, "decode_blocks", counting)
         monkeypatch.setattr(sim, "batch_chunk", lambda window, packet_len: 5)
         for kind in PASS_KINDS:
             verified.clear()
             assert sim._run_pass(validate_config(24, 4, 3, 0.7), "lr", RngSpec(1), 0, PACKET_LEN, kind) is not None
-            speculative = kind is sim._HeldRows  # only the speculative pass lets a deficient block through
-            assert verified == [(5, speculative)] * 3 + [(3, speculative)]  # 3 receivers x 6 batches
+            assert verified == [5, 5, 5, 3]  # 3 receivers x 6 batches
 
-    def test_rank_claims_are_cross_checked(self):
+    def test_rank_claims_are_cross_checked(self, monkeypatch):
         class RepeatingTracker(RankTracker):
             """Counts every packet as innovative and keeps its first row again."""
 
@@ -380,8 +400,15 @@ class TestCodecVerification:
                 self.raw.append(self.raw[0] if self.raw else coefficients)
                 return True
 
+        config = validate_config(8, 4, 2, 0.8)
+        assert sim._run_pass(config, "lr", RngSpec(0), 0, PACKET_LEN, RepeatingTracker) is None
+        # a trial the held-rows pass hands to a lying eager pass is an error, not a result
+        TestSpeculativePass.repeat_first_row(monkeypatch)
+        monkeypatch.setattr(sim, "RankTracker", RepeatingTracker)
+        kinds = record_passes(monkeypatch)
         with pytest.raises(RuntimeError, match="not full rank"):
-            sim._run_pass(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, PACKET_LEN, RepeatingTracker)
+            run_trial(validate_config(8, 4, 2, 1.0), "lr", RngSpec(0), 0, PACKET_LEN)
+        assert kinds == [sim._HeldRows, RepeatingTracker]
 
     def test_wrong_decode_raises(self, monkeypatch):
         encode_blocks = sim.encode_blocks
