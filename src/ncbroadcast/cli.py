@@ -38,6 +38,7 @@ error.
 import argparse
 import contextlib
 import errno
+import functools
 import itertools
 import os
 import shlex
@@ -251,7 +252,15 @@ def cmd_codec_validate(args):
     return 0 if report.roundtrip_ok else 1, None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use and reused by every main.
+
+    argparse makes a help formatter for each flag it adds, which costs more
+    than a parse, and a parse leaves the parser unchanged.  Every parse
+    shares the default objects, so no command mutates one (the sweep's
+    --policies list included).
+    """
     parser = argparse.ArgumentParser(
         prog="ncbroadcast",
         description="Batch-coded broadcast scheduling: exact two-receiver solving, "

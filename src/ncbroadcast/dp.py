@@ -7,26 +7,27 @@ self-loop (eliminated algebraically) already holds its final value.  No
 fixed-point iteration and no stopping tolerance enter the computation;
 the only float error is accumulation in 64-bit arithmetic.
 
-The sweep counts U = p * V, the expected number of ON slots, and divides
-by p once at the end.  In U the finished-receiver edges are the integers
-U(x0, F) = F - x0, and every unfinished state obeys one Bellman formula,
-_bellman: U = (1 + q * (U0 + U1) + p * S) / (2 - p), with U0 and U1 the
-states where one receiver gained a packet and S the state after a slot in
-which both were ON.  Only S depends on the state: the advance of both in
-a same-batch state, else the lag or the lead (receiver behind or ahead
-served).  No 1 - q^2 is formed, so nothing cancels at small p.  On the
-row-major flat table of (F+1)^2 states, the unfinished part of one
-anti-diagonal is a basic slice with stride F, and its successors
-U(x0+1, x1), U(x0, x1+1) and U(x0+1, x1+1) are the same slice shifted by
-F+1, 1 and F+2.  Policy stacks are sliced alike, and the diagonal's
-states are classified by comparing a slice of the batch-id vector x // K
-with a reversed slice of it, so each diagonal is a handful of array
-expressions over views.
+The sweep counts U = p * V, the expected number of ON slots, and its
+callers divide by p once at the end.  In U the finished-receiver edges
+are the integers U(x0, F) = F - x0, and every unfinished state obeys one
+Bellman formula, _bellman: U = (1 + q * (U0 + U1) + p * S) / (2 - p),
+with U0 and U1 the states where one receiver gained a packet and S the
+state after a slot in which both were ON.  Only S depends on the state:
+the advance of both in a same-batch state, else the lag or the lead
+(receiver behind or ahead served).  No 1 - q^2 is formed, so nothing
+cancels at small p.  On the row-major flat table of (F+1)^2 states, the
+unfinished part of one anti-diagonal is a basic slice with stride F, and
+its successors U(x0+1, x1), U(x0, x1+1) and U(x0+1, x1+1) are the same
+slice shifted by F+1, 1 and F+2.  Policy stacks are sliced alike, and
+the diagonal's states are classified by comparing a slice of the
+batch-id vector x // K with a reversed slice of it, so each diagonal is
+a handful of array expressions over views.
 
 Value tables are dense (F+1) x (F+1) float arrays indexed [x0, x1];
 policy tables are int8 arrays holding ``Action`` values.  The same
-sweep minimizes, writing solve_optimal's action table as it decides, or
-evaluates a stack of policies (evaluate_policy, enumerate_policies_oracle).
+sweep minimizes or evaluates a stack of policies (evaluate_policy,
+enumerate_policies_oracle), and computes values only: solve_optimal reads
+its action table off the finished ON-slot table, in row blocks.
 ``certify`` checks a solved table: serve-least optimality and the
 structural inequality families, in one pass over row blocks of bounded
 size.  The solver's ties, the oracle's verdict and every certify check
@@ -56,7 +57,7 @@ from .model import ConfigError, SystemConfig
 MAX_STATES = 1 << 23  # (F+1)^2 cap of every table: admits F <= 2895
 ORACLE_MAX_CAP = 2**20  # the most policies the oracle enumerates
 _ORACLE_CHUNK = 1 << 12  # policies evaluated per batched sweep
-_CERTIFY_CELLS = 1 << 18  # grid cells per row block of certify (at least one row)
+_CERTIFY_CELLS = 1 << 18  # grid cells per row block of certify, the action table and CSV export (at least one row)
 TOLERANCE = 1e-9  # slack in ON slots: the solver's ties to SERVE_LEAST, the oracle's and certify's slack
 
 
@@ -107,23 +108,18 @@ def _bellman(advance_0, advance_1, both, config: SystemConfig):
     return (1.0 + config.q * (advance_0 + advance_1) + config.p * both) / (2.0 - config.p)
 
 
-def _sweep(
-    config: SystemConfig, batches: np.ndarray, serve_least: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _sweep(config: SystemConfig, batches: np.ndarray, serve_least: np.ndarray | None = None) -> np.ndarray:
     """Backward induction in ON slots: the edges in closed form, then the
     unfinished states over the anti-diagonals x0 + x1 = 2F-2, ..., 0, each
-    by _bellman; the tables are divided by p once at the end.
+    by _bellman.  Returns the (P, F+1, F+1) ON-slot tables U = p * V; each
+    caller divides by p.
 
     `batches` is the caller's ``_batches(config)``.  `serve_least` is a
     (P, (F+1)^2) bool stack of flattened policies, True where a policy
     serves the receiver that is behind; each is evaluated, and only its
     entries at decision states are read.  Without it the sweep minimizes
-    over the actions, P is 1, and it writes the int8 action table as it
-    goes: NO_DECISION off the decision states, else SERVE_LEAST where
-    lag <= lead + TOLERANCE, lag and lead being the final ON-slot values of
-    the successors that serve the receiver behind and ahead.  Returns the
-    (P, F+1, F+1) expected-slot tables and the action table (None when
-    evaluating).
+    over the actions and P is 1: a decision state takes the smaller of its
+    two single-advance successors, whichever receiver is behind.
 
     Diagonal t holds the unfinished states x0 in [lo, hi]; in the flat
     table they are the slice [lo*F + t, hi*F + t + 1) with stride F, and
@@ -132,8 +128,6 @@ def _sweep(
     F = config.F
     side = F + 1
     values = np.zeros((1 if serve_least is None else len(serve_least), side, side))
-    actions = np.zeros((side, side), dtype=np.int8) if serve_least is None else None  # edges: NO_DECISION
-    least_code, most_code, no_code = int(Action.SERVE_LEAST), int(Action.SERVE_MOST), int(Action.NO_DECISION)
     values[:, :, F] = values[:, F, :] = np.arange(F, -1, -1)  # U(x, F) = F - x: one ON slot per packet
     flat = values.reshape(len(values), -1)
     for total in range(2 * F - 2, -1, -1):
@@ -141,20 +135,37 @@ def _sweep(
         start, stop = lo * F + total, hi * F + total + 1
         cells = slice(start, stop, F)
         h0, h1 = batches[lo:hi + 1], batches[total - hi:total - lo + 1][::-1]
-        same, r0_behind = h0 == h1, h0 < h1
         advance_0 = flat[:, start + side:stop + side:F]
         advance_1 = flat[:, start + 1:stop + 1:F]
-        lag, lead = np.where(r0_behind, advance_0, advance_1), np.where(r0_behind, advance_1, advance_0)
         if serve_least is None:
-            both = np.minimum(lag, lead)
-            choice = np.where(lag[0] <= lead[0] + TOLERANCE, least_code, most_code)  # ints: enums are slow
-            actions.reshape(-1)[cells] = np.where(same, no_code, choice)
-        else:
-            both = np.where(serve_least[:, cells], lag, lead)
-        both = np.where(same, flat[:, start + side + 1:stop + side + 1:F], both)  # same batch: both advance
+            both = np.minimum(advance_0, advance_1)
+        else:  # the lag is advance_0 exactly where receiver 0 is behind
+            both = np.where(serve_least[:, cells] == (h0 < h1), advance_0, advance_1)
+        both = np.where(h0 == h1, flat[:, start + side + 1:stop + side + 1:F], both)  # same batch: both advance
         flat[:, cells] = _bellman(advance_0, advance_1, both, config)
-    values /= config.p
-    return values, actions
+    return values
+
+
+def _action_table(u: np.ndarray, batches: np.ndarray) -> np.ndarray:
+    """The int8 action table of a minimizing sweep's ON-slot table `u`.
+
+    NO_DECISION off the decision states, else SERVE_LEAST where
+    lag <= lead + TOLERANCE, lag and lead being the values of the
+    successors that serve the receiver behind and ahead.  The unfinished
+    rows are walked in blocks of about _CERTIFY_CELLS cells, as certify
+    walks them; a block's temporaries are bools and one float array.
+    """
+    F = len(batches) - 1
+    actions = np.zeros((F + 1, F + 1), dtype=np.int8)  # row F and column F: NO_DECISION
+    least, most, no = (np.int8(a) for a in (Action.SERVE_LEAST, Action.SERVE_MOST, Action.NO_DECISION))
+    rows = max(1, _CERTIFY_CELLS // (F + 1))
+    for lo in range(0, F, rows):
+        hi = min(lo + rows, F)
+        advance_0, advance_1 = u[lo + 1:hi + 1, :F], u[lo:hi, 1:]
+        h0, h1 = batches[lo:hi, None], batches[None, :F]
+        lag_wins = np.where(h0 < h1, advance_0 <= advance_1 + TOLERANCE, advance_1 <= advance_0 + TOLERANCE)
+        actions[lo:hi, :F] = np.where(h0 == h1, no, np.where(lag_wins, least, most))
+    return actions
 
 
 def solve_optimal(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -163,10 +174,14 @@ def solve_optimal(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     At decision states the stored value serves whichever of the lag and
     lead successors has the smaller value; ties within TOLERANCE ON slots
     are resolved toward SERVE_LEAST so the policy table is canonical.  The
-    sweep makes the choice from the successors' final values.
+    choice is read off the finished ON-slot table, before it is divided
+    by p.
     """
-    values, actions = _sweep(config, _batches(config))
-    return values[0], actions
+    batches = _batches(config)
+    values = _sweep(config, batches)[0]
+    actions = _action_table(values, batches)
+    values /= config.p
+    return values, actions
 
 
 def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
@@ -180,7 +195,9 @@ def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
     if len(illegal):
         s = tuple(illegal[0].tolist())
         raise ValueError(f"illegal policy entry {policy[s]} at state {s}")
-    return _sweep(config, batches, (policy == Action.SERVE_LEAST).reshape(1, -1))[0][0]
+    values = _sweep(config, batches, (policy == Action.SERVE_LEAST).reshape(1, -1))[0]
+    values /= config.p
+    return values
 
 
 @dataclass(frozen=True)
@@ -327,7 +344,7 @@ def enumerate_policies_oracle(config: SystemConfig) -> OracleResult:
         n = np.arange(start, min(start + _ORACLE_CHUNK, n_policies))
         serve_least = np.ones((len(n), len(batches) ** 2), dtype=bool)
         serve_least[:, cells] = ((n[:, None] >> msb_first) & 1) == 0
-        origin[n] = _sweep(config, batches, serve_least)[0][:, 0, 0]
+        origin[n] = _sweep(config, batches, serve_least)[:, 0, 0] / config.p
     best_value = float(origin.min())
     lr_value = float(origin[0])  # policy 0 is all-SERVE_LEAST
     return OracleResult(

@@ -15,8 +15,10 @@ that share no code.
   are ON at a decision state the chosen action names which one is
   preferred.
 - A dense N=2 policy evaluation built on that kernel
-  (linear_solve_policy, lookahead) and the policy tables to feed it
-  (decision_states, lr_policy_table, all_policy_tables).
+  (linear_solve_policy, lookahead), the policy tables to feed it
+  (decision_states, lr_policy_table, all_policy_tables) and the
+  solver's tie rule applied state by state to a finished table
+  (lag_lead_actions).
 - The per-row coefficient draw (per_row_coefficients) that
   rlnc.coefficient_rows is pinned against.
 - The batch-selection kernels over a conflict slot's hits list (lr_pick,
@@ -167,6 +169,27 @@ def lookahead(values, s, action, cfg):
     stay = sum(pr for nxt, pr in transitions(s, action, cfg) if nxt == s)
     move = sum(pr * values[nxt] for nxt, pr in transitions(s, action, cfg) if nxt != s)
     return (reward(s, cfg) + move) / (1.0 - stay)
+
+
+def lag_lead_actions(u, cfg, tolerance):
+    """The solver's action rule, state by state, on an ON-slot table u = p * V.
+
+    SERVE_LEAST at a decision state where lag <= lead + tolerance, lag and
+    lead being u at the successors that serve the receiver behind and
+    ahead; SERVE_MOST at the other decision states, NO_DECISION elsewhere.
+    """
+    side = cfg.F + 1
+    rows = u.tolist()
+    table = np.full((side, side), Action.NO_DECISION, dtype=np.int8)
+    for x0 in range(side):
+        for x1 in range(side):
+            kind = classify((x0, x1), cfg)
+            if not kind.is_decision:
+                continue
+            advance_0, advance_1 = rows[x0 + 1][x1], rows[x0][x1 + 1]
+            lag, lead = (advance_0, advance_1) if kind is StateKind.RECEIVER_0_BEHIND else (advance_1, advance_0)
+            table[x0, x1] = Action.SERVE_LEAST if lag <= lead + tolerance else Action.SERVE_MOST
+    return table
 
 
 def decision_states(cfg):

@@ -293,6 +293,19 @@ class TestSweep:
         whole_file = {row.split(",", 1)[0]: row.split(",", 6)[6] for row in rows if ",6,0.6," in row}
         assert whole_file["lr"] == whole_file["rrnc"] == whole_file["rs"]
 
+    def test_default_policies_survive_an_earlier_parse(self, monkeypatch, capsys, tmp_path):
+        # One parser serves every main of a process, so a parse that sets
+        # --policies must leave the default list for the next one.
+        monkeypatch.chdir(tmp_path)
+        run = ["sweep", "--file-size", "4", "--windows", "2", "--p", "0.5", "--trials", "3"]
+        assert cli.main([*run, "--policies", "lr", "--out", "lr.csv"]) == 0
+        assert cli.main([*run, "--out", "all.csv"]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        rows = (tmp_path / "all.csv").read_text().splitlines()[1:]
+        assert [row.split(",", 1)[0] for row in rows] == ["lr", "rrnc", "rs"]
+        assert "policies=lr,rrnc,rs" in (tmp_path / "all.csv.manifest").read_text().splitlines()
+        assert "policies=lr" in (tmp_path / "lr.csv.manifest").read_text().splitlines()
+
     def test_bad_window_skipped_per_row(self, tmp_path):
         proc = run_cli(
             ["sweep", "--policies", "lr", "--receivers", "2", "--file-size", "6",

@@ -35,6 +35,7 @@ from reference import (
     all_policy_tables,
     classify,
     decision_states,
+    lag_lead_actions,
     linear_solve_policy,
     lookahead,
     lr_policy_table,
@@ -96,11 +97,11 @@ class TestSolveOptimal:
     @pytest.mark.parametrize("tolerance", [dp.TOLERANCE, 0.0, 1.0, -1.0, -0.5])
     @pytest.mark.parametrize("F,K,p", [(12, 4, 0.5), (12, 1, 1.0), (24, 3, 0.1), (8, 8, 0.7)])
     def test_actions_follow_the_lookahead_into_the_final_table(self, monkeypatch, F, K, p, tolerance):
-        # The sweep writes each action as it decides a diagonal; the rule
-        # applied afterwards to the finished table, with one-step lookaheads
-        # taken from the transition kernel, must give the same policy, at
-        # the module's tie margin and at others put in its place.  The
-        # margin is in ON slots: the sweep serves the receiver behind where
+        # solve_optimal reads each action off the finished table; the rule
+        # applied to that table with one-step lookaheads taken from the
+        # transition kernel must give the same policy, at the module's tie
+        # margin and at others put in its place.  The margin is in ON
+        # slots: the solver serves the receiver behind where
         # lag <= lead + tolerance, lag and lead in U = p * V, and the
         # lookahead gap is v_least - v_most = (lag - lead) / (2 - p).
         monkeypatch.setattr(dp, "TOLERANCE", tolerance)
@@ -116,6 +117,24 @@ class TestSolveOptimal:
                 v_least, v_most = (lookahead(values, s, a, cfg) for a in (Action.SERVE_LEAST, Action.SERVE_MOST))
                 expected = Action.SERVE_LEAST if (2 - p) * (v_least - v_most) <= tolerance else Action.SERVE_MOST
                 assert actions[s] == expected, s
+
+    @pytest.mark.parametrize("tolerance", [dp.TOLERANCE, -0.5])
+    def test_action_table_across_row_blocks_follows_the_scalar_rule(self, monkeypatch, tolerance):
+        # solve_optimal reads its action table off the finished ON-slot
+        # table in row blocks of _CERTIFY_CELLS cells: 436 rows at F=600, so
+        # two blocks.  The table must be the scalar lag/lead rule applied
+        # state by state to the returned values; at p = 0.5, V * p is the
+        # ON-slot table bit for bit.  A margin of -0.5 ON slots puts both
+        # codes into each block.
+        monkeypatch.setattr(dp, "TOLERANCE", tolerance)
+        cfg = validate_config(600, 25, 2, 0.5)
+        rows = dp._CERTIFY_CELLS // (cfg.F + 1)
+        assert rows < cfg.F <= 2 * rows
+        values, actions = solve_optimal(cfg)
+        assert np.array_equal(actions, lag_lead_actions(values * cfg.p, cfg, tolerance))
+        if tolerance < 0:
+            for block in (actions[:rows], actions[rows:]):
+                assert set(block.ravel().tolist()) == {-1, 0, 1}
 
     @pytest.mark.parametrize("F,larger_F,K,p", [
         (1, 7, 1, 1.0), (5, 12, 1, 0.123456789), (6, 18, 6, 1.0), (6, 12, 6, 0.123456789),
@@ -195,6 +214,20 @@ class TestEvaluatePolicy:
             evaluate_policy(cfg, table), linear_solve_policy(cfg, table), rtol=1e-12, atol=0
         )
 
+    def test_serving_the_leader_on_either_side_matches_linear_solver(self):
+        # Serve least and serve most, each where receiver 0 is behind and
+        # where it is ahead: the four cases of the sweep's selector.
+        cfg = validate_config(6, 2, 2, 0.7)
+        table = lr_policy_table(cfg)
+        cases = set()
+        for i, s in enumerate(decision_states(cfg)):
+            table[s] = Action.SERVE_MOST if i % 2 else Action.SERVE_LEAST
+            cases.add((classify(s, cfg), Action(int(table[s]))))
+        assert len(cases) == 4
+        np.testing.assert_allclose(
+            evaluate_policy(cfg, table), linear_solve_policy(cfg, table), rtol=1e-12, atol=0
+        )
+
     @pytest.mark.parametrize("F,K,p,seed", [(12, 4, 0.5, 0), (8, 2, 0.3, 1), (12, 3, 1.0, 2), (6, 1, 0.9, 3)])
     def test_batched_sweep_matches_single_evaluations_bit_for_bit(self, F, K, p, seed):
         # The oracle evaluates policies in stacks; each layer of the stack
@@ -206,8 +239,8 @@ class TestEvaluatePolicy:
         stack[:, base != Action.NO_DECISION] = rng.choice(
             (Action.SERVE_LEAST, Action.SERVE_MOST), size=(7, int((base != Action.NO_DECISION).sum()))
         )
-        batched, actions = _sweep(cfg, dp._batches(cfg), (stack == Action.SERVE_LEAST).reshape(7, -1))
-        assert batched.shape == (7, F + 1, F + 1) and actions is None
+        batched = _sweep(cfg, dp._batches(cfg), (stack == Action.SERVE_LEAST).reshape(7, -1)) / p
+        assert batched.shape == (7, F + 1, F + 1)
         for table, values in zip(stack, batched):
             assert values.tobytes() == evaluate_policy(cfg, table).tobytes()
 
@@ -344,9 +377,11 @@ class TestAudit:
             assert sum(c.violations for c in whole.checks) >= 4
 
     def test_memory_stays_bounded_at_the_table_cap(self):
-        # The solve holds its 67 MB value table and the 8.4 MB int8 action
-        # table the sweep writes, and per-diagonal temporaries only; certify
-        # adds only row blocks to the table it is given.
+        # The solve holds its 67 MB value table, per-diagonal temporaries
+        # while it sweeps, then the 8.4 MB int8 action table and the bool
+        # and one-float temporaries of one row block while the action pass
+        # reads the finished table; certify adds only row blocks to the
+        # table it is given.
         cfg = validate_config(2895, 5, 2, 0.5)
         (values, _), solve_peak = traced_peak(solve_optimal, cfg)
         report, certify_peak = traced_peak(certify, cfg, values)
