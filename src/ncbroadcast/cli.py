@@ -27,8 +27,8 @@ to stderr.  Every check-lr and oracle verdict allows the one slack
 dp.TOLERANCE.
 
 simulate is a sweep of one policy over one window: both share their
-flags and run through sim.sweep_coding_window.  --mode ideal passes
-packet_len=None to the simulator, which means idealized reception.
+flags and run through sim.sweep_coding_window, with the codec in the
+loop under --mode codec.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or a
 stdout closed before the output was written, 2 usage or configuration
@@ -53,11 +53,6 @@ from .policies import POLICY_NAMES
 from .rlnc import MAX_CODEC_BYTES, expected_extra_packets, run_codec_validation
 from .sim import MAX_RECEIVERS, RngSpec, sweep_coding_window, write_stats_csv
 
-_PACKET_LEN_HELP = (
-    f"payload bytes (codec mode); a codec trial's source, rank state and block solve "
-    f"must fit in about {MAX_CODEC_BYTES} bytes"
-)
-
 
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
@@ -81,9 +76,8 @@ def _require_values(values: list, flag: str) -> None:
 
 
 def _run_cells(args, policies: list[str], configs: list) -> list:
-    """Run every (policy, config) cell of simulate or sweep; packet_len None is ideal mode."""
-    packet_len = args.packet_len if args.mode == "codec" else None
-    return sweep_coding_window(policies, configs, args.trials, RngSpec(args.seed), packet_len)
+    """Run every (policy, config) cell of simulate or sweep."""
+    return sweep_coding_window(policies, configs, args.trials, RngSpec(args.seed), args.mode == "codec")
 
 
 def _check_out(out: Path) -> None:
@@ -295,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--p", type=float, required=True)
     run.add_argument("--seed", type=int, default=0, help="master seed of the trial streams (>= 0)")
     run.add_argument("--mode", choices=("ideal", "codec"), default="ideal")
-    run.add_argument("--packet-len", type=int, default=16, help=_PACKET_LEN_HELP)
     run.add_argument("--out", type=Path, help="write the stats CSV here")
 
     simulate = sub.add_parser("simulate", parents=[run], help="Monte Carlo completion time for one policy")
@@ -312,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     codec = sub.add_parser("codec-validate", help="round-trip and rank statistics of the GF(256) codec")
     codec.add_argument("--window", type=int, default=16, help="packets combined per batch")
-    codec.add_argument("--packet-len", type=int, default=64, help="payload bytes per packet")
+    codec.add_argument(
+        "--packet-len", type=int, default=64,
+        help=f"payload bytes per packet; one block decode must fit in about {MAX_CODEC_BYTES} bytes",
+    )
     codec.add_argument("--batches", type=int, default=10_000)
     codec.add_argument("--seed", type=int, default=0)
     codec.set_defaults(func=cmd_codec_validate)

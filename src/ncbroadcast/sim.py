@@ -10,16 +10,15 @@ first batch with an ON member, and it is a conflict slot exactly when
 that batch's ON members are not all of live.  Otherwise that batch is
 sent outright; a conflict slot is settled by the policy's kernel, which
 reads the trial's receiver sets in place (see policies).  The packet
-reaches every ON receiver expecting its batch.  Idealized mode
-(packet_len=None) counts every delivery as one packet of progress.
-Codec mode (packet_len payload bytes per packet) takes the packet's
-GF(256) coefficients from rlnc.coefficient_rows, which draws them a
-block of rows at a time, and counts progress only when they raise the
-receiver's rank.  Each receiver that reaches rank K hands its K x K
-coefficient block to a pending list; the list is verified in chunks, at
-the end of the trial and at the slot cap, by encoding the batch's source
-under those rows and decoding it again in one block solve
-(rlnc.decode_blocks).  A wrong decode raises RuntimeError; a block that
+reaches every ON receiver expecting its batch.  Idealized mode counts
+every delivery as one packet of progress.  Codec mode (PAYLOAD_BYTES
+bytes per source packet) takes the packet's GF(256) coefficients from
+rlnc.coefficient_rows, which draws them a block of rows at a time, and
+counts progress only when they raise the receiver's rank.  Each
+receiver that reaches rank K hands its K x K coefficient block to a
+pending list; the list is verified in chunks, at the end of the trial
+and at the slot cap, by encoding the batch's source under those rows and
+decoding it again in one block solve (rlnc.decode_blocks).  A wrong decode raises RuntimeError; a block that
 is not full rank ends the pass without a result.
 
 A codec trial first runs a held-rows pass.  Each receiver only holds the
@@ -55,20 +54,21 @@ every sent packet carries a coefficient row to its receivers.
 sweep_coding_window is the one experiment call: it runs every (policy,
 config) cell and returns each cell's completion-slot statistics.  Before
 any substream is drawn it admits the whole run: known policy names, at
-least two trials (the sample stddev needs two), a seed >= 0, a codec
-packet length >= 1, and check_run for every config, which refuses too
-many receivers, a file whose slot count could pass MAX_SLOTS and a codec
-trial over rlnc.MAX_CODEC_BYTES.  run_trial does not check them again.
+least two trials (the sample stddev needs two), a seed >= 0, and
+check_run for every config, which refuses too many receivers, a file
+whose slot count could pass MAX_SLOTS and a codec trial over
+rlnc.MAX_CODEC_BYTES.  run_trial does not check them again.
 
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
 0 = connectivity, 1 = policy (one uniform per rs conflict slot),
-2 = coding (the source, then one row per sent packet: the first K bytes
-of ceil(K/4) fresh 32-bit words, all-zero rows skipped, which
-coefficient_rows yields without a call per row).  Results
-therefore depend only on (master_seed, trial_index), never on execution
-order, and the connectivity sequence is identical across policies, modes
-and window sizes.
+2 = coding (the trial's F x PAYLOAD_BYTES source, then one row per sent
+packet: the first K bytes of ceil(K/4) fresh 32-bit words, all-zero rows
+skipped, which coefficient_rows yields without a call per row).  The
+source's size is fixed, so the rows depend only on (master_seed,
+trial_index), and so do results, never on execution order.  The
+connectivity sequence is identical across policies, modes and window
+sizes.
 """
 
 import math
@@ -87,6 +87,10 @@ ROLE_POLICY = 1
 ROLE_CODING = 2
 
 MAX_SLOTS = 10**9
+# Bytes of each source packet in codec mode.  Whether K coefficient rows are
+# full rank does not depend on the payload, so its size changes no completion
+# time; it sizes only the source the block solve decodes.
+PAYLOAD_BYTES = 16
 MAX_RECEIVERS = 1024  # a block of flags takes 2 KiB of draws per receiver
 _FLAG_BLOCK = 256
 # The jump's gate: each receiver of the stretch needs at least this many more
@@ -155,13 +159,13 @@ def _on_blocks(rng: np.random.Generator, N: int, p: float):
         yield _OnBlock(rng.random((_FLAG_BLOCK, N)) < p)
 
 
-def check_run(config: SystemConfig, packet_len: int | None) -> None:
+def check_run(config: SystemConfig, codec: bool) -> None:
     """Raise ConfigError unless trials of this config fit the slot budget,
-    MAX_RECEIVERS and, in codec mode, MAX_CODEC_BYTES: the source (F*L
-    bytes), the rank state and one block solve.  The held-rows pass
-    holds N*K^2 bytes of received rows and the eager replay about
-    2*N*K^2 (the rows each RankTracker reduces and the raw rows it keeps),
-    so the 2*N*K^2 term bounds both.
+    MAX_RECEIVERS and, in codec mode, MAX_CODEC_BYTES: the source
+    (F*PAYLOAD_BYTES bytes), the rank state and one block solve.  The
+    held-rows pass holds N*K^2 bytes of received rows and the eager
+    replay about 2*N*K^2 (the rows each RankTracker reduces and the raw
+    rows it keeps), so the 2*N*K^2 term bounds both.
     The budget leaves out the coefficient rows, which rlnc.coefficient_rows
     draws in blocks of at most rlnc._CHUNK_BYTES (128 KiB) for every
     window it admits (K < 2^14).
@@ -178,12 +182,12 @@ def check_run(config: SystemConfig, packet_len: int | None) -> None:
         )
     if N > MAX_RECEIVERS:
         raise ConfigError(f"at most {MAX_RECEIVERS} receivers are supported, got {N}")
-    if packet_len is None:
+    if not codec:
         return
-    need = F * packet_len + 2 * N * K * K + block_solve_bytes(K, packet_len)
+    need = F * PAYLOAD_BYTES + 2 * N * K * K + block_solve_bytes(K, PAYLOAD_BYTES)
     if need > MAX_CODEC_BYTES:
         raise ConfigError(
-            f"codec mode at F={F}, K={K}, N={N}, packet length {packet_len} needs about {need} bytes, "
+            f"codec mode at F={F}, K={K}, N={N} needs about {need} bytes, "
             f"more than the limit of {MAX_CODEC_BYTES}"
         )
 
@@ -202,7 +206,7 @@ def run_trial(
     policy: str,
     rng_spec: RngSpec,
     trial_index: int,
-    packet_len: int | None = None,
+    codec: bool = False,
 ) -> TrialResult:
     """Simulate one file transfer of an admitted config (see check_run).
 
@@ -212,10 +216,10 @@ def run_trial(
     module docstring); a rank-deficient block in the replay raises
     RuntimeError.
     """
-    if packet_len is None:
+    if not codec:
         return _run_pass(config, policy, rng_spec, trial_index)
     for tracker in (_HeldRows, RankTracker):
-        result = _run_pass(config, policy, rng_spec, trial_index, packet_len, tracker)
+        result = _run_pass(config, policy, rng_spec, trial_index, tracker)
         if result is not None:
             return result
     raise RuntimeError(f"a coded block is not full rank, though its RankTracker claimed rank K; config {config}")
@@ -240,24 +244,24 @@ def _run_pass(
     policy: str,
     rng_spec: RngSpec,
     trial_index: int,
-    packet_len: int | None = None,
     tracker=None,
 ) -> TrialResult | None:
     """One pass of the slot loop over a trial, drawing every substream afresh.
 
-    In codec mode, tracker is the class of each receiver's per-batch
-    tracker: _HeldRows for the held-rows pass, RankTracker (or a
-    subclass) for the eager one.  Either pass returns None as soon as a
-    verified block is rank-deficient, and run_trial decides what follows.
+    tracker None is ideal mode.  In codec mode it is the class of each
+    receiver's per-batch tracker: _HeldRows for the held-rows pass,
+    RankTracker (or a subclass) for the eager one.  Either pass returns
+    None as soon as a verified block is rank-deficient, and run_trial
+    decides what follows.
     """
     F, K, N, p = config.F, config.K, config.N, config.p
-    codec = packet_len is not None
+    codec = tracker is not None
     if codec:
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
-        sources = coding_rng.integers(0, 256, size=(F, packet_len), dtype=np.uint8).reshape(F // K, K, packet_len)
+        sources = coding_rng.integers(0, 256, size=(F, PAYLOAD_BYTES), dtype=np.uint8).reshape(F // K, K, -1)
         trackers = [tracker(K) for _ in range(N)]
         pending = []  # (batch, K x K coefficient rows) of decodes not yet verified
-        chunk = batch_chunk(K, packet_len)
+        chunk = batch_chunk(K, PAYLOAD_BYTES)
         rows = coefficient_rows(coding_rng, K)
 
     left = [K] * N  # packets each receiver still needs of the batch it expects
@@ -432,7 +436,7 @@ def sweep_coding_window(
     configs,
     n_trials: int,
     rng_spec: RngSpec,
-    packet_len: int | None = None,
+    codec: bool = False,
 ) -> list[SweepCell]:
     """One SweepCell per (policy, config) pair, policy-major order.
 
@@ -444,15 +448,13 @@ def sweep_coding_window(
             raise ConfigError(f"unknown policy {policy!r}; pick from {','.join(POLICY_NAMES)}")
     require_at_least(n_trials, 2, "--trials")
     require_at_least(rng_spec.master_seed, 0, "--seed")
-    if packet_len is not None:
-        require_at_least(packet_len, 1, "--packet-len")
     for config in configs:
-        check_run(config, packet_len)
+        check_run(config, codec)
     cells = []
     for policy in policies:
         for config in configs:
             times = np.array(
-                [run_trial(config, policy, rng_spec, i, packet_len).completion_slots for i in range(n_trials)],
+                [run_trial(config, policy, rng_spec, i, codec).completion_slots for i in range(n_trials)],
                 dtype=float,
             )
             stddev = float(times.std(ddof=1))

@@ -250,7 +250,7 @@ class TestSimulate:
         proc = run_cli(
             ["simulate", "--policy", "rs", "--receivers", "2", "--file-size", "8",
              "--window", "4", "--p", "0.7", "--trials", "40", "--seed", "1",
-             "--mode", "codec", "--packet-len", "8"],
+             "--mode", "codec"],
             tmp_path,
         )
         assert proc.returncode == 0
@@ -348,10 +348,6 @@ BAD_INPUTS = {
     "simulate-trials-1": ["simulate", "--file-size", "4", "--window", "2", "--p", "0.5", "--trials", "1"],
     "sweep-trials-0": ["sweep", "--file-size", "4", "--windows", "2", "--p", "0.5", "--trials", "0"],
     "sweep-trials-1": ["sweep", "--file-size", "4", "--windows", "2", "--p", "0.5", "--trials", "1"],
-    "simulate-codec-packet-len-0": ["simulate", "--file-size", "4", "--window", "2", "--p", "0.5",
-                                    "--trials", "4", "--mode", "codec", "--packet-len", "0"],
-    "sweep-codec-packet-len-0": ["sweep", "--file-size", "4", "--windows", "2", "--p", "0.5",
-                                 "--trials", "4", "--mode", "codec", "--packet-len", "0"],
     "codec-validate-window-0": ["codec-validate", "--window", "0", "--batches", "3"],
     "codec-validate-packet-len-0": ["codec-validate", "--packet-len", "0", "--batches", "3"],
     "codec-validate-negative-batches": ["codec-validate", "--window", "4", "--packet-len", "8", "--batches", "-5"],
@@ -359,10 +355,11 @@ BAD_INPUTS = {
                                     "--window", "2", "--p", "0.5", "--trials", "4"],
     "sweep-receivers-over-cap": ["sweep", "--receivers", str(MAX_RECEIVERS + 1), "--file-size", "4",
                                  "--windows", "2", "--p", "0.5", "--trials", "4"],
-    "simulate-codec-oversized": ["simulate", "--mode", "codec", "--file-size", "4", "--window", "2", "--p", "0.5",
-                                 "--trials", "2", "--packet-len", str(10**12)],
-    "sweep-codec-oversized": ["sweep", "--mode", "codec", "--file-size", "4", "--windows", "2", "--p", "0.5",
-                              "--trials", "2", "--packet-len", str(10**12)],
+    # 1024 receivers at K = F = 1024 hold 2 GiB of rank state
+    "simulate-codec-oversized": ["simulate", "--mode", "codec", "-N", "1024", "--file-size", "1024",
+                                 "--window", "1024", "--p", "0.5", "--trials", "2"],
+    "sweep-codec-oversized": ["sweep", "--mode", "codec", "-N", "1024", "--file-size", "1024",
+                              "--windows", "1024", "--p", "0.5", "--trials", "2"],
     "sweep-no-valid-window": ["sweep", "--file-size", "6", "--windows", "4,5", "--p", "0.5", "--trials", "4"],
     "solve-oversized": ["solve", "--file-size", "100000", "--window", "1", "--p", "0.5"],
     "check-lr-oversized": ["check-lr", "--file-sizes", "100000", "--windows", "1", "--ps", "0.5"],
@@ -467,11 +464,24 @@ def test_failed_write_leaves_no_out_behind(monkeypatch, capsys, tmp_path, full):
 
 @pytest.mark.parametrize("command,flag", [
     ("check-lr", "--tolerance"), ("oracle", "--cap"), ("simulate", "--N"), ("sweep", "--N"),
+    ("simulate", "--packet-len"), ("sweep", "--packet-len"),
 ])
 def test_help_lists_no_removed_flag(capsys, command, flag):
     with pytest.raises(SystemExit):
         cli.main([command, "--help"])
     assert flag not in capsys.readouterr().out.replace(",", " ").split()
+
+
+def test_packet_len_is_codec_validate_only(capsys):
+    # simulate and sweep carry a fixed payload; codec validation still sizes its packets
+    with pytest.raises(SystemExit):
+        cli.main(["codec-validate", "--help"])
+    assert "--packet-len" in capsys.readouterr().out.split()
+    for command in (["simulate", "--window", "2"], ["sweep", "--windows", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, "--file-size", "4", "--p", "0.5", "--mode", "codec", "--packet-len", "8"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --packet-len 8" in capsys.readouterr().err
 
 
 # Each command's flags as the manifest lists them: sorted by name, defaults
@@ -484,15 +494,13 @@ MANIFEST_FLAGS = {
     ),
     "simulate-codec": (
         ["simulate", "-N", "2", "--file-size", "8", "--window", "4", "--p", "0.5", "--trials", "2",
-         "--mode", "codec", "--packet-len", "8"],
-        ["file_size=8", "mode=codec", "p=0.5", "packet_len=8", "policy=lr", "receivers=2", "seed=0", "trials=2",
-         "window=4"],
+         "--mode", "codec"],
+        ["file_size=8", "mode=codec", "p=0.5", "policy=lr", "receivers=2", "seed=0", "trials=2", "window=4"],
     ),
     "sweep-invalid-window": (
         ["sweep", "--policies", "lr,rs", "--file-size", "6", "--windows", "2,4,6", "--p", "0.6", "--trials", "4",
          "--seed", "2"],
-        ["file_size=6", "mode=ideal", "p=0.6", "packet_len=16", "policies=lr,rs", "receivers=2", "seed=2", "trials=4",
-         "windows=2,4,6"],
+        ["file_size=6", "mode=ideal", "p=0.6", "policies=lr,rs", "receivers=2", "seed=2", "trials=4", "windows=2,4,6"],
     ),
 }
 

@@ -14,6 +14,7 @@ from ncbroadcast.rlnc import RankTracker
 from ncbroadcast.sim import (
     MAX_CODEC_BYTES,
     MAX_RECEIVERS,
+    PAYLOAD_BYTES,
     RngSpec,
     TrialResult,
     check_run,
@@ -24,12 +25,11 @@ from reference import hits_rule, per_row_coefficients
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "sim_golden.csv"
 CODEC_GOLDEN_CSV = Path(__file__).parent / "data" / "sim_codec_golden.csv"
-PACKET_LEN = 16  # the CLI's default --packet-len; None means idealized mode
 
 
-def trial_times(cfg, policy, n_trials, rng_spec, packet_len=None):
+def trial_times(cfg, policy, n_trials, rng_spec, codec=False):
     """Completion slots of trial indices 0..n_trials-1."""
-    return np.array([run_trial(cfg, policy, rng_spec, i, packet_len).completion_slots for i in range(n_trials)])
+    return np.array([run_trial(cfg, policy, rng_spec, i, codec).completion_slots for i in range(n_trials)])
 
 
 def one_cell(cfg, policy, n_trials, rng_spec):
@@ -250,16 +250,16 @@ class TestStretchJumps:
         # credits a block without the event whole: stretches across many blocks at K >= 16,
         # conflicts at K = 4, multi-word masks at N = 65, and codec mode
         runs = [
-            (validate_config(600, 200, 8, 0.3), None),
-            (validate_config(120, 40, 65, 0.4), None),
-            (validate_config(120, 4, 5, 0.5), None),
-            (validate_config(24, 4, 3, 0.6), 8),
+            (validate_config(600, 200, 8, 0.3), False),
+            (validate_config(120, 40, 65, 0.4), False),
+            (validate_config(120, 4, 5, 0.5), False),
+            (validate_config(24, 4, 3, 0.6), True),
         ]
         results = []
         for size in (1, 7, 256, 1024):
             monkeypatch.setattr(sim, "_FLAG_BLOCK", size)
-            results.append([run_trial(config, policy, RngSpec(4), trial, packet_len)
-                            for config, packet_len in runs for trial in range(3)])
+            results.append([run_trial(config, policy, RngSpec(4), trial, codec)
+                            for config, codec in runs for trial in range(3)])
         assert results[1:] == results[:1] * 3
 
     def test_whole_file_window_mean_matches_closed_form(self):
@@ -337,12 +337,12 @@ class TestCodecMode:
         # same connectivity substream in both modes; dependent packets can only delay
         cfg = validate_config(24, 4, 2, 0.7)
         ideal = trial_times(cfg, "lr", 150, RngSpec(9))
-        codec = trial_times(cfg, "lr", 150, RngSpec(9), packet_len=PACKET_LEN)
+        codec = trial_times(cfg, "lr", 150, RngSpec(9), codec=True)
         assert (codec >= ideal).all()
 
     def test_single_receiver_codec_roundtrip(self):
         cfg = validate_config(12, 4, 1, 0.8)
-        times = trial_times(cfg, "lr", 30, RngSpec(2), packet_len=8)
+        times = trial_times(cfg, "lr", 30, RngSpec(2), codec=True)
         assert (times >= 12).all()
 
     def test_coding_stream_is_the_encoders(self, monkeypatch):
@@ -367,9 +367,9 @@ class TestCodecMode:
             drawn.clear()
             sent.clear()
             config = validate_config(12, 4, 3, 0.6)
-            assert sim._run_pass(config, "rs", RngSpec(5), 2, 8, RecordingTracker) is not None
+            assert sim._run_pass(config, "rs", RngSpec(5), 2, RecordingTracker) is not None
             replay = RngSpec(5).substream(2, sim.ROLE_CODING)
-            replay.integers(0, 256, size=(12, 8), dtype=np.uint8)  # the source
+            replay.integers(0, 256, size=(12, PAYLOAD_BYTES), dtype=np.uint8)  # the source
             assert sent == drawn
             assert len(drawn) >= 12
             for row in drawn:
@@ -389,7 +389,7 @@ class TestCodecVerification:
         monkeypatch.setattr(sim, "batch_chunk", lambda window, packet_len: 5)
         for kind in PASS_KINDS:
             verified.clear()
-            assert sim._run_pass(validate_config(24, 4, 3, 0.7), "lr", RngSpec(1), 0, PACKET_LEN, kind) is not None
+            assert sim._run_pass(validate_config(24, 4, 3, 0.7), "lr", RngSpec(1), 0, kind) is not None
             assert verified == [5, 5, 5, 3]  # 3 receivers x 6 batches
 
     def test_rank_claims_are_cross_checked(self, monkeypatch):
@@ -401,13 +401,13 @@ class TestCodecVerification:
                 return True
 
         config = validate_config(8, 4, 2, 0.8)
-        assert sim._run_pass(config, "lr", RngSpec(0), 0, PACKET_LEN, RepeatingTracker) is None
+        assert sim._run_pass(config, "lr", RngSpec(0), 0, RepeatingTracker) is None
         # a trial the held-rows pass hands to a lying eager pass is an error, not a result
         TestSpeculativePass.repeat_first_row(monkeypatch)
         monkeypatch.setattr(sim, "RankTracker", RepeatingTracker)
         kinds = record_passes(monkeypatch)
         with pytest.raises(RuntimeError, match="not full rank"):
-            run_trial(validate_config(8, 4, 2, 1.0), "lr", RngSpec(0), 0, PACKET_LEN)
+            run_trial(validate_config(8, 4, 2, 1.0), "lr", RngSpec(0), 0, codec=True)
         assert kinds == [sim._HeldRows, RepeatingTracker]
 
     def test_wrong_decode_raises(self, monkeypatch):
@@ -421,9 +421,9 @@ class TestCodecVerification:
         monkeypatch.setattr(sim, "encode_blocks", corrupting)
         for kind in PASS_KINDS:
             with pytest.raises(RuntimeError, match="does not decode"):
-                sim._run_pass(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, PACKET_LEN, kind)
+                sim._run_pass(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, kind)
         with pytest.raises(RuntimeError, match="does not decode"):
-            run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, PACKET_LEN)
+            run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, codec=True)
 
 
 def record_passes(monkeypatch) -> list:
@@ -431,9 +431,9 @@ def record_passes(monkeypatch) -> list:
     kinds = []
     run_pass = sim._run_pass
 
-    def recording(config, policy, rng_spec, trial_index, packet_len=None, tracker=None):
+    def recording(config, policy, rng_spec, trial_index, tracker=None):
         kinds.append(tracker)
-        return run_pass(config, policy, rng_spec, trial_index, packet_len, tracker)
+        return run_pass(config, policy, rng_spec, trial_index, tracker)
 
     monkeypatch.setattr(sim, "_run_pass", recording)
     return kinds
@@ -441,7 +441,7 @@ def record_passes(monkeypatch) -> list:
 
 def eager_trial(config, policy, seed, trial, tracker=RankTracker):
     """A codec trial run by the eager pass alone."""
-    return sim._run_pass(config, policy, RngSpec(seed), trial, PACKET_LEN, tracker)
+    return sim._run_pass(config, policy, RngSpec(seed), trial, tracker)
 
 
 # (config, policy, seed, trial) for the speculative pass: K = 1 never holds a
@@ -458,7 +458,7 @@ class TestSpeculativePass:
         replays = 0
         for config, policy, seed, trial in SPECULATION_CASES:
             kinds.clear()
-            result = run_trial(config, policy, RngSpec(seed), trial, PACKET_LEN)
+            result = run_trial(config, policy, RngSpec(seed), trial, codec=True)
             assert kinds in ([sim._HeldRows], [sim._HeldRows, RankTracker])
             replays += len(kinds) == 2
             assert result == eager_trial(config, policy, seed, trial), (config, policy, seed, trial)
@@ -476,7 +476,7 @@ class TestSpeculativePass:
                     flags.append(super().add(coefficients))
                     return flags[-1]
 
-            speculative = sim._run_pass(config, policy, RngSpec(seed), trial, PACKET_LEN, sim._HeldRows)
+            speculative = sim._run_pass(config, policy, RngSpec(seed), trial, sim._HeldRows)
             eager_trial(config, policy, seed, trial, FlagRecording)
             assert (speculative is not None) == all(flags), (config, policy, seed, trial)
             accepted += speculative is not None
@@ -501,7 +501,7 @@ class TestSpeculativePass:
         expected = eager_trial(config, "lr", 0, 0)
         assert expected.completion_slots == 9  # the repeat costs the eager pass one slot
         kinds = record_passes(monkeypatch)
-        assert run_trial(config, "lr", RngSpec(0), 0, PACKET_LEN) == expected
+        assert run_trial(config, "lr", RngSpec(0), 0, codec=True) == expected
         assert kinds == [sim._HeldRows, RankTracker]
 
     def test_slot_cap_with_a_deficient_block_pending_replays(self, monkeypatch):
@@ -513,50 +513,57 @@ class TestSpeculativePass:
         assert expected.completion_slots == 17
         monkeypatch.setattr(sim, "MAX_SLOTS", 18)
         kinds = record_passes(monkeypatch)
-        assert run_trial(config, "rrnc", RngSpec(12), 0, PACKET_LEN) == expected
+        assert run_trial(config, "rrnc", RngSpec(12), 0, codec=True) == expected
         assert kinds == [sim._HeldRows, RankTracker]
         # a cap that stops the eager pass too raises as it would
         monkeypatch.setattr(sim, "MAX_SLOTS", 17)
         kinds.clear()
         with pytest.raises(RuntimeError, match="^no completion after 17 slots"):
-            run_trial(config, "rrnc", RngSpec(12), 0, PACKET_LEN)
+            run_trial(config, "rrnc", RngSpec(12), 0, codec=True)
         assert kinds == [sim._HeldRows, RankTracker]
 
 
 class TestCodecSizeGuard:
-    # source F*L, rank state 2*N*K^2 and one block solve 12*K*(K+L) bytes at F=8, K=4, N=2, L=16
-    NEED = 8 * 16 + 2 * 2 * 16 + 12 * 4 * 20
+    @staticmethod
+    def need(F, K, N):
+        """Source F*L, rank state 2*N*K^2 and one block solve 12*K*(K+L) bytes, L = PAYLOAD_BYTES."""
+        return F * PAYLOAD_BYTES + 2 * N * K * K + 12 * K * (K + PAYLOAD_BYTES)
 
     def test_largest_size_runs(self, monkeypatch):
         cfg = validate_config(8, 4, 2, 0.5)
-        monkeypatch.setattr(sim, "MAX_CODEC_BYTES", self.NEED)
-        check_run(cfg, 16)
-        assert run_trial(cfg, "lr", RngSpec(0), 0, packet_len=16).completion_slots >= 8
-        with pytest.raises(ConfigError, match="packet length 17"):
-            check_run(cfg, 17)
+        monkeypatch.setattr(sim, "MAX_CODEC_BYTES", self.need(8, 4, 2))
+        check_run(cfg, True)
+        assert run_trial(cfg, "lr", RngSpec(0), 0, codec=True).completion_slots >= 8
+        # one more batch or one more receiver passes the limit
+        for F, N in ((12, 2), (8, 3)):
+            with pytest.raises(ConfigError, match=f"^codec mode at F={F}, K=4, N={N} needs about"):
+                check_run(validate_config(F, 4, N, 0.5), True)
 
-    def test_largest_packet_len_under_the_default_limit(self):
-        cfg = validate_config(8, 4, 2, 0.5)
-        largest = (MAX_CODEC_BYTES - 2 * 2 * 16 - 12 * 16) // (8 + 12 * 4)
-        check_run(cfg, largest)
-        with pytest.raises(ConfigError):
-            check_run(cfg, largest + 1)
+    def test_largest_file_under_the_default_limit(self):
+        # at K=4, N=2 the largest admitted file is a whole number of batches of PAYLOAD_BYTES-byte packets
+        largest = (MAX_CODEC_BYTES - self.need(0, 4, 2)) // (4 * PAYLOAD_BYTES) * 4
+        check_run(validate_config(largest, 4, 2, 0.5), True)
+        refused = validate_config(largest + 4, 4, 2, 0.5)
+        with pytest.raises(ConfigError, match=f"^codec mode at F={largest + 4}, K=4, N=2 needs about"):
+            check_run(refused, True)
+        check_run(refused, False)  # ideal mode holds no source and no rank state
 
     def test_refused_before_any_draw(self, monkeypatch):
+        # 1024 receivers at K = F = 1024 hold 2 GiB of rank state
         monkeypatch.setattr(RngSpec, "substream", no_draws)
         with pytest.raises(ConfigError, match="codec mode"):
-            sweep_coding_window(["rs"], [validate_config(4, 2, 2, 0.5)], 2, RngSpec(0), packet_len=10**12)
+            sweep_coding_window(["rs"], [validate_config(1024, 1024, 1024, 0.5)], 2, RngSpec(0), codec=True)
 
     def test_rank_state_counts(self):
         # K = F = 2^14 at two receivers is 2^30 bytes of rank state alone
         with pytest.raises(ConfigError, match="codec mode"):
-            check_run(validate_config(2**14, 2**14, 2, 0.5), 1)
+            check_run(validate_config(2**14, 2**14, 2, 0.5), True)
 
     def test_coefficient_block_stays_small(self):
         # every admitted window is below 2^14, and each row block coefficient_rows draws
         # up to there stays within _CHUNK_BYTES
         with pytest.raises(ConfigError, match="codec mode"):
-            check_run(validate_config(2**14, 2**14, 1, 0.5), 1)
+            check_run(validate_config(2**14, 2**14, 1, 0.5), True)
         blocks = []
 
         class RecordingRng:
@@ -575,11 +582,12 @@ class TestCodecSizeGuard:
             sweep_coding_window(["lr", "bogus"], [validate_config(8, 4, 2, 0.5)], 4, RngSpec(0))
 
     def test_sweep_refuses_the_grid_first(self, monkeypatch):
-        # at this packet length K=4 fits and K=8 does not
+        # under this limit K=4 fits and K=8 does not
+        monkeypatch.setattr(sim, "MAX_CODEC_BYTES", self.need(8, 4, 2))
         monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(ConfigError, match="K=8"):
             configs = [validate_config(8, K, 2, 0.5) for K in (4, 8)]
-            sweep_coding_window(["lr"], configs, 4, RngSpec(0), packet_len=MAX_CODEC_BYTES // 80)
+            sweep_coding_window(["lr"], configs, 4, RngSpec(0), codec=True)
 
 
 class TestStats:
@@ -605,16 +613,14 @@ class TestStats:
 
 
 class TestAdmission:
-    @pytest.mark.parametrize("n_trials,seed,packet_len,message", [
-        (2, -1, None, "--seed must be at least 0, got -1"),
-        (2, 0, 0, "--packet-len must be at least 1, got 0"),
-        (1, -1, 0, "--trials must be at least 2, got 1"),  # checked in this order
-        (2, -1, 0, "--seed must be at least 0, got -1"),
-    ], ids=["seed", "packet-len", "trials-first", "seed-before-packet-len"])
-    def test_bad_run_refused_before_any_draw(self, monkeypatch, n_trials, seed, packet_len, message):
+    @pytest.mark.parametrize("n_trials,seed,message", [
+        (2, -1, "--seed must be at least 0, got -1"),
+        (1, -1, "--trials must be at least 2, got 1"),  # checked in this order
+    ], ids=["seed", "trials-first"])
+    def test_bad_run_refused_before_any_draw(self, monkeypatch, n_trials, seed, message):
         monkeypatch.setattr(RngSpec, "substream", no_draws)
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            sweep_coding_window(["lr"], [validate_config(4, 2, 2, 0.5)], n_trials, RngSpec(seed), packet_len)
+            sweep_coding_window(["lr"], [validate_config(4, 2, 2, 0.5)], n_trials, RngSpec(seed), codec=True)
 
     def test_run_flags_come_before_the_configs(self):
         # an oversized receiver count is refused only after the run flags pass
@@ -626,8 +632,8 @@ class TestAdmission:
 class TestReceiverCap:
     def test_cap_is_accepted(self):
         cfg = validate_config(2, 1, MAX_RECEIVERS, 1.0)
-        check_run(cfg, PACKET_LEN)
-        assert run_trial(cfg, "rrnc", RngSpec(0), 0, PACKET_LEN).completion_slots == 2
+        check_run(cfg, True)
+        assert run_trial(cfg, "rrnc", RngSpec(0), 0, codec=True).completion_slots == 2
 
     def test_above_cap_refused(self, monkeypatch):
         monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
@@ -654,7 +660,7 @@ def golden_table() -> str:
     when the file was made; regenerate it only with a declared stream change.
     """
     lines = ["policy,mode,N,F,K,p,seed,trial,completion_slots,conflict_slots"]
-    modes = {"ideal": None, "codec": PACKET_LEN}
+    modes = {"ideal": False, "codec": True}
     grid = itertools.chain(
         itertools.product(POLICY_NAMES, modes, (1, 2, 5, 63, 64, 65), (8,), (1, 2, 8), (0.2, 0.6, 1.0), (0, 7), (0, 1)),
         # long enough to use more than one block of flags and of rs uniforms
@@ -695,7 +701,7 @@ def test_codec_engine_matches_golden_table():
     slower = 0
     for policy, N, F, K, p, seed, trial in CODEC_GRID:
         cfg = validate_config(F, K, N, p)
-        result = run_trial(cfg, policy, RngSpec(seed), trial, PACKET_LEN)
+        result = run_trial(cfg, policy, RngSpec(seed), trial, codec=True)
         ideal = run_trial(cfg, policy, RngSpec(seed), trial)
         slower += result.completion_slots > ideal.completion_slots
         lines.append(f"{policy},{N},{F},{K},{p!r},{seed},{trial},{result.completion_slots},{result.conflict_slots}")
