@@ -49,9 +49,8 @@ from . import __version__
 from .dp import certify, check_table_size, enumerate_policies_oracle, solve_optimal
 from .dp import write_table_csv
 from .model import ConfigError, validate_config
-from .policies import POLICY_NAMES
 from .rlnc import MAX_CODEC_BYTES, expected_extra_packets, run_codec_validation
-from .sim import MAX_RECEIVERS, RngSpec, sweep_coding_window, write_stats_csv
+from .sim import MAX_RECEIVERS, POLICY_NAMES, RngSpec, sweep_coding_window, write_stats_csv
 
 
 def _int_list(text: str) -> list[int]:
@@ -212,6 +211,7 @@ def cmd_simulate(args):
 def cmd_sweep(args):
     _require_values(args.policies, "--policies")
     _require_values(args.windows, "--windows")
+    validate_config(args.file_size, 1, args.receivers, args.p)  # a bad shared flag fails once, not per window
     configs = []
     for K in args.windows:
         try:

@@ -9,7 +9,7 @@ receivers a packet could serve.  The slot scans occupied upward to the
 first batch with an ON member, and it is a conflict slot exactly when
 that batch's ON members are not all of live.  Otherwise that batch is
 sent outright; a conflict slot is settled by the policy's kernel, which
-reads the trial's receiver sets in place (see policies).  The packet
+reads the trial's receiver sets in place (see conflict_rule).  The packet
 reaches every ON receiver expecting its batch.  Idealized mode counts
 every delivery as one packet of progress.  Codec mode (PAYLOAD_BYTES
 bytes per source packet) takes the packet's GF(256) coefficients from
@@ -77,7 +77,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigError, SystemConfig, require_at_least
-from .policies import POLICY_NAMES, conflict_rule
 from .rlnc import (
     MAX_CODEC_BYTES, RankTracker, batch_chunk, block_solve_bytes, coefficient_rows, decode_blocks, encode_blocks,
 )
@@ -199,6 +198,53 @@ def _uniforms(rng_spec: RngSpec, trial_index: int):
     rng = rng_spec.substream(trial_index, ROLE_POLICY)
     while True:
         yield from rng.random(_FLAG_BLOCK).tolist()
+
+
+POLICY_NAMES = ("lr", "rrnc", "rs")
+
+
+def conflict_rule(policy: str, members: dict[int, int], occupied: list[int], batch_of: list[int], uniforms):
+    """One trial's kernel, mapping (first, live) of a conflict slot to a batch.
+
+    lr: the least-received rule, the smallest batch id among connected
+    receivers.
+    rrnc: round-robin over receiver ids, serving the batch of the smallest
+    connected receiver id strictly greater than the previous pick (-1
+    before the first conflict slot), wrapping to the smallest connected id
+    when none is greater.
+    rs: the random rule, batch b with probability (#connected at b) /
+    (#connected): the inverse CDF of one value of uniforms per call over
+    batch ids in increasing order.
+    """
+    if policy == "lr":
+        return lambda first, live: first
+    if policy == "rs":
+
+        def pick(first, live):
+            u = next(uniforms)
+            total = live.bit_count()
+            acc = 0.0
+            for batch in occupied:
+                if bits := members[batch] & live:
+                    last = batch
+                    acc += bits.bit_count() / total
+                    if u < acc:
+                        return batch
+            return last  # u landed in the rounding tail
+
+        return pick
+    if policy == "rrnc":
+        rr_last = -1
+
+        def pick(first, live):
+            nonlocal rr_last
+            later = live >> (rr_last + 1) << (rr_last + 1)
+            chosen = later or live
+            rr_last = (chosen & -chosen).bit_length() - 1
+            return batch_of[rr_last]
+
+        return pick
+    raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
 
 
 def run_trial(

@@ -23,8 +23,8 @@ that share no code.
   rlnc.coefficient_rows is pinned against.
 - The batch-selection kernels over a conflict slot's hits list (lr_pick,
   rrnc_pick, rs_pick and their dispatch hits_rule) that the simulator's
-  kernels in policies, which read the trial's receiver sets, are held
-  against.
+  kernels in sim.conflict_rule, which read the trial's receiver sets, are
+  held against.
 """
 
 import itertools
@@ -34,7 +34,7 @@ import numpy as np
 
 from ncbroadcast.dp import Action
 from ncbroadcast.model import SystemConfig
-from ncbroadcast.policies import POLICY_NAMES
+from ncbroadcast.sim import POLICY_NAMES
 
 State = tuple[int, int]
 

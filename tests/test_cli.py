@@ -361,6 +361,10 @@ BAD_INPUTS = {
     "sweep-codec-oversized": ["sweep", "--mode", "codec", "-N", "1024", "--file-size", "1024",
                               "--windows", "1024", "--p", "0.5", "--trials", "2"],
     "sweep-no-valid-window": ["sweep", "--file-size", "6", "--windows", "4,5", "--p", "0.5", "--trials", "4"],
+    # a bad flag every window shares is refused once, not blamed on each window
+    "sweep-p-out-of-range": ["sweep", "--file-size", "8", "--windows", "2,4", "--p", "2", "--trials", "2"],
+    "sweep-zero-receivers": ["sweep", "-N", "0", "--file-size", "8", "--windows", "2,4", "--p", "0.5", "--trials", "2"],
+    "sweep-zero-file-size": ["sweep", "--file-size", "0", "--windows", "2,4", "--p", "0.5", "--trials", "2"],
     "solve-oversized": ["solve", "--file-size", "100000", "--window", "1", "--p", "0.5"],
     "check-lr-oversized": ["check-lr", "--file-sizes", "100000", "--windows", "1", "--ps", "0.5"],
     "check-lr-no-file-sizes": ["check-lr", "--file-sizes", ",", "--windows", "2", "--ps", "0.5"],
@@ -404,6 +408,14 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [proc.stderr.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("name", ["sweep-p-out-of-range", "sweep-zero-receivers", "sweep-zero-file-size"])
+def test_bad_shared_sweep_flag_skips_no_window(capsys, name):
+    # the test above allows "skipping window" lines before the error line
+    assert cli.main(BAD_INPUTS[name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 UNWRITABLE_OUT = {

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from ncbroadcast import sim
 from ncbroadcast.model import validate_config
-from ncbroadcast.policies import POLICY_NAMES, conflict_rule
+from ncbroadcast.sim import POLICY_NAMES, conflict_rule
 from reference import hits_rule, lr_pick, rrnc_pick, rs_pick
 
 

@@ -9,12 +9,12 @@ import pytest
 from ncbroadcast import rlnc, sim
 from ncbroadcast.dp import solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
-from ncbroadcast.policies import POLICY_NAMES
 from ncbroadcast.rlnc import RankTracker
 from ncbroadcast.sim import (
     MAX_CODEC_BYTES,
     MAX_RECEIVERS,
     PAYLOAD_BYTES,
+    POLICY_NAMES,
     RngSpec,
     TrialResult,
     check_run,
