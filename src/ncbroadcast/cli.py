@@ -27,7 +27,8 @@ to stderr.  Every check-lr and oracle verdict allows the one slack
 dp.TOLERANCE.
 
 simulate is a sweep of one policy over one window: both share their
-flags and run through sim.sweep_coding_window, with the codec in the
+flags and are admitted by _run_cells, which builds each window's config
+and runs them through sim.sweep_coding_window, with the codec in the
 loop under --mode codec.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or a
@@ -74,8 +75,10 @@ def _require_values(values: list, flag: str) -> None:
             raise ConfigError(f"{flag} repeats {value}")
 
 
-def _run_cells(args, policies: list[str], configs: list) -> list:
-    """Run every (policy, config) cell of simulate or sweep."""
+def _run_cells(args, policies: list[str], windows: list[int]) -> list:
+    """Run every (policy, window) cell of simulate or sweep; a window that is
+    not a positive divisor of --file-size refuses the run before any trial."""
+    configs = [validate_config(args.file_size, K, args.receivers, args.p) for K in windows]
     return sweep_coding_window(policies, configs, args.trials, RngSpec(args.seed), args.mode == "codec")
 
 
@@ -197,9 +200,9 @@ def cmd_oracle(args):
 
 
 def cmd_simulate(args):
-    config = validate_config(args.file_size, args.window, args.receivers, args.p)
-    cells = _run_cells(args, [args.policy], [config])
+    cells = _run_cells(args, [args.policy], [args.window])
     cell = cells[0]
+    config = cell.config
     print(
         f"policy={args.policy} N={config.N} F={config.F} K={config.K} p={config.p} "
         f"trials={cell.n_trials} mean={cell.mean:.4f} "
@@ -211,16 +214,7 @@ def cmd_simulate(args):
 def cmd_sweep(args):
     _require_values(args.policies, "--policies")
     _require_values(args.windows, "--windows")
-    validate_config(args.file_size, 1, args.receivers, args.p)  # a bad shared flag fails once, not per window
-    configs = []
-    for K in args.windows:
-        try:
-            configs.append(validate_config(args.file_size, K, args.receivers, args.p))
-        except ConfigError as exc:
-            print(f"skipping window {K}: {exc}", file=sys.stderr)
-    if not configs:
-        raise ConfigError(f"no valid window among --windows {','.join(map(str, args.windows))}")
-    cells = _run_cells(args, args.policies, configs)
+    cells = _run_cells(args, args.policies, args.windows)
     print("policy  K      mean      stddev    ci95")
     for cell in cells:
         print(
@@ -232,9 +226,6 @@ def cmd_sweep(args):
 
 def cmd_codec_validate(args):
     report = run_codec_validation(args.window, args.packet_len, args.batches, args.seed)
-    if report.n_batches == 0:
-        print("no batches requested; nothing to validate")
-        return 0, None
     success = 100.0 * (report.n_batches - report.roundtrip_failures) / report.n_batches
     print(f"batches={report.n_batches} window={report.window} packet_len={report.packet_len}")
     print(f"round-trip success: {success:.4f}% ({report.roundtrip_failures} failures)")

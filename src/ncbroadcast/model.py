@@ -49,8 +49,9 @@ def validate_config(F: int, K: int, N: int, p: float) -> SystemConfig:
     and q would not sum to one); p = 1 is the degenerate always-on channel
     and is allowed.
     """
-    if F <= 0 or K <= 0 or N <= 0:
-        raise ConfigError(f"F, K and N must be positive, got F={F} K={K} N={N}")
+    for name, value in (("F", F), ("K", K), ("N", N)):
+        if value <= 0:
+            raise ConfigError(f"{name} must be positive, got {name}={value}")
     if not 0.0 < p <= 1.0:
         raise ConfigError(f"ON probability must satisfy 0 < p <= 1, got p={p}")
     if 1.0 - p == 1.0:

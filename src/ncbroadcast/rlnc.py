@@ -265,11 +265,12 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
     source.  Each substream is read in batch order whatever the chunking,
     so the report depends only on the arguments.
 
-    Bad arguments raise ConfigError before anything is drawn.
+    Bad arguments raise ConfigError before anything is drawn: --window,
+    --packet-len and --batches must each be at least 1.
     """
     require_at_least(window, 1, "--window")
     require_at_least(packet_len, 1, "--packet-len")
-    require_at_least(n_batches, 0, "--batches")
+    require_at_least(n_batches, 1, "--batches")
     require_at_least(seed, 0, "--seed")
     need = block_solve_bytes(window, packet_len)
     if need > MAX_CODEC_BYTES:
@@ -306,6 +307,6 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
         window=window,
         packet_len=packet_len,
         roundtrip_failures=failures,
-        mean_extra_packets=extras_total / n_batches if n_batches else 0.0,
-        exact_rank_fraction=exact / n_batches if n_batches else 0.0,
+        mean_extra_packets=extras_total / n_batches,
+        exact_rank_fraction=exact / n_batches,
     )

@@ -488,18 +488,12 @@ class TestRankStatistics:
             variance += dep / (1.0 - dep) ** 2  # extra draws at rank r are geometric
         assert abs(report.mean_extra_packets - expected_extra_packets(window)) < 4 * (variance / n) ** 0.5
 
-    def test_empty_validation(self):
-        report = run_codec_validation(4, 8, 0)
-        assert report.n_batches == 0
-        assert report.roundtrip_ok
-        assert report.mean_extra_packets == 0.0
-
 
 class TestValidationAdmission:
     @pytest.mark.parametrize("args,message", [
         ((0, 8, 3, 0), "--window must be at least 1, got 0"),
         ((4, 0, 3, 0), "--packet-len must be at least 1, got 0"),
-        ((4, 8, -5, 0), "--batches must be at least 0, got -5"),
+        ((4, 8, -5, 0), "--batches must be at least 1, got -5"),
         ((4, 8, 3, -1), "--seed must be at least 0, got -1"),
         ((0, 0, -5, -1), "--window must be at least 1, got 0"),  # checked in this order
     ], ids=["window", "packet-len", "batches", "seed", "window-first"])
