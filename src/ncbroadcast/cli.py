@@ -31,9 +31,10 @@ flags and are admitted by _run_cells, which builds each window's config
 and runs them through sim.sweep_coding_window, with the codec in the
 loop under --mode codec.
 
-Exit codes: 0 success / all checks pass, 1 verification failure or a
-stdout closed before the output was written, 2 usage or configuration
-error.
+Exit codes: 0 success / all checks pass, 1 verification failure, a
+stdout closed before the output was written or an admitted trial that
+met the simulator's slot cap (sim.SlotCapError, one error: line), 2 usage
+or configuration error.
 """
 
 import argparse
@@ -51,7 +52,7 @@ from .dp import certify, check_table_size, enumerate_policies_oracle, solve_opti
 from .dp import write_table_csv
 from .model import ConfigError, validate_config
 from .rlnc import MAX_CODEC_BYTES, expected_extra_packets, run_codec_validation
-from .sim import MAX_RECEIVERS, POLICY_NAMES, RngSpec, sweep_coding_window, write_stats_csv
+from .sim import MAX_RECEIVERS, POLICY_NAMES, RngSpec, SlotCapError, sweep_coding_window, write_stats_csv
 
 
 def _int_list(text: str) -> list[int]:
@@ -321,6 +322,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SlotCapError as exc:
+        # the run was admitted but did not finish: not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader closed stdout early (as `| head -c1` does); stdout goes to devnull
         # so that the flush at exit does not fail again

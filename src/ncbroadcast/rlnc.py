@@ -15,7 +15,9 @@ pure Python.  Payloads are decoded a block at a time: encode_blocks
 encodes sources under K x K coefficient rows, and decode_blocks
 Gauss-Jordan-reduces a whole stack of K x (K+L) blocks at once and says
 which are full rank and which of those do not decode to their source;
-the simulator and codec validation both check their blocks with it.
+codec validation checks its blocks with it.  The simulator only needs
+to know which K x K coefficient blocks are full rank, and
+full_rank_blocks says so by forward elimination alone.
 
 Codec validation draws from three substreams SeedSequence((seed, role)):
 role 0 gives the sources, role 1 each batch's first K coefficient rows,
@@ -36,7 +38,7 @@ from .model import ConfigError, require_at_least
 
 REDUCTION_POLY = 0x11D
 # The largest working set a codec run may need: codec validation's block
-# decode, and a simulated codec trial's source, rank state and block solve.
+# decode, and a simulated codec trial's rank state and rank check.
 MAX_CODEC_BYTES = 1 << 30
 
 
@@ -63,10 +65,11 @@ _MUL_BYTES = [bytes(row) for row in _MUL.tolist()]
 _INV_LIST = _INV.tolist()
 _from_bytes = int.from_bytes  # bound once: RankTracker.add calls it about K/2 times per row
 
-# run_codec_validation and the simulator's verification encode and row-reduce
-# up to _BATCH_CHUNK batches together, fewer when their K x (K+L) blocks would
-# pass _CHUNK_BYTES (see batch_chunk): each elimination step builds temporaries
-# of about 11 bytes per block byte.  No result depends on either constant.
+# run_codec_validation encodes and row-reduces, and the simulator's rank check
+# forward-eliminates, up to _BATCH_CHUNK batches together, fewer when their
+# K x (K+L) blocks would pass _CHUNK_BYTES (see batch_chunk; L = 0 for the
+# rank check): each elimination step builds temporaries of about 11 bytes per
+# block byte.  No result depends on either constant.
 _BATCH_CHUNK = 64
 _CHUNK_BYTES = 1 << 17
 # coefficient_rows draws up to _ROW_BLOCK rows per generator call, and at most
@@ -245,6 +248,28 @@ def _reduce_blocks(blocks: np.ndarray, window: int) -> np.ndarray:
         factors[:, c] = 0
         # columns before c are already zero in the pivot row of a full-rank block
         blocks[:, :, c:] ^= _mul(factors[:, :, None], row[:, None, c:])
+    return full
+
+
+def full_rank_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Forward-eliminate a (B, K, K) stack in place; True where full rank.
+
+    Step c searches, swaps and scales the pivot as _reduce_blocks does,
+    then clears column c from the rows below it only, on columns c.. only:
+    no row above is touched and no payload rides along.  A full-rank block
+    ends upper triangular with a unit diagonal.
+    """
+    at = np.arange(blocks.shape[0])
+    full = np.ones(blocks.shape[0], dtype=bool)
+    for c in range(blocks.shape[1]):
+        nonzero = blocks[:, c:, c] != 0
+        full &= nonzero.any(axis=1)
+        pivot = c + nonzero.argmax(axis=1)
+        row = blocks[at, pivot, c:]
+        blocks[at, pivot, c:] = blocks[:, c, c:]
+        row = _mul(_INV[row[:, 0]][:, None], row)
+        blocks[:, c, c:] = row
+        blocks[:, c + 1 :, c:] ^= _mul(blocks[:, c + 1 :, c, None], row[:, None])
     return full
 
 

@@ -11,19 +11,19 @@ that batch's ON members are not all of live.  Otherwise that batch is
 sent outright; a conflict slot is settled by the policy's kernel, which
 reads the trial's receiver sets in place (see conflict_rule).  The packet
 reaches every ON receiver expecting its batch.  Idealized mode counts
-every delivery as one packet of progress.  Codec mode (PAYLOAD_BYTES
-bytes per source packet) takes the packet's GF(256) coefficients from
-rlnc.coefficient_rows, which draws them a block of rows at a time, and
-counts progress only when they raise the receiver's rank.  Each
-receiver that reaches rank K hands its K x K coefficient block to a
-pending list; the list is verified in chunks, at the end of the trial
-and at the slot cap, by encoding the batch's source under those rows and
-decoding it again in one block solve (rlnc.decode_blocks).  A wrong decode raises RuntimeError; a block that
-is not full rank ends the pass without a result.
+every delivery as one packet of progress.  Codec mode takes the packet's
+GF(256) coefficients from rlnc.coefficient_rows, which draws them a block
+of rows at a time, and counts progress only when they raise the
+receiver's rank.  A receiver finishes a batch once it holds K linearly
+independent rows, so no payload is simulated: each receiver that
+reaches rank K hands its K x K coefficient block to a pending list, and
+the list is rank-checked in chunks, at the end of the trial and at the
+slot cap, by one forward elimination (rlnc.full_rank_blocks).  A block
+that is not full rank ends the pass without a result.
 
 A codec trial first runs a held-rows pass.  Each receiver only holds the
 rows it receives for its batch, and every reception counts as progress,
-so a batch completes at its K-th reception.  The block solve then says
+so a batch completes at its K-th reception.  The rank check then says
 whether each completed block is full rank.  If all of them are, the pass
 is exact: K rows of rank K were each innovative when they arrived, every
 received row belongs to a block that completes, and codec mode never
@@ -57,15 +57,17 @@ any substream is drawn it admits the whole run: known policy names, at
 least two trials (the sample stddev needs two), a seed >= 0, and
 check_run for every config, which refuses too many receivers, a file
 whose slot count could pass MAX_SLOTS and a codec trial over
-rlnc.MAX_CODEC_BYTES.  run_trial does not check them again.
+rlnc.MAX_CODEC_BYTES.  run_trial does not check them again; a trial
+that meets MAX_SLOTS all the same raises SlotCapError.
 
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
 0 = connectivity, 1 = policy (one uniform per rs conflict slot),
-2 = coding (the trial's F x PAYLOAD_BYTES source, then one row per sent
+2 = coding (the first 2F outputs skipped, as many as an F x 16-byte
+source once took, so the rows keep their bits; then one row per sent
 packet: the first K bytes of ceil(K/4) fresh 32-bit words, all-zero rows
 skipped, which coefficient_rows yields without a call per row).  The
-source's size is fixed, so the rows depend only on (master_seed,
+skip depends on F alone, so the rows depend only on (master_seed,
 trial_index), and so do results, never on execution order.  The
 connectivity sequence is identical across policies, modes and window
 sizes.
@@ -77,19 +79,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigError, SystemConfig, require_at_least
-from .rlnc import (
-    MAX_CODEC_BYTES, RankTracker, batch_chunk, block_solve_bytes, coefficient_rows, decode_blocks, encode_blocks,
-)
+from .rlnc import MAX_CODEC_BYTES, RankTracker, batch_chunk, block_solve_bytes, coefficient_rows, full_rank_blocks
 
 ROLE_CONNECTIVITY = 0
 ROLE_POLICY = 1
 ROLE_CODING = 2
 
 MAX_SLOTS = 10**9
-# Bytes of each source packet in codec mode.  Whether K coefficient rows are
-# full rank does not depend on the payload, so its size changes no completion
-# time; it sizes only the source the block solve decodes.
-PAYLOAD_BYTES = 16
 MAX_RECEIVERS = 1024  # a block of flags takes 2 KiB of draws per receiver
 _FLAG_BLOCK = 256
 # The jump's gate: each receiver of the stretch needs at least this many more
@@ -160,11 +156,11 @@ def _on_blocks(rng: np.random.Generator, N: int, p: float):
 
 def check_run(config: SystemConfig, codec: bool) -> None:
     """Raise ConfigError unless trials of this config fit the slot budget,
-    MAX_RECEIVERS and, in codec mode, MAX_CODEC_BYTES: the source
-    (F*PAYLOAD_BYTES bytes), the rank state and one block solve.  The
-    held-rows pass holds N*K^2 bytes of received rows and the eager
-    replay about 2*N*K^2 (the rows each RankTracker reduces and the raw
-    rows it keeps), so the 2*N*K^2 term bounds both.
+    MAX_RECEIVERS and, in codec mode, MAX_CODEC_BYTES: the rank state and
+    one K x K rank check (rlnc.block_solve_bytes(K, 0)).  The held-rows
+    pass holds N*K^2 bytes of received rows and the eager replay about
+    2*N*K^2 (the rows each RankTracker reduces and the raw rows it keeps),
+    so the 2*N*K^2 term bounds both.  F does not enter: no source is held.
     The budget leaves out the coefficient rows, which rlnc.coefficient_rows
     draws in blocks of at most rlnc._CHUNK_BYTES (128 KiB) for every
     window it admits (K < 2^14).
@@ -183,7 +179,7 @@ def check_run(config: SystemConfig, codec: bool) -> None:
         raise ConfigError(f"at most {MAX_RECEIVERS} receivers are supported, got {N}")
     if not codec:
         return
-    need = F * PAYLOAD_BYTES + 2 * N * K * K + block_solve_bytes(K, PAYLOAD_BYTES)
+    need = 2 * N * K * K + block_solve_bytes(K, 0)
     if need > MAX_CODEC_BYTES:
         raise ConfigError(
             f"codec mode at F={F}, K={K}, N={N} needs about {need} bytes, "
@@ -297,17 +293,17 @@ def _run_pass(
     tracker None is ideal mode.  In codec mode it is the class of each
     receiver's per-batch tracker: _HeldRows for the held-rows pass,
     RankTracker (or a subclass) for the eager one.  Either pass returns
-    None as soon as a verified block is rank-deficient, and run_trial
+    None as soon as a rank-checked block is rank-deficient, and run_trial
     decides what follows.
     """
     F, K, N, p = config.F, config.K, config.N, config.p
     codec = tracker is not None
     if codec:
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
-        sources = coding_rng.integers(0, 256, size=(F, PAYLOAD_BYTES), dtype=np.uint8).reshape(F // K, K, -1)
+        coding_rng.bit_generator.advance(2 * F)  # the outputs an F x 16-byte source took, so the rows keep their bits
         trackers = [tracker(K) for _ in range(N)]
-        pending = []  # (batch, K x K coefficient rows) of decodes not yet verified
-        chunk = batch_chunk(K, PAYLOAD_BYTES)
+        pending = []  # the K x K coefficient rows of completed batches not yet rank-checked
+        chunk = batch_chunk(K, 0)
         rows = coefficient_rows(coding_rng, K)
 
     left = [K] * N  # packets each receiver still needs of the batch it expects
@@ -335,9 +331,9 @@ def _run_pass(
         for on in steps:
             slot += 1
             if slot >= MAX_SLOTS:
-                if codec and pending and not _verify_decodes(pending, sources):
+                if codec and pending and not _full_rank(pending):
                     return None  # a rank-deficient block may have led here
-                raise _slot_cap_error(config)
+                raise SlotCapError(config)
             live = alive & on
             if not live:
                 continue
@@ -362,16 +358,16 @@ def _run_pass(
                     left[rid] = K
                     done |= low
                     if codec:
-                        pending.append((batch, trackers[rid].raw))
+                        pending.append(trackers[rid].raw)
                         trackers[rid] = tracker(K)
                         if len(pending) == chunk:
-                            if not _verify_decodes(pending, sources):
+                            if not _full_rank(pending):
                                 return None
                             pending = []
             if done:
                 alive ^= _move_on(members, occupied, batch_of, batch, done, F // K)
                 if not occupied:
-                    if codec and pending and not _verify_decodes(pending, sources):
+                    if codec and pending and not _full_rank(pending):
                         return None
                     return TrialResult(completion_slots=slot, conflict_slots=conflicts)
                 if jumps:
@@ -384,9 +380,11 @@ def _run_pass(
             steps = iter(block.masks)
 
 
-def _slot_cap_error(config: SystemConfig) -> RuntimeError:
-    """The error of a trial still unfinished at MAX_SLOTS."""
-    return RuntimeError(f"no completion after {MAX_SLOTS} slots; config {config}")
+class SlotCapError(RuntimeError):
+    """A trial of config still unfinished at MAX_SLOTS."""
+
+    def __init__(self, config: SystemConfig):
+        super().__init__(f"no completion after {MAX_SLOTS} slots; config {config}")
 
 
 def _move_on(
@@ -448,7 +446,7 @@ def _jump(config: SystemConfig, blocks, block: _OnBlock, base: int, slot: int, i
         need -= got[-1]
         slot += len(got)
         if slot >= MAX_SLOTS:
-            raise _slot_cap_error(config)
+            raise SlotCapError(config)
     event = int(reached.argmax())
     done = 0
     for rid, n in zip(ids, (need - got[event]).tolist()):
@@ -457,24 +455,15 @@ def _jump(config: SystemConfig, blocks, block: _OnBlock, base: int, slot: int, i
             done |= 1 << rid
     slot += event + 1
     if slot >= MAX_SLOTS:
-        raise _slot_cap_error(config)
+        raise SlotCapError(config)
     return block, base, slot, done
 
 
-def _verify_decodes(pending: list[tuple[int, list[bytes]]], sources: np.ndarray) -> bool:
-    """Encode each pending batch's source under its rows, decode it and compare.
-
-    Returns whether every block is full rank.  Raises RuntimeError naming
-    the first full-rank block that does not decode to its source."""
-    K = sources.shape[1]
-    batches = [batch for batch, _ in pending]
-    rows = b"".join(b"".join(raw) for _, raw in pending)
-    coefficients = np.frombuffer(rows, dtype=np.uint8).reshape(len(pending), K, K)
-    expected = sources[batches]
-    full, wrong = decode_blocks(encode_blocks(coefficients, expected), expected)
-    if wrong.any():
-        raise RuntimeError(f"coded block {int(wrong.argmax())} of {len(pending)} does not decode to its source")
-    return bool(full.all())
+def _full_rank(pending: list[list[bytes]]) -> bool:
+    """Whether every pending block of K K-byte coefficient rows is full rank."""
+    K = len(pending[0])
+    rows = bytearray().join(row for raw in pending for row in raw)  # writable, as the elimination needs
+    return bool(full_rank_blocks(np.frombuffer(rows, dtype=np.uint8).reshape(len(pending), K, K)).all())
 
 
 def sweep_coding_window(

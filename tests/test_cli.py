@@ -262,6 +262,7 @@ class TestSimulate:
         [
             # codec mode: at K=4 many trials hold a rank-deficient block and are replayed, at K=100 few are
             ("-N 5 --file-size 100 --window 4 --p 0.6 --trials 6 --mode codec --seed 1", "223.1667"),
+            ("-N 5 --file-size 100 --window 20 --p 0.6 --trials 6 --mode codec --seed 1", "190.3333"),
             ("-N 5 --file-size 100 --window 100 --p 0.6 --trials 6 --mode codec --seed 1", "184.3333"),
             # the rrnc and rs streams at one and at two words of receiver mask
             ("--policy rrnc -N 5 --file-size 60 --window 3 --p 0.6 --trials 20 --seed 1", "220.6000"),
@@ -271,7 +272,7 @@ class TestSimulate:
             # the receiver cap: ON masks of 16 words, and a jump that counts ON flags over 1024 columns
             ("-N 1024 --file-size 64 --window 64 --p 0.5 --trials 4", "165.0000"),
         ],
-        ids=["codec-K4", "codec-K100", "rrnc-N5", "rs-N5", "rrnc-N65", "rs-N65", "lr-N1024"],
+        ids=["codec-K4", "codec-K20", "codec-K100", "rrnc-N5", "rs-N5", "rrnc-N65", "rs-N65", "lr-N1024"],
     )
     def test_pinned_means(self, capsys, args, mean):
         # the means the console-script CI step greps for
@@ -345,7 +346,8 @@ BAD_INPUTS = {
     "sweep-codec-oversized": ["sweep", "--mode", "codec", "-N", "1024", "--file-size", "1024",
                               "--windows", "1024", "--p", "0.5", "--trials", "2"],
     "sweep-no-valid-window": ["sweep", "--file-size", "6", "--windows", "4,5", "--p", "0.5", "--trials", "4"],
-    # one window that does not divide F refuses the whole sweep, as simulate --window does
+    # one window that does not divide F refuses the whole sweep, as simulate --window does, whether or not
+    # another window divides it
     "sweep-window-not-divisor": ["sweep", "--file-size", "6", "--windows", "2,4,6", "--p", "0.6", "--trials", "4"],
     # a bad flag every window shares is refused once, not blamed on each window
     "sweep-p-out-of-range": ["sweep", "--file-size", "8", "--windows", "2,4", "--p", "2", "--trials", "2"],
@@ -487,7 +489,7 @@ MANIFEST_FLAGS = {
          "--mode", "codec"],
         ["file_size=8", "mode=codec", "p=0.5", "policy=lr", "receivers=2", "seed=0", "trials=2", "window=4"],
     ),
-    "sweep-invalid-window": (
+    "sweep": (
         ["sweep", "--policies", "lr,rs", "--file-size", "6", "--windows", "2,6", "--p", "0.6", "--trials", "4",
          "--seed", "2"],
         ["file_size=6", "mode=ideal", "p=0.6", "policies=lr,rs", "receivers=2", "seed=2", "trials=4", "windows=2,6"],
@@ -527,6 +529,26 @@ def test_repeated_list_value_is_named(capsys, args, message):
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("mode", ["ideal", "codec"])
+def test_slot_cap_is_one_error_line_and_exit_1(monkeypatch, capsys, tmp_path, mode):
+    # the run is admitted under the real cap, then each trial meets a cap of 5 slots
+    run_trial = sim.run_trial
+
+    def capped(*args):
+        monkeypatch.setattr(sim, "MAX_SLOTS", 5)
+        return run_trial(*args)
+
+    monkeypatch.setattr(sim, "run_trial", capped)
+    monkeypatch.chdir(tmp_path)
+    args = ["simulate", "-N", "5", "--file-size", "10", "--window", "2", "--p", "0.5", "--trials", "2"]
+    assert cli.main([*args, "--mode", mode, "--out", "s.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no completion after 5 slots; config ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []  # no output file without a result
 
 
 # F = 10 needs (F + 6 sqrt(F q)) / p slots for one receiver's mean plus six

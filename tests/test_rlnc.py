@@ -393,6 +393,37 @@ class TestVerifyBlocks:
         assert wrong.tolist() == [False, False, True]
 
 
+class TestFullRankBlocks:
+    """full_rank_blocks flags the blocks that the Gauss-Jordan reduction behind decode_blocks flags."""
+
+    @staticmethod
+    def assert_same_mask(blocks: np.ndarray) -> list[bool]:
+        expected = rlnc._reduce_blocks(blocks.copy(), blocks.shape[1]).tolist()
+        assert rlnc.full_rank_blocks(blocks.copy()).tolist() == expected
+        return expected
+
+    @pytest.mark.parametrize("K", [1, 2, 4, 20, 100])
+    def test_random_stacks(self, K):
+        gen = rng(K)
+        # bytes drawn from 0..255 are almost always full rank; bytes drawn from {0, 1} often are not at small K
+        for high in (256, 2):
+            self.assert_same_mask(gen.integers(0, high, size=(40, K, K), dtype=np.uint8))
+
+    @pytest.mark.parametrize("K", [4, 20, 100])
+    def test_forced_deficient_stacks(self, K):
+        blocks = rng(K + 1).integers(0, 256, size=(4, K, K), dtype=np.uint8)
+        blocks[1, -1] = blocks[1, 0]  # a repeated row
+        blocks[2, -1] = blocks[2, 0] ^ blocks[2, 1]  # the sum of two rows
+        blocks[3, :, K // 2] = 0  # a zero column
+        assert self.assert_same_mask(blocks) == [True, False, False, False]
+
+    def test_ends_upper_triangular_with_a_unit_diagonal(self):
+        blocks = rng(3).integers(0, 256, size=(5, 6, 6), dtype=np.uint8)
+        assert rlnc.full_rank_blocks(blocks).all()
+        assert (np.tril(blocks, -1) == 0).all()
+        assert (np.diagonal(blocks, axis1=1, axis2=2) == 1).all()
+
+
 class TestRankStatistics:
     def test_analytic_extra_packets_value(self):
         # dominated by the 1/255 chance of a dependent draw one packet early

@@ -11,9 +11,7 @@ from ncbroadcast.dp import solve_optimal
 from ncbroadcast.model import ConfigError, validate_config
 from ncbroadcast.rlnc import RankTracker
 from ncbroadcast.sim import (
-    MAX_CODEC_BYTES,
     MAX_RECEIVERS,
-    PAYLOAD_BYTES,
     POLICY_NAMES,
     RngSpec,
     TrialResult,
@@ -346,8 +344,8 @@ class TestCodecMode:
         assert (times >= 12).all()
 
     def test_coding_stream_is_the_encoders(self, monkeypatch):
-        # the source first, then one per_row_coefficients row per sent packet, and every row drawn is sent,
-        # in the speculative pass and in the eager one
+        # 2F skipped outputs first, then one per_row_coefficients row per sent packet, and every row drawn
+        # is sent, in the speculative pass and in the eager one
         drawn, sent = [], []
         rows = sim.coefficient_rows
 
@@ -369,7 +367,7 @@ class TestCodecMode:
             config = validate_config(12, 4, 3, 0.6)
             assert sim._run_pass(config, "rs", RngSpec(5), 2, RecordingTracker) is not None
             replay = RngSpec(5).substream(2, sim.ROLE_CODING)
-            replay.integers(0, 256, size=(12, PAYLOAD_BYTES), dtype=np.uint8)  # the source
+            replay.bit_generator.advance(2 * 12)
             assert sent == drawn
             assert len(drawn) >= 12
             for row in drawn:
@@ -379,13 +377,13 @@ class TestCodecMode:
 class TestCodecVerification:
     def test_every_completed_batch_is_verified_in_chunks(self, monkeypatch):
         verified = []
-        decode = sim.decode_blocks
+        full_rank = sim._full_rank
 
-        def counting(blocks, sources):
-            verified.append(len(blocks))
-            return decode(blocks, sources)
+        def counting(pending):
+            verified.append(len(pending))
+            return full_rank(pending)
 
-        monkeypatch.setattr(sim, "decode_blocks", counting)
+        monkeypatch.setattr(sim, "_full_rank", counting)
         monkeypatch.setattr(sim, "batch_chunk", lambda window, packet_len: 5)
         for kind in PASS_KINDS:
             verified.clear()
@@ -410,20 +408,38 @@ class TestCodecVerification:
             run_trial(validate_config(8, 4, 2, 1.0), "lr", RngSpec(0), 0, codec=True)
         assert kinds == [sim._HeldRows, RepeatingTracker]
 
-    def test_wrong_decode_raises(self, monkeypatch):
-        encode_blocks = sim.encode_blocks
+    @pytest.mark.parametrize("K", [1, 4, 20])
+    def test_rank_checked_blocks_decode_a_payload(self, monkeypatch, K):
+        # the blocks a finished trial rank-checked carry a random payload through rlnc's encoder and decoder
+        audited = []
+        full_rank = sim._full_rank
 
-        def corrupting(coefficients, sources):
-            blocks = encode_blocks(coefficients, sources)
-            blocks[-1, 0, -1] ^= 1
-            return blocks
+        def recording(pending):
+            audited.extend(pending)
+            return full_rank(pending)
 
-        monkeypatch.setattr(sim, "encode_blocks", corrupting)
-        for kind in PASS_KINDS:
-            with pytest.raises(RuntimeError, match="does not decode"):
-                sim._run_pass(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, kind)
-        with pytest.raises(RuntimeError, match="does not decode"):
-            run_trial(validate_config(8, 4, 2, 0.8), "lr", RngSpec(0), 0, codec=True)
+        monkeypatch.setattr(sim, "_full_rank", recording)
+        config = validate_config(40, K, 4, 0.6)
+        run_trial(config, "rs", RngSpec(3), 1, codec=True)
+        n_blocks = config.N * config.F // K  # the last pass's, which gave the result, are the last audited
+        rows = b"".join(row for raw in audited[-n_blocks:] for row in raw)
+        blocks = np.frombuffer(rows, dtype=np.uint8).reshape(n_blocks, K, K)
+        payloads = np.random.default_rng(K).integers(0, 256, size=(n_blocks, K, 16), dtype=np.uint8)
+        full, wrong = rlnc.decode_blocks(rlnc.encode_blocks(blocks, payloads), payloads)
+        assert full.all() and not wrong.any()
+
+
+class TestCodingSkip:
+    @pytest.mark.parametrize("F", [1, 3, 100, 2500])
+    def test_advance_leaves_the_stream_where_the_source_draw_did(self, F):
+        # the F x 16-byte uint8 source took 4F 32-bit words, that is 2F whole PCG64 outputs
+        drawn, skipped = (RngSpec(7).substream(F, sim.ROLE_CODING) for _ in range(2))
+        drawn.integers(0, 256, size=(F, 16), dtype=np.uint8)
+        skipped.bit_generator.advance(2 * F)
+        for key in ("state", "has_uint32"):
+            assert drawn.bit_generator.state[key] == skipped.bit_generator.state[key]
+        assert (drawn.integers(0, 2**32, 9, dtype="<u4") == skipped.integers(0, 2**32, 9, dtype="<u4")).all()
+        assert drawn.random(3).tolist() == skipped.random(3).tolist()
 
 
 def record_passes(monkeypatch) -> list:
@@ -525,28 +541,36 @@ class TestSpeculativePass:
 
 class TestCodecSizeGuard:
     @staticmethod
-    def need(F, K, N):
-        """Source F*L, rank state 2*N*K^2 and one block solve 12*K*(K+L) bytes, L = PAYLOAD_BYTES."""
-        return F * PAYLOAD_BYTES + 2 * N * K * K + 12 * K * (K + PAYLOAD_BYTES)
+    def need(K, N):
+        """Rank state 2*N*K^2 and one K x K rank check 12*K^2 bytes."""
+        return 2 * N * K * K + 12 * K * K
 
     def test_largest_size_runs(self, monkeypatch):
         cfg = validate_config(8, 4, 2, 0.5)
-        monkeypatch.setattr(sim, "MAX_CODEC_BYTES", self.need(8, 4, 2))
+        monkeypatch.setattr(sim, "MAX_CODEC_BYTES", self.need(4, 2))
         check_run(cfg, True)
         assert run_trial(cfg, "lr", RngSpec(0), 0, codec=True).completion_slots >= 8
-        # one more batch or one more receiver passes the limit
-        for F, N in ((12, 2), (8, 3)):
-            with pytest.raises(ConfigError, match=f"^codec mode at F={F}, K=4, N={N} needs about"):
-                check_run(validate_config(F, 4, N, 0.5), True)
+        check_run(validate_config(8000, 4, 2, 0.5), True)  # no source is held, so F takes no bytes
+        # a wider window or one more receiver passes the limit
+        for K, N in ((8, 2), (4, 3)):
+            with pytest.raises(ConfigError, match=f"^codec mode at F=8, K={K}, N={N} needs about"):
+                check_run(validate_config(8, K, N, 0.5), True)
 
     def test_largest_file_under_the_default_limit(self):
-        # at K=4, N=2 the largest admitted file is a whole number of batches of PAYLOAD_BYTES-byte packets
-        largest = (MAX_CODEC_BYTES - self.need(0, 4, 2)) // (4 * PAYLOAD_BYTES) * 4
-        check_run(validate_config(largest, 4, 2, 0.5), True)
+        # at K=4, N=2, p=0.5 the slot budget alone bounds the file in both modes: about 5e8 packets,
+        # past the 6.7e7 at which an F x 16-byte source once took the codec budget
+        def slots(F):
+            return (F + 6 * math.sqrt(F * 0.5)) / 0.5
+
+        largest = int(sim.MAX_SLOTS * 0.5) // 4 * 4
+        while slots(largest) > sim.MAX_SLOTS:
+            largest -= 4
+        assert largest > 4 * 10**8
         refused = validate_config(largest + 4, 4, 2, 0.5)
-        with pytest.raises(ConfigError, match=f"^codec mode at F={largest + 4}, K=4, N=2 needs about"):
-            check_run(refused, True)
-        check_run(refused, False)  # ideal mode holds no source and no rank state
+        for codec in (True, False):
+            check_run(validate_config(largest, 4, 2, 0.5), codec)
+            with pytest.raises(ConfigError, match=f"^--file-size {largest + 4} at --p 0.5 needs about"):
+                check_run(refused, codec)
 
     def test_refused_before_any_draw(self, monkeypatch):
         # 1024 receivers at K = F = 1024 hold 2 GiB of rank state
@@ -583,7 +607,7 @@ class TestCodecSizeGuard:
 
     def test_sweep_refuses_the_grid_first(self, monkeypatch):
         # under this limit K=4 fits and K=8 does not
-        monkeypatch.setattr(sim, "MAX_CODEC_BYTES", self.need(8, 4, 2))
+        monkeypatch.setattr(sim, "MAX_CODEC_BYTES", self.need(4, 2))
         monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(ConfigError, match="K=8"):
             configs = [validate_config(8, K, 2, 0.5) for K in (4, 8)]
