@@ -244,24 +244,28 @@ def certify(config: SystemConfig, values: np.ndarray) -> AuditReport:
     `values` is the optimal expected-slot table of `config`
     (``solve_optimal(config)[0]``); every family reads it in ON slots,
     U = p * V.  Families, in report order:
-      lr_optimality            u_least < u_most + TOLERANCE at every decision
-        state, u_least and u_most being _bellman with S the lag and the
-        lead successor (no margin is recorded)
+      lr_optimality            lag < lead + TOLERANCE at every decision
+        state, lag and lead being U of the successors that serve the
+        receiver behind and ahead (no margin is recorded)
       edge_closed_form         U(x0, F) equals F - x0                 (margin: -|error|)
       corner_sandwich          U(F-1, F) < U(F-1, F-1) < U(F-2, F)
       monotone_in_x0           U(x0, x1) > U(x0+1, x1) on the last-batch band
       monotone_in_x1           U(x0, x1) < U(x0, x1-1) on the last-batch band
       balance_preference       U(x0, x1) < U(x0-1, x1+1): imbalance costs time
       decision_sign_equivalence  at decision states the serve-most minus
-        serve-least gap and the lead minus lag gap carry the same sign
+        serve-least gap u_most - u_least (_bellman with S the lead and the
+        lag) never has the opposite sign of a lead - lag beyond TOLERANCE
         (margin: the smaller of the two gaps).  _bellman makes this an
         identity, u_most - u_least = p / (2 - p) * (lead - lag), so the
         check guards the formula and the table against each other.
-      neighbor_implication     whenever both advanced neighbors of a decision
-        state prefer serve-least, so does the state itself
+      neighbor_implication     whenever lead - lag > TOLERANCE at both
+        advanced neighbors of a decision state, lead - lag >= -TOLERANCE
+        at the state itself (margin: its u_most - u_least)
 
-    Inequality margins are slack (right side minus left side); a margin
-    below -TOLERANCE ON slots counts as a violation.  The unfinished rows
+    The LR families decide on lead and lag: u_most - u_least shrinks with
+    p and falls below TOLERANCE at small p.  Other inequality margins are
+    slack (right side minus left side); a margin below -TOLERANCE ON slots
+    counts as a violation.  The unfinished rows
     are walked once, in blocks of about _CERTIFY_CELLS cells.  Each block
     scales its rows and the one below them to ON slots, evaluates
     _bellman once for each choice of S, over one row beyond its own (the
@@ -297,17 +301,18 @@ def certify(config: SystemConfig, values: np.ndarray) -> AuditReport:
         decision, r0_behind = h0 != h1, h0 < h1
         lag, lead = np.where(r0_behind, advance_0, advance_1), np.where(r0_behind, advance_1, advance_0)
         u_least, u_most = _bellman(advance_0, advance_1, lag, config), _bellman(advance_0, advance_1, lead, config)
-        prefer = u_most - u_least  # serve-most minus serve-least gap
+        prefer, lead_lag = u_most - u_least, lead - lag  # serve-most minus serve-least gap, and its cause
         here = decision[:n]
-        lr_violations += np.count_nonzero(here & ~(u_least[:n] < u_most[:n] + TOLERANCE))
+        lr_violations += np.count_nonzero(here & ~(lag[:n] < lead[:n] + TOLERANCE))
 
-        gap, lead_gap = prefer[:n][here], (lead - lag)[:n][here]
-        mismatch = (gap > TOLERANCE) & (lead_gap < -TOLERANCE) | (gap < -TOLERANCE) & (lead_gap > TOLERANCE)
+        gap, lead_gap = prefer[:n][here], lead_lag[:n][here]
+        mismatch = (lead_gap > TOLERANCE) & (gap < 0) | (lead_gap < -TOLERANCE) & (gap > 0)
         signs.add(gap, lead_gap, violations=np.count_nonzero(mismatch))
 
         prefers = np.zeros((n + 1, F + 1), dtype=bool)  # row F and column F hold no decision
-        np.logical_and(decision, prefer > TOLERANCE, out=prefers[:ext - lo, :F])
-        neighbor.add(prefer[:n][here & prefers[1:, :F] & prefers[:n, 1:]])
+        np.logical_and(decision, lead_lag > TOLERANCE, out=prefers[:ext - lo, :F])
+        implied = here & prefers[1:, :F] & prefers[:n, 1:]
+        neighbor.add(prefer[:n][implied], violations=np.count_nonzero(lead_lag[:n][implied] < -TOLERANCE))
     lr = AuditCheck("lr_optimality", signs.examined, int(lr_violations), None)
     return AuditReport((lr, *(tally.check() for tally in tallies)))
 

@@ -11,18 +11,18 @@ at a time: a row is the first K bytes of ceil(K/4) fresh 32-bit words, and
 all-zero rows are skipped, so every packet is a genuine combination.
 Whether a packet is innovative depends on its coefficients alone, so a
 RankTracker follows a receiver's rank on the K-byte coefficient rows in
-pure Python.  Payloads are decoded a block at a time: encode_blocks
-encodes sources under K x K coefficient rows, and decode_blocks
-Gauss-Jordan-reduces a whole stack of K x (K+L) blocks at once and says
-which are full rank and which of those do not decode to their source;
-codec validation checks its blocks with it.  The simulator only needs
-to know which K x K coefficient blocks are full rank, and
-full_rank_blocks says so by forward elimination alone.
+pure Python.  Blocks are eliminated a stack at a time, by one kernel:
+full_rank_blocks forward-eliminates a stack of K x (K+L) blocks at once
+and says which are full rank.  The simulator calls it on K x K
+coefficient blocks (L = 0).  Codec validation encodes sources under
+K x K coefficient rows with encode_blocks, and decode_blocks runs the
+same elimination on the coded blocks, back-substitutes the payload
+columns and says which full-rank blocks do not decode to their source.
 
 Codec validation draws from three substreams SeedSequence((seed, role)):
 role 0 gives the sources, role 1 each batch's first K coefficient rows,
 role 2 the further rows that only a rank-deficient batch pulls.  It
-encodes and reduces chunks of batches at once; the rare batch whose
+encodes and decodes chunks of batches at once; the rare batch whose
 first K rows are not independent goes through a RankTracker until full
 rank and is then decoded from the rows the tracker kept.
 run_codec_validation admits its own arguments and raises ConfigError on
@@ -65,7 +65,7 @@ _MUL_BYTES = [bytes(row) for row in _MUL.tolist()]
 _INV_LIST = _INV.tolist()
 _from_bytes = int.from_bytes  # bound once: RankTracker.add calls it about K/2 times per row
 
-# run_codec_validation encodes and row-reduces, and the simulator's rank check
+# run_codec_validation encodes and decodes, and the simulator's rank check
 # forward-eliminates, up to _BATCH_CHUNK batches together, fewer when their
 # K x (K+L) blocks would pass _CHUNK_BYTES (see batch_chunk; L = 0 for the
 # rank check): each elimination step builds temporaries of about 11 bytes per
@@ -170,11 +170,16 @@ class RankTracker:
 def decode_blocks(blocks: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode a (B, K, K+L) stack of coded blocks in place and compare it with (B, K, L) sources.
 
-    Returns two (B,) bool masks: the full-rank blocks, and the full-rank
-    blocks that do not decode to their source.
+    full_rank_blocks eliminates the whole stack, payload columns included;
+    back substitution on the payload columns, from the last pivot row up,
+    then leaves the decoded source in them.  Returns two (B,) bool masks:
+    the full-rank blocks, and the full-rank blocks that do not decode to
+    their source.
     """
     window = sources.shape[1]
-    full = _reduce_blocks(blocks, window)
+    full = full_rank_blocks(blocks)
+    for c in range(window - 1, 0, -1):
+        blocks[:, :c, window:] ^= _mul(blocks[:, :c, c, None], blocks[:, c, None, window:])
     return full, full & (blocks[:, :, window:] != sources).any(axis=(1, 2))
 
 
@@ -184,7 +189,7 @@ def block_solve_bytes(window: int, packet_len: int) -> int:
 
 
 def batch_chunk(window: int, packet_len: int) -> int:
-    """How many K x (K+L) blocks to encode and row-reduce together.
+    """How many K x (K+L) blocks to encode and decode together.
 
     Up to _BATCH_CHUNK, fewer when their bytes would pass _CHUNK_BYTES,
     and at least one.
@@ -225,39 +230,16 @@ def expected_extra_packets(window: int) -> float:
     return total
 
 
-def _reduce_blocks(blocks: np.ndarray, window: int) -> np.ndarray:
-    """Gauss-Jordan-reduce a (B, K, K+L) stack in place; True where full rank.
+def full_rank_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Forward-eliminate a (B, K, K+L) stack in place, L >= 0; True where full rank.
 
     Step c takes, in every block at once, the first row at or below row c
-    with a nonzero entry in column c, swaps it up to row c, scales it to a
-    unit pivot and clears column c from every other row.  A full-rank block
-    ends as [I | S], S the decoded source.  Blocks without a pivot in some
-    column come out in no particular form and are only flagged.
-    """
-    at = np.arange(blocks.shape[0])
-    full = np.ones(blocks.shape[0], dtype=bool)
-    for c in range(window):
-        nonzero = blocks[:, c:, c] != 0
-        full &= nonzero.any(axis=1)
-        pivot = c + nonzero.argmax(axis=1)
-        row = blocks[at, pivot]
-        blocks[at, pivot] = blocks[:, c]
-        row = _mul(_INV[row[:, c]][:, None], row)
-        blocks[:, c] = row
-        factors = blocks[:, :, c].copy()
-        factors[:, c] = 0
-        # columns before c are already zero in the pivot row of a full-rank block
-        blocks[:, :, c:] ^= _mul(factors[:, :, None], row[:, None, c:])
-    return full
-
-
-def full_rank_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Forward-eliminate a (B, K, K) stack in place; True where full rank.
-
-    Step c searches, swaps and scales the pivot as _reduce_blocks does,
-    then clears column c from the rows below it only, on columns c.. only:
-    no row above is touched and no payload rides along.  A full-rank block
-    ends upper triangular with a unit diagonal.
+    with a nonzero entry in column c, swaps it up to row c and scales it to
+    a unit pivot, then clears column c from the rows below it only, on
+    columns c.. only.  A full-rank block ends with its K x K part upper
+    triangular with a unit diagonal, its payload columns carried along;
+    a block without a pivot in some column comes out in no particular form
+    and is only flagged.
     """
     at = np.arange(blocks.shape[0])
     full = np.ones(blocks.shape[0], dtype=bool)

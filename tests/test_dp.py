@@ -326,6 +326,19 @@ class TestCheckLrOptimality:
         assert family(report, "lr_optimality").violations == 1
         assert not report.passed
 
+    @pytest.mark.parametrize("p", [0.5, 1e-6, 1e-10])
+    def test_sees_a_violation_of_fixed_on_slot_size_at_any_p(self, p):
+        # At (0, 8) serving the receiver behind becomes worse by 0.05 ON slots.
+        # The serve-most minus serve-least gap is p / (2 - p) times that, far
+        # below TOLERANCE at small p, so the verdict must be read off lag and lead.
+        cfg = validate_config(24, 8, 2, p)
+        values = solve_optimal(cfg)[0]
+        values[1, 8] = values[0, 9] + 0.05 / p  # lag successor of (0, 8), its lead being (0, 9)
+        report = certify(cfg, values)
+        assert family(report, "lr_optimality").violations == 1
+        assert family(report, "neighbor_implication").violations == 1
+        assert not report.passed
+
 
 class TestAudit:
     @pytest.mark.parametrize("F,K,p", [(12, 4, 0.5), (8, 2, 0.8)])

@@ -109,8 +109,8 @@ def per_packet_validation(window, packet_len, n_batches, seed=0):
         window=window,
         packet_len=packet_len,
         roundtrip_failures=failures,
-        mean_extra_packets=extras_total / n_batches if n_batches else 0.0,
-        exact_rank_fraction=exact / n_batches if n_batches else 0.0,
+        mean_extra_packets=extras_total / n_batches,
+        exact_rank_fraction=exact / n_batches,
     )
     return report, sorted(encoded)
 
@@ -363,10 +363,10 @@ def coded_batches(window=4, packet_len=6, count=3, seed=0):
     return coeffs, sources
 
 
-class TestVerifyBlocks:
+class TestDecodeBlocks:
     """decode_blocks on blocks that must be flagged; full-rank ones decode in TestDecoder::test_round_trip."""
 
-    def test_corrupted_source_byte_raises(self):
+    def test_corrupted_source_byte_is_flagged_wrong(self):
         coeffs, sources = coded_batches()
         blocks = encode_blocks(coeffs, sources)
         sources[2, 1, 3] ^= 0x40
@@ -374,7 +374,7 @@ class TestVerifyBlocks:
         assert full.tolist() == [True, True, True]
         assert wrong.tolist() == [False, False, True]
 
-    def test_rank_deficient_block_is_reported_when_allowed(self):
+    def test_rank_deficient_block_is_flagged_not_full_and_never_wrong(self):
         coeffs, sources = coded_batches()
         full, wrong = decode_blocks(encode_blocks(coeffs, sources), sources)
         assert full.all() and not wrong.any()
@@ -383,7 +383,7 @@ class TestVerifyBlocks:
         assert full.tolist() == [True, False, True]
         assert not wrong.any()  # a block that is not full rank is never called wrong
 
-    def test_wrong_decode_raises_beside_an_allowed_deficient_block(self):
+    def test_wrong_decode_is_flagged_beside_a_deficient_block(self):
         coeffs, sources = coded_batches()
         coeffs[1, 3] = rlnc._MUL[7, coeffs[1, 0]] ^ coeffs[1, 2]
         blocks = encode_blocks(coeffs, sources)
@@ -393,12 +393,20 @@ class TestVerifyBlocks:
         assert wrong.tolist() == [False, False, True]
 
 
+def eliminator_rank(rows: np.ndarray) -> int:
+    """Rank an Eliminator reaches on the rows of one K x K block, fed one at a time."""
+    decoder = Eliminator(rows.shape[1])
+    for row in rows:
+        decoder.ingest(row)
+    return decoder.rank
+
+
 class TestFullRankBlocks:
-    """full_rank_blocks flags the blocks that the Gauss-Jordan reduction behind decode_blocks flags."""
+    """full_rank_blocks flags a block full rank exactly when an Eliminator reaches rank K on its rows."""
 
     @staticmethod
     def assert_same_mask(blocks: np.ndarray) -> list[bool]:
-        expected = rlnc._reduce_blocks(blocks.copy(), blocks.shape[1]).tolist()
+        expected = [eliminator_rank(block) == block.shape[0] for block in blocks]
         assert rlnc.full_rank_blocks(blocks.copy()).tolist() == expected
         return expected
 
@@ -416,6 +424,17 @@ class TestFullRankBlocks:
         blocks[2, -1] = blocks[2, 0] ^ blocks[2, 1]  # the sum of two rows
         blocks[3, :, K // 2] = 0  # a zero column
         assert self.assert_same_mask(blocks) == [True, False, False, False]
+
+    @pytest.mark.parametrize("K", [1, 4, 16])
+    def test_payload_columns_leave_the_mask_alone(self, K):
+        # coded (B, K, K+L) blocks against their K x K coefficient part; bytes from {0, 1}
+        # make both full-rank and deficient blocks at each K here
+        gen = rng(K + 2)
+        coeffs = gen.integers(0, 2, size=(40, K, K), dtype=np.uint8)
+        sources = gen.integers(0, 256, size=(40, K, 5), dtype=np.uint8)
+        expected = self.assert_same_mask(coeffs)
+        assert True in expected and False in expected
+        assert rlnc.full_rank_blocks(encode_blocks(coeffs, sources)).tolist() == expected
 
     def test_ends_upper_triangular_with_a_unit_diagonal(self):
         blocks = rng(3).integers(0, 256, size=(5, 6, 6), dtype=np.uint8)
