@@ -174,9 +174,8 @@ def cmd_check_lr(args):
         report = reports[config]
         failed |= not report.passed
         for check in report.checks:
-            margin = "" if check.worst_margin is None else repr(check.worst_margin)
             status = "pass" if check.violations == 0 else "fail"
-            rows.append((F, K, p, check.name, check.examined, check.violations, margin, status))
+            rows.append((F, K, p, check.name, check.examined, check.violations, repr(check.worst_margin), status))
         print(f"F={F} K={K} p={p}: {'PASS' if report.passed else 'FAIL'}")
 
     def write_report(path) -> None:

@@ -28,11 +28,12 @@ policy tables are int8 arrays holding ``Action`` values.  The same
 sweep minimizes or evaluates a stack of policies (evaluate_policy,
 enumerate_policies_oracle), and computes values only: solve_optimal reads
 its action table off the finished ON-slot table, in row blocks.
-``certify`` checks a solved table: serve-least optimality and the
-structural inequality families, in one pass over row blocks of bounded
-size.  The solver's ties, the oracle's verdict and every certify check
-share one slack, TOLERANCE, in ON slots (V * p), and the oracle refuses an
-instance of more than ORACLE_MAX_CAP policies.
+``certify`` checks a solved table: serve-least optimality, on the lag
+and lead the action table reads, and five structural inequality
+families, in one pass over row blocks of bounded size.  The solver's
+ties, the oracle's verdict and every certify check share one slack,
+TOLERANCE, in ON slots (V * p), and the oracle refuses an instance of
+more than ORACLE_MAX_CAP policies.
 
 Two identities of the solved tables hold bit for bit, because the sweep
 applies the same float operations to the same operands:
@@ -102,8 +103,8 @@ def _bellman(advance_0, advance_1, both, config: SystemConfig):
     """ON-slot value U of unfinished states from their successors' U values.
 
     `advance_i` holds U of the state where receiver i gained a packet and
-    `both` U of the state after a slot with both receivers ON; the arrays
-    may have any common shape.
+    `both` U of the state after a slot with both receivers ON, each a
+    (P, n) stack of one diagonal's successors.
     """
     return (1.0 + config.q * (advance_0 + advance_1) + config.p * both) / (2.0 - config.p)
 
@@ -202,13 +203,13 @@ def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AuditCheck:
-    """One inequality family: how many instances were examined and the
-    smallest slack seen (negative slack beyond TOLERANCE is a violation)."""
+    """One inequality family: how many instances were examined, how many
+    violate it, and the smallest margin seen (nan where none was examined)."""
 
     name: str
     examined: int
     violations: int
-    worst_margin: float | None  # None where the family records no margin
+    worst_margin: float
 
 
 @dataclass(frozen=True)
@@ -226,13 +227,12 @@ class _Tally:
     def __init__(self, name: str):
         self.name, self.examined, self.violations, self.worst = name, 0, 0, np.inf
 
-    def add(self, margins: np.ndarray, *more: np.ndarray, violations: int | None = None) -> None:
-        """Violations default to the margins below -TOLERANCE; the worst spans `margins` and `more`."""
+    def add(self, margins: np.ndarray, violations: int | None = None) -> None:
+        """Violations default to the margins below -TOLERANCE."""
         self.examined += margins.size
         self.violations += int(np.count_nonzero(margins < -TOLERANCE) if violations is None else violations)
-        for m in (margins, *more):
-            if m.size:
-                self.worst = np.minimum(self.worst, m.min())
+        if margins.size:
+            self.worst = np.minimum(self.worst, margins.min())
 
     def check(self) -> AuditCheck:
         return AuditCheck(self.name, self.examined, self.violations, float(self.worst if self.examined else np.nan))
@@ -244,42 +244,31 @@ def certify(config: SystemConfig, values: np.ndarray) -> AuditReport:
     `values` is the optimal expected-slot table of `config`
     (``solve_optimal(config)[0]``); every family reads it in ON slots,
     U = p * V.  Families, in report order:
-      lr_optimality            lag < lead + TOLERANCE at every decision
-        state, lag and lead being U of the successors that serve the
-        receiver behind and ahead (no margin is recorded)
-      edge_closed_form         U(x0, F) equals F - x0                 (margin: -|error|)
-      corner_sandwich          U(F-1, F) < U(F-1, F-1) < U(F-2, F)
-      monotone_in_x0           U(x0, x1) > U(x0+1, x1) on the last-batch band
-      monotone_in_x1           U(x0, x1) < U(x0, x1-1) on the last-batch band
-      balance_preference       U(x0, x1) < U(x0-1, x1+1): imbalance costs time
-      decision_sign_equivalence  at decision states the serve-most minus
-        serve-least gap u_most - u_least (_bellman with S the lead and the
-        lag) never has the opposite sign of a lead - lag beyond TOLERANCE
-        (margin: the smaller of the two gaps).  _bellman makes this an
-        identity, u_most - u_least = p / (2 - p) * (lead - lag), so the
-        check guards the formula and the table against each other.
-      neighbor_implication     whenever lead - lag > TOLERANCE at both
-        advanced neighbors of a decision state, lead - lag >= -TOLERANCE
-        at the state itself (margin: its u_most - u_least)
+      lr_optimality       lag < lead + TOLERANCE at every decision state,
+        lag and lead being U of the successors that serve the receiver
+        behind and ahead (margin: lead - lag)
+      edge_closed_form    U(x0, F) equals F - x0                 (margin: -|error|)
+      corner_sandwich     U(F-1, F) < U(F-1, F-1) < U(F-2, F)
+      monotone_in_x0      U(x0, x1) > U(x0+1, x1) on the last-batch band
+      monotone_in_x1      U(x0, x1) < U(x0, x1-1) on the last-batch band
+      balance_preference  U(x0, x1) < U(x0-1, x1+1): imbalance costs time
 
-    The LR families decide on lead and lag: u_most - u_least shrinks with
-    p and falls below TOLERANCE at small p.  Other inequality margins are
-    slack (right side minus left side); a margin below -TOLERANCE ON slots
-    counts as a violation.  The unfinished rows
-    are walked once, in blocks of about _CERTIFY_CELLS cells.  Each block
-    scales its rows and the one below them to ON slots, evaluates
-    _bellman once for each choice of S, over one row beyond its own (the
-    neighbors below its last row), and feeds every family from it.
+    LR is decided on lead and lag, not on the serve-most minus serve-least
+    gap of _bellman, p / (2 - p) * (lead - lag), which shrinks with p and
+    falls below TOLERANCE at small p.  The other margins are slack (right
+    side minus left side); a margin below -TOLERANCE ON slots counts as a
+    violation.  The unfinished rows are walked once, in blocks of about
+    _CERTIFY_CELLS cells; each block scales its rows and the one below
+    them to ON slots and feeds every family from them.
     """
     batches = _batches(config)
     F, p = config.F, config.p
     last_band_start = F - config.K  # first packet index of the final batch
     tallies = tuple(map(_Tally, (
-        "edge_closed_form", "corner_sandwich", "monotone_in_x0", "monotone_in_x1",
-        "balance_preference", "decision_sign_equivalence", "neighbor_implication",
+        "lr_optimality", "edge_closed_form", "corner_sandwich", "monotone_in_x0", "monotone_in_x1",
+        "balance_preference",
     )))
-    edge, sandwich, mono_x0, mono_x1, balance, signs, neighbor = tallies
-    lr_violations = 0
+    lr, edge, sandwich, mono_x0, mono_x1, balance = tallies
     edge.add(-np.abs(values[:, F] * p - (F - np.arange(F + 1))))
     corner = values[F - 2:, F - 2:] * p  # rows and columns F-2, F-1, F
     sandwich.add(np.array([corner[1, 1] - corner[1, 2], corner[0, 2] - corner[1, 1]] if F >= 2 else []))
@@ -287,34 +276,21 @@ def certify(config: SystemConfig, values: np.ndarray) -> AuditReport:
     rows = max(1, _CERTIFY_CELLS // (F + 1))
     for lo in range(0, F, rows):
         hi = min(lo + rows, F)
-        n, ext = hi - lo, min(hi + 1, F)
-        u = values[lo:ext + 1] * p  # rows lo .. ext
+        n = hi - lo
+        u = values[lo:hi + 1] * p  # rows lo .. hi
         x0 = np.arange(lo, hi)[:, None]
         band = (x1 > last_band_start) & (x0 < x1)
-        mono_x0.add((u[:n] - u[1:n + 1])[band])
+        mono_x0.add((u[:n] - u[1:])[band])
         mono_x1.add((u[:n, :F] - u[:n, 1:])[band[:, 1:]])
         band = (x1[:F] >= last_band_start) & (x0 + 1 < x1[:F])
-        balance.add((u[:n, 1:] - u[1:n + 1, :F])[band])  # U(x0+1, x1) < U(x0, x1+1)
+        balance.add((u[:n, 1:] - u[1:, :F])[band])  # U(x0+1, x1) < U(x0, x1+1)
 
-        advance_0, advance_1 = u[1:, :F], u[:-1, 1:]
-        h0, h1 = batches[lo:ext, None], batches[None, :F]
+        advance_0, advance_1 = u[1:, :F], u[:n, 1:]
+        h0, h1 = batches[lo:hi, None], batches[None, :F]
         decision, r0_behind = h0 != h1, h0 < h1
         lag, lead = np.where(r0_behind, advance_0, advance_1), np.where(r0_behind, advance_1, advance_0)
-        u_least, u_most = _bellman(advance_0, advance_1, lag, config), _bellman(advance_0, advance_1, lead, config)
-        prefer, lead_lag = u_most - u_least, lead - lag  # serve-most minus serve-least gap, and its cause
-        here = decision[:n]
-        lr_violations += np.count_nonzero(here & ~(lag[:n] < lead[:n] + TOLERANCE))
-
-        gap, lead_gap = prefer[:n][here], lead_lag[:n][here]
-        mismatch = (lead_gap > TOLERANCE) & (gap < 0) | (lead_gap < -TOLERANCE) & (gap > 0)
-        signs.add(gap, lead_gap, violations=np.count_nonzero(mismatch))
-
-        prefers = np.zeros((n + 1, F + 1), dtype=bool)  # row F and column F hold no decision
-        np.logical_and(decision, lead_lag > TOLERANCE, out=prefers[:ext - lo, :F])
-        implied = here & prefers[1:, :F] & prefers[:n, 1:]
-        neighbor.add(prefer[:n][implied], violations=np.count_nonzero(lead_lag[:n][implied] < -TOLERANCE))
-    lr = AuditCheck("lr_optimality", signs.examined, int(lr_violations), None)
-    return AuditReport((lr, *(tally.check() for tally in tallies)))
+        lr.add((lead - lag)[decision], violations=np.count_nonzero(decision & ~(lag < lead + TOLERANCE)))
+    return AuditReport(tuple(tally.check() for tally in tallies))
 
 
 @dataclass(frozen=True)

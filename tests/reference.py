@@ -17,8 +17,8 @@ that share no code.
 - A dense N=2 policy evaluation built on that kernel
   (linear_solve_policy, lookahead), the policy tables to feed it
   (decision_states, lr_policy_table, all_policy_tables) and the
-  solver's tie rule applied state by state to a finished table
-  (lag_lead_actions).
+  lag and lead of a decision state on a finished table (lag_lead), and
+  the solver's tie rule applied state by state (lag_lead_actions).
 - The per-row coefficient draw (per_row_coefficients) that
   rlnc.coefficient_rows is pinned against.
 - The batch-selection kernels over a conflict slot's hits list (lr_pick,
@@ -171,24 +171,27 @@ def lookahead(values, s, action, cfg):
     return (reward(s, cfg) + move) / (1.0 - stay)
 
 
+def lag_lead(u, s, cfg):
+    """(lag, lead) at decision state s: u at the successors that serve the receiver behind and ahead.
+
+    `u` is an ON-slot table u = p * V, indexed u[x0][x1].
+    """
+    x0, x1 = s
+    advance_0, advance_1 = u[x0 + 1][x1], u[x0][x1 + 1]
+    return (advance_0, advance_1) if classify(s, cfg) is StateKind.RECEIVER_0_BEHIND else (advance_1, advance_0)
+
+
 def lag_lead_actions(u, cfg, tolerance):
     """The solver's action rule, state by state, on an ON-slot table u = p * V.
 
-    SERVE_LEAST at a decision state where lag <= lead + tolerance, lag and
-    lead being u at the successors that serve the receiver behind and
-    ahead; SERVE_MOST at the other decision states, NO_DECISION elsewhere.
+    SERVE_LEAST at a decision state where lag <= lead + tolerance,
+    SERVE_MOST at the other decision states, NO_DECISION elsewhere.
     """
-    side = cfg.F + 1
     rows = u.tolist()
-    table = np.full((side, side), Action.NO_DECISION, dtype=np.int8)
-    for x0 in range(side):
-        for x1 in range(side):
-            kind = classify((x0, x1), cfg)
-            if not kind.is_decision:
-                continue
-            advance_0, advance_1 = rows[x0 + 1][x1], rows[x0][x1 + 1]
-            lag, lead = (advance_0, advance_1) if kind is StateKind.RECEIVER_0_BEHIND else (advance_1, advance_0)
-            table[x0, x1] = Action.SERVE_LEAST if lag <= lead + tolerance else Action.SERVE_MOST
+    table = np.full((cfg.F + 1, cfg.F + 1), Action.NO_DECISION, dtype=np.int8)
+    for s in decision_states(cfg):
+        lag, lead = lag_lead(rows, s, cfg)
+        table[s] = Action.SERVE_LEAST if lag <= lead + tolerance else Action.SERVE_MOST
     return table
 
 

@@ -162,9 +162,9 @@ class TestCheckLr:
                 continue
             report = certify(config, solve_optimal(config)[0])
             for check in report.checks:
-                margin = "" if check.worst_margin is None else repr(check.worst_margin)
                 status = "pass" if check.violations == 0 else "fail"
-                rows.append(f"{F},{K},{p},{check.name},{check.examined},{check.violations},{margin},{status}")
+                rows.append(f"{F},{K},{p},{check.name},{check.examined},{check.violations},"
+                            f"{check.worst_margin!r},{status}")
             lines.append(f"F={F} K={K} p={p}: {'PASS' if report.passed else 'FAIL'}")
         assert out.read_text().splitlines()[1:] == rows
         assert capsys.readouterr().out.splitlines() == lines + [f"wrote {out}"]
