@@ -15,9 +15,12 @@ This module parses flags, formats output and maps ConfigError, and an
 OSError while writing --out, to exit 2.  Each run is admitted by the
 library call that owns it, which raises ConfigError before any work
 starts: sim.sweep_coding_window for simulate and sweep,
-rlnc.run_codec_validation for codec-validate and
+rlnc.run_codec_validation for codec-validate (each admits at most
+model.MAX_REPEATS trials per cell, or batches) and
 dp.enumerate_policies_oracle for oracle, which refuses an instance of
-more than dp.ORACLE_MAX_CAP policies.  check-lr refuses its grid here,
+more than dp.ORACLE_MAX_CAP policies.  solve holds the value table
+alone; its --out writer, dp.write_table_csv, reads the minimizing policy
+off that table as it writes.  check-lr refuses its grid here,
 before any cell prints: an empty or repeated list value, an oversized
 file, or a grid with no valid cell.  It then
 solves once per (K, p), at the largest valid F of that pair, certifies
@@ -122,9 +125,9 @@ def _write_out(args, argv: list[str], write) -> None:
 
 def cmd_solve(args):
     config = validate_config(args.file_size, args.window, 2, args.p)
-    values, actions = solve_optimal(config)
+    values = solve_optimal(config)
     print(f"V(0,0) = {values[0, 0]:.6f}")
-    return 0, lambda path: write_table_csv(path, values, actions)
+    return 0, lambda path: write_table_csv(path, config, values)
 
 
 def _certify_group(configs: list) -> dict:
@@ -137,7 +140,7 @@ def _certify_group(configs: list) -> dict:
     top = max(configs, key=lambda config: config.F)
     n = len(configs)
     print(f"check-lr: K={top.K} p={top.p}: solving F={top.F} for {n} file size{'s' * (n > 1)}", file=sys.stderr)
-    values = solve_optimal(top)[0]
+    values = solve_optimal(top)
     return {config: certify(config, values[top.F - config.F:, top.F - config.F:]) for config in configs}
 
 

@@ -24,16 +24,17 @@ batch-id vector x // K with a reversed slice of it, so each diagonal is
 a handful of array expressions over views.
 
 Value tables are dense (F+1) x (F+1) float arrays indexed [x0, x1];
-policy tables are int8 arrays holding ``Action`` values.  The same
-sweep minimizes or evaluates a stack of policies (evaluate_policy,
-enumerate_policies_oracle), and computes values only: solve_optimal reads
-its action table off the finished ON-slot table, in row blocks.
-``certify`` checks a solved table: serve-least optimality, on the lag
-and lead the action table reads, and five structural inequality
-families, in one pass over row blocks of bounded size.  The solver's
-ties, the oracle's verdict and every certify check share one slack,
-TOLERANCE, in ON slots (V * p), and the oracle refuses an instance of
-more than ORACLE_MAX_CAP policies.
+a policy holds an ``Action`` code per state.  The same sweep minimizes
+(solve_optimal) or evaluates a stack of policies
+(enumerate_policies_oracle), and computes values only: solve_optimal
+returns the value table alone.  write_table_csv reads the minimizing
+policy off that table row block by row block as it writes, serving the
+receiver behind where lag <= lead + TOLERANCE.  ``certify`` checks a
+solved table: serve-least optimality, on the same lag and lead, and five
+structural inequality families, in one pass over row blocks of bounded
+size.  The exported policy's ties, the oracle's verdict and every
+certify check share one slack, TOLERANCE, in ON slots (V * p), and the
+oracle refuses an instance of more than ORACLE_MAX_CAP policies.
 
 Two identities of the solved tables hold bit for bit, because the sweep
 applies the same float operations to the same operands:
@@ -43,9 +44,9 @@ applies the same float operations to the same operands:
     corner of the table at F'.  check-lr solves each (K, p) once, at its
     largest F, and certifies every smaller F on that corner.
   mirror    swapping the receivers swaps x0 and x1, and every expression
-    of the sweep is symmetric under that swap, so V == V.T and the action
-    table equals its transpose.  write_table_csv formats each mirrored
-    value once.
+    of the sweep is symmetric under that swap, so V == V.T and the policy
+    equals its transpose.  write_table_csv formats each mirrored value
+    once.
 """
 
 from dataclasses import dataclass
@@ -58,8 +59,8 @@ from .model import ConfigError, SystemConfig
 MAX_STATES = 1 << 23  # (F+1)^2 cap of every table: admits F <= 2895
 ORACLE_MAX_CAP = 2**20  # the most policies the oracle enumerates
 _ORACLE_CHUNK = 1 << 12  # policies evaluated per batched sweep
-_CERTIFY_CELLS = 1 << 18  # grid cells per row block of certify, the action table and CSV export (at least one row)
-TOLERANCE = 1e-9  # slack in ON slots: the solver's ties to SERVE_LEAST, the oracle's and certify's slack
+_CERTIFY_CELLS = 1 << 18  # grid cells per row block of certify and CSV export (at least one row)
+TOLERANCE = 1e-9  # slack in ON slots: the exported policy's ties to SERVE_LEAST, the oracle's and certify's slack
 
 
 class Action(IntEnum):
@@ -89,14 +90,6 @@ def _batches(config: SystemConfig) -> np.ndarray:
         raise ValueError(f"exact solving covers N=2 only, got N={config.N}")
     check_table_size(config.F)
     return np.arange(config.F + 1) // config.K
-
-
-def _decision_mask(batches: np.ndarray) -> np.ndarray:
-    """Whole-grid bool mask of the decision states, for outputs indexed by state."""
-    F = len(batches) - 1
-    decision = np.zeros((F + 1, F + 1), dtype=bool)
-    np.not_equal(batches[:F, None], batches[None, :F], out=decision[:F, :F])
-    return decision
 
 
 def _bellman(advance_0, advance_1, both, config: SystemConfig):
@@ -147,57 +140,15 @@ def _sweep(config: SystemConfig, batches: np.ndarray, serve_least: np.ndarray | 
     return values
 
 
-def _action_table(u: np.ndarray, batches: np.ndarray) -> np.ndarray:
-    """The int8 action table of a minimizing sweep's ON-slot table `u`.
-
-    NO_DECISION off the decision states, else SERVE_LEAST where
-    lag <= lead + TOLERANCE, lag and lead being the values of the
-    successors that serve the receiver behind and ahead.  The unfinished
-    rows are walked in blocks of about _CERTIFY_CELLS cells, as certify
-    walks them; a block's temporaries are bools and one float array.
-    """
-    F = len(batches) - 1
-    actions = np.zeros((F + 1, F + 1), dtype=np.int8)  # row F and column F: NO_DECISION
-    least, most, no = (np.int8(a) for a in (Action.SERVE_LEAST, Action.SERVE_MOST, Action.NO_DECISION))
-    rows = max(1, _CERTIFY_CELLS // (F + 1))
-    for lo in range(0, F, rows):
-        hi = min(lo + rows, F)
-        advance_0, advance_1 = u[lo + 1:hi + 1, :F], u[lo:hi, 1:]
-        h0, h1 = batches[lo:hi, None], batches[None, :F]
-        lag_wins = np.where(h0 < h1, advance_0 <= advance_1 + TOLERANCE, advance_1 <= advance_0 + TOLERANCE)
-        actions[lo:hi, :F] = np.where(h0 == h1, no, np.where(lag_wins, least, most))
-    return actions
-
-
-def solve_optimal(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal expected-slots-to-completion table and a minimizing policy.
+def solve_optimal(config: SystemConfig) -> np.ndarray:
+    """Optimal expected-slots-to-completion table.
 
     At decision states the stored value serves whichever of the lag and
-    lead successors has the smaller value; ties within TOLERANCE ON slots
-    are resolved toward SERVE_LEAST so the policy table is canonical.  The
-    choice is read off the finished ON-slot table, before it is divided
-    by p.
+    lead successors has the smaller value.  No policy is kept:
+    write_table_csv reads a minimizing one off the table.
     """
-    batches = _batches(config)
-    values = _sweep(config, batches)[0]
-    actions = _action_table(values, batches)
-    values /= config.p
-    return values, actions
-
-
-def evaluate_policy(config: SystemConfig, policy: np.ndarray) -> np.ndarray:
-    """Expected-slots table of a fixed policy (same sweep, no minimization)."""
-    batches = _batches(config)
-    policy = np.asarray(policy)
-    if policy.shape != (config.F + 1, config.F + 1):
-        raise ValueError(f"policy table must be {(config.F + 1,) * 2}, got {policy.shape}")
-    choices = np.isin(policy, (Action.SERVE_LEAST, Action.SERVE_MOST))
-    illegal = np.argwhere(np.where(_decision_mask(batches), ~choices, policy != Action.NO_DECISION))
-    if len(illegal):
-        s = tuple(illegal[0].tolist())
-        raise ValueError(f"illegal policy entry {policy[s]} at state {s}")
-    values = _sweep(config, batches, (policy == Action.SERVE_LEAST).reshape(1, -1))[0]
-    values /= config.p
+    values = _sweep(config, _batches(config))[0]
+    values /= config.p  # in place: a divided copy would hold the table twice
     return values
 
 
@@ -242,7 +193,7 @@ def certify(config: SystemConfig, values: np.ndarray) -> AuditReport:
     """Certify serve-least optimal and audit the structural properties of the optimal table.
 
     `values` is the optimal expected-slot table of `config`
-    (``solve_optimal(config)[0]``); every family reads it in ON slots,
+    (``solve_optimal(config)``); every family reads it in ON slots,
     U = p * V.  Families, in report order:
       lr_optimality       lag < lead + TOLERANCE at every decision state,
         lag and lead being U of the successors that serve the receiver
@@ -307,14 +258,18 @@ class OracleResult:
 def enumerate_policies_oracle(config: SystemConfig) -> OracleResult:
     """Evaluate every deterministic stationary policy and keep the best V(0,0).
 
-    Independent, brute-force certification path: it never consults
-    solve_optimal.  Raises ConfigError when 2**D exceeds ORACLE_MAX_CAP,
+    Brute-force certification path, independent of the minimisation
+    only: it never consults solve_optimal, but it evaluates each policy
+    with the same _sweep and _bellman that solve_optimal minimizes with.
+    Raises ConfigError when 2**D exceeds ORACLE_MAX_CAP,
     where D is the number of decision states.  Bit D-1-k of policy n set
     means SERVE_MOST at decision state k; policies are swept in fixed-size
     batches.
     """
     batches = _batches(config)
-    cells = np.flatnonzero(_decision_mask(batches))  # the decision states, in lexicographic order
+    decision = np.zeros((config.F + 1,) * 2, dtype=bool)  # the finished edges hold none
+    decision[:-1, :-1] = batches[:-1, None] != batches[None, :-1]
+    cells = np.flatnonzero(decision)  # the decision states, in lexicographic order
     D = len(cells)
     if D >= ORACLE_MAX_CAP.bit_length():  # i.e. 2**D > ORACLE_MAX_CAP, without the huge power
         raise ConfigError(f"{D} decision states give 2**{D} policies, over the cap {ORACLE_MAX_CAP}")
@@ -342,20 +297,25 @@ def _reprs(row: np.ndarray) -> list[str]:
     return repr(row.tolist())[1:-1].split(", ") if row.size else []
 
 
-def write_table_csv(path, values: np.ndarray, actions: np.ndarray) -> None:
-    """Dump a value/policy table pair as CSV (x0,x1,value,action; lexicographic rows).
+def write_table_csv(path, config: SystemConfig, values: np.ndarray) -> None:
+    """Dump ``solve_optimal(config)`` and a minimizing policy as CSV (x0,x1,value,action; lexicographic rows).
 
-    Each line is x0, x1, repr of the value and the action.  Rows go out in
-    blocks of about _CERTIFY_CELLS cells.  Where a block's diagonal square
-    of values equals its transpose bit for bit, as every solved table's
-    does, each mirrored pair is formatted once: row x0 reprs its cells
-    x1 >= x0 and takes the square's cells x1 < x0 from the strings of the
-    block's earlier rows, each dropped once used, so a block holds at most
-    about a quarter of its square's strings.  The strip left of the square,
-    and every row of a block whose square is not symmetric, is repr'd in
-    full.
+    Rows go out in blocks of about _CERTIFY_CELLS cells.  A block's
+    actions are read off its rows and the row below them in ON slots,
+    V * p, as certify reads lag and lead: NO_DECISION off the decision
+    states, else SERVE_LEAST where lag <= lead + TOLERANCE.  Where a
+    block's diagonal square of values equals its transpose bit for bit,
+    as every solved table's does, each mirrored pair is formatted once:
+    row x0 reprs its cells x1 >= x0 and takes the square's cells x1 < x0
+    from the strings of the block's earlier rows, each dropped once used,
+    so a block holds at most about a quarter of its square's strings.  The
+    strip left of the square, and every row of a block whose square is not
+    symmetric, is repr'd in full.
     """
-    side = values.shape[0]
+    batches = _batches(config)
+    F, side = config.F, config.F + 1
+    least, most, no = (np.int8(a) for a in (Action.SERVE_LEAST, Action.SERVE_MOST, Action.NO_DECISION))
+    action_text = {a.value: f",{a.value}\n" for a in Action}
     rows = max(1, _CERTIFY_CELLS // side)
     pieces = [""] * (4 * side)  # x0 + ",", x1 + ",", value, "," + action + "\n" of each cell of a row
     pieces[1::4] = [f"{x1}," for x1 in range(side)]
@@ -363,10 +323,17 @@ def write_table_csv(path, values: np.ndarray, actions: np.ndarray) -> None:
         fh.write("x0,x1,value,action\n")
         for lo in range(0, side, rows):
             hi = min(lo + rows, side)
+            top = min(hi, F)  # the block's unfinished rows are lo .. top-1
+            u = values[lo:top + 1] * config.p
+            advance_0, advance_1 = u[1:, :F], u[:-1, 1:]
+            h0, h1 = batches[lo:top, None], batches[None, :F]
+            lag_wins = np.where(h0 < h1, advance_0 <= advance_1 + TOLERANCE, advance_1 <= advance_0 + TOLERANCE)
+            actions = np.full((hi - lo, side), no)  # row F and column F: NO_DECISION
+            actions[:top - lo, :F] = np.where(h0 == h1, no, np.where(lag_wins, least, most))
+            del u, advance_0, advance_1, lag_wins  # so the block's floats are not held while it is formatted
             square = values[lo:hi, lo:hi]
             mirrored = np.array_equal(square.view(np.int64), square.T.view(np.int64))
             pending = []  # per earlier row of the block: its square's reprs not yet mirrored, last column first
-            action_text = {a: f",{a}\n" for a in set(actions[lo:hi].ravel().tolist())}
             for x0 in range(lo, hi):
                 if mirrored:
                     right = _reprs(values[x0, x0:])
@@ -375,5 +342,5 @@ def write_table_csv(path, values: np.ndarray, actions: np.ndarray) -> None:
                 else:
                     pieces[2::4] = _reprs(values[x0])
                 pieces[0::4] = [f"{x0},"] * side
-                pieces[3::4] = map(action_text.__getitem__, actions[x0].tolist())
+                pieces[3::4] = map(action_text.__getitem__, actions[x0 - lo].tolist())
                 fh.write("".join(pieces))

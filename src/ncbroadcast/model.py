@@ -9,6 +9,9 @@ encoded from any other batch are useless to it.
 from dataclasses import dataclass
 
 
+MAX_REPEATS = 10**6  # the most trials per cell, or codec-validate batches, that one run admits
+
+
 class ConfigError(ValueError):
     """Raised when scenario parameters violate the model assumptions."""
 
@@ -17,6 +20,19 @@ def require_at_least(value: int, minimum: int, flag: str) -> None:
     """Raise ConfigError naming the command-line `flag` unless value >= minimum."""
     if value < minimum:
         raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+
+
+def require_repeats(value: int, minimum: int, flag: str) -> None:
+    """Raise ConfigError naming the repeat-count `flag` unless minimum <= value <= MAX_REPEATS.
+
+    The bound keeps every admitted run's repeat loop finite: at
+    MAX_REPEATS, N=2 trials at F=4 take about 40 s in all, and K=16 codec
+    batches of 64-byte packets about 70 s (2-core x86 machine, scaled from
+    2*10^4 repeats).
+    """
+    require_at_least(value, minimum, flag)
+    if value > MAX_REPEATS:
+        raise ConfigError(f"{flag} must be at most {MAX_REPEATS}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import ConfigError, require_at_least
+from .model import ConfigError, require_at_least, require_repeats
 
 REDUCTION_POLY = 0x11D
 # The largest working set a codec run may need: codec validation's block
@@ -273,11 +273,12 @@ def run_codec_validation(window: int, packet_len: int, n_batches: int, seed: int
     so the report depends only on the arguments.
 
     Bad arguments raise ConfigError before anything is drawn: --window,
-    --packet-len and --batches must each be at least 1.
+    --packet-len and --batches must each be at least 1, and --batches at
+    most model.MAX_REPEATS.
     """
     require_at_least(window, 1, "--window")
     require_at_least(packet_len, 1, "--packet-len")
-    require_at_least(n_batches, 1, "--batches")
+    require_repeats(n_batches, 1, "--batches")
     require_at_least(seed, 0, "--seed")
     need = block_solve_bytes(window, packet_len)
     if need > MAX_CODEC_BYTES:

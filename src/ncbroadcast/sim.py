@@ -53,12 +53,12 @@ every sent packet carries a coefficient row to its receivers.
 
 sweep_coding_window is the one experiment call: it runs every (policy,
 config) cell and returns each cell's completion-slot statistics.  Before
-any substream is drawn it admits the whole run: known policy names, at
-least two trials (the sample stddev needs two), a seed >= 0, and
-check_run for every config, which refuses too many receivers, a file
-whose slot count could pass MAX_SLOTS and a codec trial over
-rlnc.MAX_CODEC_BYTES.  run_trial does not check them again; a trial
-that meets MAX_SLOTS all the same raises SlotCapError.
+any substream is drawn it admits the whole run: known policy names,
+two to model.MAX_REPEATS trials per cell (the sample stddev needs two),
+a seed >= 0, and check_run for every config, which refuses too many
+receivers, a file whose slot count could pass MAX_SLOTS and a codec
+trial over rlnc.MAX_CODEC_BYTES.  run_trial does not check them again;
+a trial that meets MAX_SLOTS all the same raises SlotCapError.
 
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig, require_at_least
+from .model import ConfigError, SystemConfig, require_at_least, require_repeats
 from .rlnc import MAX_CODEC_BYTES, RankTracker, batch_chunk, block_solve_bytes, coefficient_rows, full_rank_blocks
 
 ROLE_CONNECTIVITY = 0
@@ -481,7 +481,7 @@ def sweep_coding_window(
     for policy in policies:
         if policy not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {policy!r}; pick from {','.join(POLICY_NAMES)}")
-    require_at_least(n_trials, 2, "--trials")
+    require_repeats(n_trials, 2, "--trials")
     require_at_least(rng_spec.master_seed, 0, "--seed")
     for config in configs:
         check_run(config, codec)

@@ -39,7 +39,7 @@ def test_c1_closed_form_edge_values():
     worst = 0.0
     for p in GRID_P:
         cfg = validate_config(12, 4, 2, p)
-        values, _ = solve_optimal(cfg)
+        values = solve_optimal(cfg)
         for x0 in range(13):
             err = abs(values[x0, 12] - (12 - x0) / p)
             worst = max(worst, err)
@@ -54,7 +54,7 @@ def test_c2_corner_value():
     worst = 0.0
     for p in GRID_P:
         cfg = validate_config(12, 4, 2, p)
-        values, _ = solve_optimal(cfg)
+        values = solve_optimal(cfg)
         q = cfg.q
         err = abs(values[11, 11] - (1 + 2 * q) / (1 - q * q))
         worst = max(worst, err)
@@ -69,7 +69,7 @@ def test_c3_sandwich_and_monotonicity_families():
         for K in GRID_K:
             for p in GRID_P:
                 cfg = validate_config(F, K, 2, p)
-                rep = {c.name: c for c in certify(cfg, solve_optimal(cfg)[0]).checks}
+                rep = {c.name: c for c in certify(cfg, solve_optimal(cfg)).checks}
                 for name in ("corner_sandwich", "monotone_in_x0", "monotone_in_x1", "balance_preference"):
                     violations += rep[name].violations
     elapsed = time.perf_counter() - start
@@ -83,7 +83,7 @@ def test_c4_lr_optimality():
         for K in GRID_K:
             for p in GRID_P:
                 cfg = validate_config(F, K, 2, p)
-                rep = {c.name: c for c in certify(cfg, solve_optimal(cfg)[0]).checks}
+                rep = {c.name: c for c in certify(cfg, solve_optimal(cfg)).checks}
                 violations += rep["lr_optimality"].violations
     ok = TOLERANCE == 1e-9 and violations == 0  # TOLERANCE: certify's slack
     report("C4", "serve-least optimal at every decision state", ok, f"{violations} violations")
@@ -106,7 +106,7 @@ def test_c6_monte_carlo_matches_value_table():
     details = []
     for K in (4, 2, 6, 12):
         cfg = validate_config(12, K, 2, 0.5)
-        v00 = solve_optimal(cfg)[0][0, 0]
+        v00 = solve_optimal(cfg)[0, 0]
         [stats] = sweep_coding_window(["lr"], [cfg], 10_000, RngSpec(42))
         within = abs(stats.mean - v00) <= stats.ci95_half_width
         if not within:  # one reseed retry per the statistical contract

@@ -160,7 +160,7 @@ class TestCheckLr:
                 rows.append(f"{F},{K},{p},config,0,0,,invalid")
                 lines.append(f"F={F} K={K} p={p}: invalid ({exc})")
                 continue
-            report = certify(config, solve_optimal(config)[0])
+            report = certify(config, solve_optimal(config))
             for check in report.checks:
                 status = "pass" if check.violations == 0 else "fail"
                 rows.append(f"{F},{K},{p},{check.name},{check.examined},{check.violations},"
@@ -336,6 +336,10 @@ BAD_INPUTS = {
     "codec-validate-packet-len-0": ["codec-validate", "--packet-len", "0", "--batches", "3"],
     "codec-validate-negative-batches": ["codec-validate", "--window", "4", "--packet-len", "8", "--batches", "-5"],
     "codec-validate-zero-batches": ["codec-validate", "--batches", "0"],
+    # repeat counts past model.MAX_REPEATS: 10^12 repeats would run for years
+    "simulate-trials-over-cap": ["simulate", "--file-size", "4", "--window", "2", "--p", "0.5",
+                                 "--trials", "1000000000000"],
+    "codec-validate-batches-over-cap": ["codec-validate", "--batches", "1000000000000"],
     "simulate-receivers-over-cap": ["simulate", "--receivers", str(MAX_RECEIVERS + 1), "--file-size", "4",
                                     "--window", "2", "--p", "0.5", "--trials", "4"],
     "sweep-receivers-over-cap": ["sweep", "--receivers", str(MAX_RECEIVERS + 1), "--file-size", "4",

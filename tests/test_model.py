@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ncbroadcast.model import ConfigError, SystemConfig, validate_config
+from ncbroadcast.model import MAX_REPEATS, ConfigError, SystemConfig, require_repeats, validate_config
 from reference import batch_id
 
 
@@ -50,6 +50,15 @@ def test_single_batch_perfect_channel():
 def test_validate_rejects(F, K, N, p):
     with pytest.raises(ConfigError):
         validate_config(F, K, N, p)
+
+
+def test_repeat_counts_are_bounded_on_both_sides():
+    require_repeats(MAX_REPEATS, 1, "--batches")
+    require_repeats(2, 2, "--trials")
+    with pytest.raises(ConfigError, match=f"^--trials must be at most {MAX_REPEATS}, got {MAX_REPEATS + 1}$"):
+        require_repeats(MAX_REPEATS + 1, 2, "--trials")
+    with pytest.raises(ConfigError, match="^--trials must be at least 2, got 1$"):
+        require_repeats(1, 2, "--trials")
 
 
 def test_batch_id_values():

@@ -86,7 +86,7 @@ class TestWholeFileWindow:
 class TestAgainstExactValues:
     def test_lr_mean_within_ci_of_value_table(self):
         cfg = validate_config(12, 4, 2, 0.5)
-        v00 = solve_optimal(cfg)[0][0, 0]
+        v00 = solve_optimal(cfg)[0, 0]
         stats = one_cell(cfg, "lr", 4000, RngSpec(42))
         assert abs(stats.mean - v00) <= stats.ci95_half_width
 
