@@ -15,25 +15,22 @@ every delivery as one packet of progress.  Codec mode takes the packet's
 GF(256) coefficients from rlnc.coefficient_rows, which draws them a block
 of rows at a time, and counts progress only when they raise the
 receiver's rank.  A receiver finishes a batch once it holds K linearly
-independent rows, so no payload is simulated: each receiver that
-reaches rank K hands its K x K coefficient block to a pending list, and
-the list is rank-checked in chunks, at the end of the trial and at the
-slot cap, by one forward elimination (rlnc.full_rank_blocks).  A block
-that is not full rank ends the pass without a result.
+independent rows, so no payload is simulated.
 
 A codec trial first runs a held-rows pass.  Each receiver only holds the
 rows it receives for its batch, and every reception counts as progress,
-so a batch completes at its K-th reception.  The rank check then says
-whether each completed block is full rank.  If all of them are, the pass
-is exact: K rows of rank K were each innovative when they arrived, every
-received row belongs to a block that completes, and codec mode never
-jumps, so the pass is slot for slot the eager one that tracks each
-receiver's rank on an rlnc.RankTracker.  The first rank-deficient block
-(about 1 - (1 - 1/255)^(N*F/K) of trials hold one) ends the pass, and
-run_trial runs the trial again by the eager pass from fresh substreams,
-with the same result as if it had run eagerly from the start.  If the
-eager pass also meets a block that is not full rank, run_trial raises
-RuntimeError, since every tracker claimed rank K.
+so a batch completes at its K-th reception and hands its K x K
+coefficient block to a pending list.  The list is rank-checked in
+chunks, at the end of the trial and at the slot cap, by one forward
+elimination (rlnc.full_rank_blocks).  If every completed block is full
+rank, the pass is exact: K rows of rank K were each innovative when they
+arrived, every received row belongs to a block that completes, and codec
+mode never jumps, so the pass is slot for slot the eager one that tracks
+each receiver's rank on an rlnc.RankTracker.  The first rank-deficient
+block (about 1 - (1 - 1/255)^(N*F/K) of trials hold one) ends the pass,
+and run_trial runs the trial again by the eager pass from fresh
+substreams, with the same result as if it had run eagerly from the
+start.  The eager pass rank-checks nothing: its trackers decide rank.
 
 Idealized mode jumps over single-batch stretches.  While every unfinished
 receiver expects one batch, no slot can be a conflict and the policy has
@@ -56,8 +53,8 @@ config) cell and returns each cell's completion-slot statistics.  Before
 any substream is drawn it admits the whole run: known policy names,
 two to model.MAX_REPEATS trials per cell (the sample stddev needs two),
 a seed >= 0, and check_run for every config, which refuses too many
-receivers, a file whose slot count could pass MAX_SLOTS and a codec
-trial over rlnc.MAX_CODEC_BYTES.  run_trial does not check them again;
+receivers, a run whose slowest receiver could pass MAX_SLOTS and a
+codec trial over rlnc.MAX_CODEC_BYTES.  run_trial does not check them again;
 a trial that meets MAX_SLOTS all the same raises SlotCapError.
 
 Reproducibility contract: a trial draws from three private substreams
@@ -165,15 +162,25 @@ def check_run(config: SystemConfig, codec: bool) -> None:
     draws in blocks of at most rlnc._CHUNK_BYTES (128 KiB) for every
     window it admits (K < 2^14).
 
-    One receiver needs F/p slots on average, with standard deviation
-    sqrt(F*q)/p; the mean plus six of those must fit in MAX_SLOTS.
+    A trial ends with its slowest receiver, and one receiver is unfinished
+    after s = MAX_SLOTS slots when at most F - 1 of them are ON.  With
+    a = (F - 1)/s < p, the Chernoff bound P(Bin(s, p) <= F - 1) <=
+    exp(-s*D(a || p)), D the Bernoulli relative entropy, times N bounds
+    the chance that a trial meets the cap; it must be at most 1e-9, and
+    a >= p is refused outright.
     """
     F, K, N, p = config.F, config.K, config.N, config.p
-    slots = (F + 6 * math.sqrt(F * config.q)) / p
-    if slots > MAX_SLOTS:
+    s, a = MAX_SLOTS, (F - 1) / MAX_SLOTS
+    risk = 1.0
+    if a < p:
+        exponent = (s - F + 1) * (math.log1p(-a) - math.log1p(-p)) if p < 1 else math.inf  # log1p: p may be 1e-9
+        if F > 1:
+            exponent += (F - 1) * math.log(a / p)
+        risk = min(1.0, N * math.exp(-exponent))
+    if risk > 1e-9:
         raise ConfigError(
-            f"--file-size {F} at --p {p} needs about {slots:.3g} slots per receiver, "
-            f"more than the limit of {MAX_SLOTS}"
+            f"--file-size {F} at --p {p} with -N {N}: a trial may run past the limit of {s} slots, "
+            f"with probability up to {risk:.2g}"
         )
     if N > MAX_RECEIVERS:
         raise ConfigError(f"at most {MAX_RECEIVERS} receivers are supported, got {N}")
@@ -255,16 +262,12 @@ def run_trial(
     Returns slots to completion and the conflict-slot count.  A codec
     trial runs the held-rows pass first and is replayed with a RankTracker
     per receiver only if a completed block is rank-deficient (see the
-    module docstring); a rank-deficient block in the replay raises
-    RuntimeError.
+    module docstring).
     """
+    args = (config, policy, rng_spec, trial_index)
     if not codec:
-        return _run_pass(config, policy, rng_spec, trial_index)
-    for tracker in (_HeldRows, RankTracker):
-        result = _run_pass(config, policy, rng_spec, trial_index, tracker)
-        if result is not None:
-            return result
-    raise RuntimeError(f"a coded block is not full rank, though its RankTracker claimed rank K; config {config}")
+        return _run_pass(*args)
+    return _run_pass(*args, _HeldRows) or _run_pass(*args, RankTracker)
 
 
 class _HeldRows:
@@ -291,10 +294,10 @@ def _run_pass(
     """One pass of the slot loop over a trial, drawing every substream afresh.
 
     tracker None is ideal mode.  In codec mode it is the class of each
-    receiver's per-batch tracker: _HeldRows for the held-rows pass,
-    RankTracker (or a subclass) for the eager one.  Either pass returns
-    None as soon as a rank-checked block is rank-deficient, and run_trial
-    decides what follows.
+    receiver's per-batch tracker: _HeldRows for the held-rows pass, which
+    rank-checks its completed blocks and returns None as soon as one is
+    rank-deficient, or RankTracker (or a subclass) for the eager one, whose
+    trackers decide rank themselves, so it rank-checks nothing.
     """
     F, K, N, p = config.F, config.K, config.N, config.p
     codec = tracker is not None
@@ -302,7 +305,8 @@ def _run_pass(
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
         coding_rng.bit_generator.advance(2 * F)  # the outputs an F x 16-byte source took, so the rows keep their bits
         trackers = [tracker(K) for _ in range(N)]
-        pending = []  # the K x K coefficient rows of completed batches not yet rank-checked
+        held = issubclass(tracker, _HeldRows)
+        pending = []  # the K x K coefficient rows of completed held-rows batches not yet rank-checked
         chunk = batch_chunk(K, 0)
         rows = coefficient_rows(coding_rng, K)
 
@@ -358,12 +362,13 @@ def _run_pass(
                     left[rid] = K
                     done |= low
                     if codec:
-                        pending.append(trackers[rid].raw)
+                        if held:
+                            pending.append(trackers[rid].raw)
+                            if len(pending) == chunk:
+                                if not _full_rank(pending):
+                                    return None
+                                pending = []
                         trackers[rid] = tracker(K)
-                        if len(pending) == chunk:
-                            if not _full_rank(pending):
-                                return None
-                            pending = []
             if done:
                 alive ^= _move_on(members, occupied, batch_of, batch, done, F // K)
                 if not occupied:

@@ -20,7 +20,9 @@ that share no code.
   lag and lead of a decision state on a finished table (lag_lead), and
   the solver's tie rule applied state by state (lag_lead_actions).
 - The per-row coefficient draw (per_row_coefficients) that
-  rlnc.coefficient_rows is pinned against.
+  rlnc.coefficient_rows is pinned against, and a one-packet-at-a-time
+  GF(256) decoder (Eliminator) that the codec's rank tracking, block
+  eliminations and codec-mode trials are held against.
 - The batch-selection kernels over a conflict slot's hits list (lr_pick,
   rrnc_pick, rs_pick and their dispatch hits_rule) that the simulator's
   kernels in sim.conflict_rule, which read the trial's receiver sets, are
@@ -34,6 +36,7 @@ import numpy as np
 
 from ncbroadcast.dp import Action
 from ncbroadcast.model import SystemConfig
+from ncbroadcast.rlnc import _INV, _MUL
 from ncbroadcast.sim import POLICY_NAMES
 
 State = tuple[int, int]
@@ -230,6 +233,41 @@ def per_row_coefficients(gen, window: int) -> np.ndarray:
     while not coeffs.any():
         coeffs = gen.integers(0, 256, size=window, dtype=np.uint8)
     return coeffs
+
+
+class Eliminator:
+    """Reference decoder, one packet at a time: rows (coefficients || payload)
+    kept in reduced row-echelon form, keyed by pivot column, each with a 1 at
+    its pivot and zeros at every other pivot.  Its GF(256) tables, rlnc._MUL
+    and rlnc._INV, are checked exhaustively against scalar long
+    multiplication in test_rlnc."""
+
+    def __init__(self, window: int):
+        self.window = window
+        self.rows: dict[int, np.ndarray] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def ingest(self, row: np.ndarray) -> bool:
+        """Fold in one uint8 row; True iff it raised the rank."""
+        row = row.copy()
+        for col, stored in self.rows.items():
+            row ^= _MUL[row[col], stored]
+        nonzero = np.flatnonzero(row[: self.window])
+        if not nonzero.size:
+            return False
+        lead = int(nonzero[0])
+        row = _MUL[_INV[row[lead]], row]
+        for col, stored in self.rows.items():
+            self.rows[col] = stored ^ _MUL[stored[lead], row]
+        self.rows[lead] = row
+        return True
+
+    def recover(self) -> np.ndarray:
+        """The K x L source, once the rank is K."""
+        return np.array([self.rows[col][self.window:] for col in range(self.window)])
 
 
 def lr_pick(hits: list[tuple[int, int]]) -> int:

@@ -555,26 +555,36 @@ def test_slot_cap_is_one_error_line_and_exit_1(monkeypatch, capsys, tmp_path, mo
     assert list(tmp_path.iterdir()) == []  # no output file without a result
 
 
-# F = 10 needs (F + 6 sqrt(F q)) / p slots for one receiver's mean plus six
-# standard deviations: 2.9e10 at p = 1e-9, and 2.9e9 at p = 1e-8, where the
-# mean F / p alone is exactly MAX_SLOTS and about half the trials would pass it.
+# A trial is refused unless N times the Chernoff bound on one receiver's chance of
+# fewer than F ON slots in MAX_SLOTS is at most 1e-9.  At F = 10 and p = 1e-9 the mean
+# F / p alone passes the cap; at p = 1e-8 it is exactly the cap, and the bound reads 0.95
+# per receiver.  One packet at p = 1e-8 is still missing after 1e9 slots with chance
+# e^-10 = 4.5e-5, so even one receiver is refused, and 1024 of them give 0.046.
 SLOT_HUNGRY = {
-    "simulate": (["simulate", "--file-size", "10", "--window", "10", "--p", "1e-9", "--trials", "2"], "1e-09", "2.9e+10"),
-    "sweep": (["sweep", "--file-size", "10", "--windows", "10,5", "--p", "1e-9", "--trials", "2"], "1e-09", "2.9e+10"),
+    "simulate": (["simulate", "--file-size", "10", "--window", "10", "--p", "1e-9", "--trials", "2"], "10", "1e-09", "2", "1"),
+    "sweep": (["sweep", "--file-size", "10", "--windows", "10,5", "--p", "1e-9", "--trials", "2"], "10", "1e-09", "2", "1"),
     "simulate-mean-at-cap": (
-        ["simulate", "--file-size", "10", "--window", "10", "--p", "1e-8", "--trials", "2"], "1e-08", "2.9e+09"
+        ["simulate", "--file-size", "10", "--window", "10", "--p", "1e-8", "--trials", "2"], "10", "1e-08", "2", "1"
+    ),
+    "one-receiver-tail": (
+        ["simulate", "-N", "1", "--file-size", "1", "--window", "1", "--p", "1e-8", "--trials", "2"], "1", "1e-08", "1", "4.5e-05"
+    ),
+    "slowest-of-1024": (
+        ["simulate", "-N", "1024", "--file-size", "1", "--window", "1", "--p", "1e-8", "--trials", "2"],
+        "1", "1e-08", "1024", "0.046",
     ),
 }
 
 
-@pytest.mark.parametrize("args,p,slots", SLOT_HUNGRY.values(), ids=SLOT_HUNGRY.keys())
-def test_slot_hungry_run_refused_before_any_trial(monkeypatch, capsys, args, p, slots):
-    # a trial would run for hours before failing, so none may start
+@pytest.mark.parametrize("args,F,p,N,risk", SLOT_HUNGRY.values(), ids=SLOT_HUNGRY.keys())
+def test_slot_hungry_run_refused_before_any_trial(monkeypatch, capsys, args, F, p, N, risk):
+    # a trial could run for hours before failing, so none may start
     monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: --file-size 10 at --p {p} needs about {slots} slots per receiver, more than the limit of 1000000000\n"
+        f"error: --file-size {F} at --p {p} with -N {N}: a trial may run past the limit of 1000000000 slots, "
+        f"with probability up to {risk}\n"
     )
 
 

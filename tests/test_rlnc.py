@@ -23,7 +23,7 @@ from ncbroadcast.rlnc import (
     expected_extra_packets,
     run_codec_validation,
 )
-from reference import per_row_coefficients
+from reference import Eliminator, per_row_coefficients
 
 
 def gf_mul_reference(a: int, b: int) -> int:
@@ -41,39 +41,6 @@ def gf_mul_reference(a: int, b: int) -> int:
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
-
-
-class Eliminator:
-    """Reference decoder, one packet at a time: rows (coefficients || payload)
-    kept in reduced row-echelon form, keyed by pivot column, each with a 1 at
-    its pivot and zeros at every other pivot."""
-
-    def __init__(self, window: int):
-        self.window = window
-        self.rows: dict[int, np.ndarray] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def ingest(self, row: np.ndarray) -> bool:
-        """Fold in one uint8 row; True iff it raised the rank."""
-        row = row.copy()
-        for col, stored in self.rows.items():
-            row ^= rlnc._MUL[row[col], stored]
-        nonzero = np.flatnonzero(row[: self.window])
-        if not nonzero.size:
-            return False
-        lead = int(nonzero[0])
-        row = rlnc._MUL[rlnc._INV[row[lead]], row]
-        for col, stored in self.rows.items():
-            self.rows[col] = stored ^ rlnc._MUL[stored[lead], row]
-        self.rows[lead] = row
-        return True
-
-    def recover(self) -> np.ndarray:
-        """The K x L source, once the rank is K."""
-        return np.array([self.rows[col][self.window:] for col in range(self.window)])
 
 
 def per_packet_validation(window, packet_len, n_batches, seed=0):

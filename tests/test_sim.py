@@ -19,7 +19,7 @@ from ncbroadcast.sim import (
     run_trial,
     sweep_coding_window,
 )
-from reference import hits_rule, per_row_coefficients
+from reference import Eliminator, hits_rule, per_row_coefficients
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "sim_golden.csv"
 CODEC_GOLDEN_CSV = Path(__file__).parent / "data" / "sim_codec_golden.csv"
@@ -122,13 +122,16 @@ class TestPolicyEquivalenceOffConflicts:
             )
 
 
-def stepped_trial(config, policy, rng_spec, trial_index):
-    """Reference for ideal-mode run_trial that steps every slot, stretches
-    included, and completes a receiver's batch when received % K == 0.
+def stepped_trial(config, policy, rng_spec, trial_index, rows=None):
+    """Reference for run_trial that steps every slot, stretches included, and
+    completes a receiver's batch when received % K == 0.
 
     It draws the ON flags itself, a block of slots at a time, from the
     connectivity substream, takes the policy's uniforms from sim._uniforms
     and settles a conflict slot with the reference kernels over its hits list.
+    Given rows (see codec_rows), it is a codec trial: each sent packet takes
+    the next row, and a receiver counts it as received only when it raises
+    the rank of the receiver's Eliminator for the batch.
     """
     F, K, N, p = config.F, config.K, config.N, config.p
     pick = hits_rule(policy, sim._uniforms(rng_spec, trial_index))
@@ -140,6 +143,7 @@ def stepped_trial(config, policy, rng_spec, trial_index):
             yield from (int.from_bytes(row.tobytes(), "little") for row in packed)
 
     received = [0] * N
+    decoders = [Eliminator(K) for _ in range(N)]
     members = {0: (1 << N) - 1}
     occupied = [0]
     slot = conflicts = 0
@@ -151,14 +155,18 @@ def stepped_trial(config, policy, rng_spec, trial_index):
                 conflicts += 1
                 batch = pick(hits)
                 served = members[batch] & on
+            row = None if rows is None else next(rows)
             done = 0
             while served:
                 low = served & -served
                 served ^= low
                 rid = low.bit_length() - 1
+                if row is not None and not decoders[rid].ingest(row):
+                    continue
                 received[rid] += 1
                 if received[rid] % K == 0:
                     done |= low
+                    decoders[rid] = Eliminator(K)
             if done:
                 members[batch] ^= done
                 if not members[batch]:
@@ -171,6 +179,22 @@ def stepped_trial(config, policy, rng_spec, trial_index):
             raise RuntimeError(f"no completion after {sim.MAX_SLOTS} slots; config {config}")
         if not occupied:
             return TrialResult(completion_slots=slot, conflict_slots=conflicts)
+
+
+def codec_rows(config, rng_spec, trial_index):
+    """A trial's coefficient rows drawn one at a time: the coding substream
+    with its first 2F outputs skipped, then one per_row_coefficients row each."""
+    coding = rng_spec.substream(trial_index, sim.ROLE_CODING)
+    coding.bit_generator.advance(2 * config.F)
+    while True:
+        yield per_row_coefficients(coding, config.K)
+
+
+def repeat_first(rows):
+    """rows with the first one sent twice."""
+    first = next(rows)
+    yield from (first, first)
+    yield from rows
 
 
 def differential_cases():
@@ -385,32 +409,43 @@ class TestCodecVerification:
 
         monkeypatch.setattr(sim, "_full_rank", counting)
         monkeypatch.setattr(sim, "batch_chunk", lambda window, packet_len: 5)
-        for kind in PASS_KINDS:
+        # 3 receivers x 6 batches in the held-rows pass; the eager pass's trackers decide rank themselves
+        for kind, chunks in ((sim._HeldRows, [5, 5, 5, 3]), (RankTracker, [])):
             verified.clear()
             assert sim._run_pass(validate_config(24, 4, 3, 0.7), "lr", RngSpec(1), 0, kind) is not None
-            assert verified == [5, 5, 5, 3]  # 3 receivers x 6 batches
+            assert verified == chunks
 
-    def test_rank_claims_are_cross_checked(self, monkeypatch):
-        class RepeatingTracker(RankTracker):
-            """Counts every packet as innovative and keeps its first row again."""
+    @pytest.mark.parametrize("forced", [False, True], ids=["drawn", "repeated-first-row"])
+    def test_replays_complete_only_full_rank_blocks(self, monkeypatch, forced):
+        # the eager pass rank-checks nothing, so every block its trackers complete is checked here
+        blocks = []
 
+        class Recording(RankTracker):
             def add(self, coefficients):
-                self.raw.append(self.raw[0] if self.raw else coefficients)
-                return True
+                raised = super().add(coefficients)
+                if raised and self.rank == self.window:
+                    blocks.append(b"".join(self.raw))
+                return raised
 
-        config = validate_config(8, 4, 2, 0.8)
-        assert sim._run_pass(config, "lr", RngSpec(0), 0, RepeatingTracker) is None
-        # a trial the held-rows pass hands to a lying eager pass is an error, not a result
-        TestSpeculativePass.repeat_first_row(monkeypatch)
-        monkeypatch.setattr(sim, "RankTracker", RepeatingTracker)
+        if forced:
+            TestSpeculativePass.repeat_first_row(monkeypatch)
+        monkeypatch.setattr(sim, "RankTracker", Recording)
         kinds = record_passes(monkeypatch)
-        with pytest.raises(RuntimeError, match="not full rank"):
-            run_trial(validate_config(8, 4, 2, 1.0), "lr", RngSpec(0), 0, codec=True)
-        assert kinds == [sim._HeldRows, RepeatingTracker]
+        replays = 0
+        for config, policy, seed, trial in SPECULATION_CASES:
+            kinds.clear()
+            blocks.clear()
+            run_trial(config, policy, RngSpec(seed), trial, codec=True)
+            if kinds[-1] is Recording:
+                replays += 1
+                assert len(blocks) == config.N * config.F // config.K
+                stack = np.frombuffer(bytearray().join(blocks), dtype=np.uint8).reshape(len(blocks), config.K, config.K)
+                assert rlnc.full_rank_blocks(stack).all(), (config, policy, seed, trial)
+        assert replays > 0
 
     @pytest.mark.parametrize("K", [1, 4, 20])
     def test_rank_checked_blocks_decode_a_payload(self, monkeypatch, K):
-        # the blocks a finished trial rank-checked carry a random payload through rlnc's encoder and decoder
+        # the blocks an accepted held-rows pass rank-checked carry a random payload through rlnc's encoder and decoder
         audited = []
         full_rank = sim._full_rank
 
@@ -420,9 +455,10 @@ class TestCodecVerification:
 
         monkeypatch.setattr(sim, "_full_rank", recording)
         config = validate_config(40, K, 4, 0.6)
-        run_trial(config, "rs", RngSpec(3), 1, codec=True)
-        n_blocks = config.N * config.F // K  # the last pass's, which gave the result, are the last audited
-        rows = b"".join(row for raw in audited[-n_blocks:] for row in raw)
+        assert sim._run_pass(config, "rs", RngSpec(3), 1, sim._HeldRows) is not None
+        n_blocks = config.N * config.F // K
+        assert len(audited) == n_blocks
+        rows = b"".join(row for raw in audited for row in raw)
         blocks = np.frombuffer(rows, dtype=np.uint8).reshape(n_blocks, K, K)
         payloads = np.random.default_rng(K).integers(0, 256, size=(n_blocks, K, 16), dtype=np.uint8)
         full, wrong = rlnc.decode_blocks(rlnc.encode_blocks(blocks, payloads), payloads)
@@ -455,9 +491,9 @@ def record_passes(monkeypatch) -> list:
     return kinds
 
 
-def eager_trial(config, policy, seed, trial, tracker=RankTracker):
-    """A codec trial run by the eager pass alone."""
-    return sim._run_pass(config, policy, RngSpec(seed), trial, tracker)
+def reference_trial(config, policy, seed, trial, rows=lambda rows: rows):
+    """A codec trial by stepped_trial, on codec_rows passed through rows."""
+    return stepped_trial(config, policy, RngSpec(seed), trial, rows(codec_rows(config, RngSpec(seed), trial)))
 
 
 # (config, policy, seed, trial) for the speculative pass: K = 1 never holds a
@@ -470,6 +506,7 @@ SPECULATION_CASES = [
 
 class TestSpeculativePass:
     def test_trials_match_the_eager_pass(self, monkeypatch):
+        # the eager reference is stepped_trial's codec mode, an Eliminator per receiver fed every packet
         kinds = record_passes(monkeypatch)
         replays = 0
         for config, policy, seed, trial in SPECULATION_CASES:
@@ -477,8 +514,20 @@ class TestSpeculativePass:
             result = run_trial(config, policy, RngSpec(seed), trial, codec=True)
             assert kinds in ([sim._HeldRows], [sim._HeldRows, RankTracker])
             replays += len(kinds) == 2
-            assert result == eager_trial(config, policy, seed, trial), (config, policy, seed, trial)
+            assert result == reference_trial(config, policy, seed, trial), (config, policy, seed, trial)
         assert replays > 0
+
+    def test_forced_replays_match_the_eager_pass(self, monkeypatch):
+        # the coding stream's first row sent twice, in the simulator and in the reference
+        self.repeat_first_row(monkeypatch)
+        kinds = record_passes(monkeypatch)
+        replays = 0
+        for config, policy, seed, trial in SPECULATION_CASES:
+            kinds.clear()
+            result = run_trial(config, policy, RngSpec(seed), trial, codec=True)
+            replays += len(kinds) == 2
+            assert result == reference_trial(config, policy, seed, trial, repeat_first), (config, policy, seed, trial)
+        assert replays > len(SPECULATION_CASES) // 2
 
     def test_replays_exactly_when_some_packet_is_dependent(self):
         # a full-rank block of K rows held K innovative rows, so an accepted pass is the eager pass;
@@ -493,7 +542,7 @@ class TestSpeculativePass:
                     return flags[-1]
 
             speculative = sim._run_pass(config, policy, RngSpec(seed), trial, sim._HeldRows)
-            eager_trial(config, policy, seed, trial, FlagRecording)
+            sim._run_pass(config, policy, RngSpec(seed), trial, FlagRecording)
             assert (speculative is not None) == all(flags), (config, policy, seed, trial)
             accepted += speculative is not None
         assert 0 < accepted < len(SPECULATION_CASES)
@@ -502,19 +551,12 @@ class TestSpeculativePass:
     def repeat_first_row(monkeypatch):
         """Send the coding stream's first row twice, so at p = 1 every receiver's first block is deficient."""
         rows = sim.coefficient_rows
-
-        def repeating(rng, window):
-            stream = rows(rng, window)
-            first = next(stream)
-            yield from (first, first)
-            yield from stream
-
-        monkeypatch.setattr(sim, "coefficient_rows", repeating)
+        monkeypatch.setattr(sim, "coefficient_rows", lambda rng, window: repeat_first(rows(rng, window)))
 
     def test_a_repeated_row_forces_a_replay(self, monkeypatch):
         self.repeat_first_row(monkeypatch)
         config = validate_config(8, 4, 2, 1.0)
-        expected = eager_trial(config, "lr", 0, 0)
+        expected = reference_trial(config, "lr", 0, 0, repeat_first)
         assert expected.completion_slots == 9  # the repeat costs the eager pass one slot
         kinds = record_passes(monkeypatch)
         assert run_trial(config, "lr", RngSpec(0), 0, codec=True) == expected
@@ -525,7 +567,7 @@ class TestSpeculativePass:
         # under a cap of 18 the speculative pass must replay while they are pending, not raise
         self.repeat_first_row(monkeypatch)
         config = validate_config(8, 4, 2, 0.5)
-        expected = eager_trial(config, "rrnc", 12, 0)
+        expected = reference_trial(config, "rrnc", 12, 0, repeat_first)
         assert expected.completion_slots == 17
         monkeypatch.setattr(sim, "MAX_SLOTS", 18)
         kinds = record_passes(monkeypatch)
@@ -559,17 +601,11 @@ class TestCodecSizeGuard:
     def test_largest_file_under_the_default_limit(self):
         # at K=4, N=2, p=0.5 the slot budget alone bounds the file in both modes: about 5e8 packets,
         # past the 6.7e7 at which an F x 16-byte source once took the codec budget
-        def slots(F):
-            return (F + 6 * math.sqrt(F * 0.5)) / 0.5
-
-        largest = int(sim.MAX_SLOTS * 0.5) // 4 * 4
-        while slots(largest) > sim.MAX_SLOTS:
-            largest -= 4
-        assert largest > 4 * 10**8
+        largest = 5 * 10**8 - 103_480
         refused = validate_config(largest + 4, 4, 2, 0.5)
         for codec in (True, False):
             check_run(validate_config(largest, 4, 2, 0.5), codec)
-            with pytest.raises(ConfigError, match=f"^--file-size {largest + 4} at --p 0.5 needs about"):
+            with pytest.raises(ConfigError, match=f"^--file-size {largest + 4} at --p 0.5 with -N 2: a trial may"):
                 check_run(refused, codec)
 
     def test_refused_before_any_draw(self, monkeypatch):
@@ -645,6 +681,29 @@ class TestAdmission:
         monkeypatch.setattr(RngSpec, "substream", no_draws)
         with pytest.raises(ConfigError, match=f"^{message}$"):
             sweep_coding_window(["lr"], [validate_config(4, 2, 2, 0.5)], n_trials, RngSpec(seed), codec=True)
+
+    def test_the_slowest_receiver_decides(self, monkeypatch):
+        # under a cap of 140 slots one packet at p = 0.05 is still missing with chance 0.95^140 = 7.6e-4
+        # per receiver, so a trial of 1024 receivers meets the cap with chance 0.54 (union bound 0.78)
+        monkeypatch.setattr(sim, "MAX_SLOTS", 140)
+        message = "^--file-size 1 at --p 0.05 with -N 1024: a trial may run past the limit of 140 slots"
+        with pytest.raises(ConfigError, match=f"{message}, with probability up to 0.78$"):
+            check_run(validate_config(1, 1, 1024, 0.05), False)
+
+    def test_admitted_runs_meet_the_cap_at_most_once_in_1e9(self, monkeypatch):
+        # the exact binomial tail, N * P(Bin(s, p) <= F - 1), under a cap s = 300 that makes it computable
+        monkeypatch.setattr(sim, "MAX_SLOTS", 300)
+        admitted = refused = 0
+        for F, N, p in itertools.product((1, 2, 10, 40, 100, 150), (1, 2, 64, 1024), (0.2, 0.5, 0.9, 1.0)):
+            tail = N * sum(math.comb(300, k) * p**k * (1 - p) ** (300 - k) for k in range(F))
+            try:
+                check_run(validate_config(F, 1, N, p), False)
+            except ConfigError:
+                refused += 1
+                continue
+            admitted += 1
+            assert tail <= 1e-9, (F, N, p)
+        assert admitted > 0 and refused > 0
 
     def test_run_flags_come_before_the_configs(self):
         # an oversized receiver count is refused only after the run flags pass
