@@ -195,9 +195,10 @@ def certify(config: SystemConfig, values: np.ndarray) -> AuditReport:
     `values` is the optimal expected-slot table of `config`
     (``solve_optimal(config)``); every family reads it in ON slots,
     U = p * V.  Families, in report order:
-      lr_optimality       lag < lead + TOLERANCE at every decision state,
-        lag and lead being U of the successors that serve the receiver
-        behind and ahead (margin: lead - lag)
+      lr_optimality       fails where lag > lead + TOLERANCE (or either is
+        nan): where the CSV export serves the receiver ahead; lag and
+        lead are U of the successors that serve the receiver behind and
+        ahead (margin: lead - lag)
       edge_closed_form    U(x0, F) equals F - x0                 (margin: -|error|)
       corner_sandwich     U(F-1, F) < U(F-1, F-1) < U(F-2, F)
       monotone_in_x0      U(x0, x1) > U(x0+1, x1) on the last-batch band
@@ -240,7 +241,7 @@ def certify(config: SystemConfig, values: np.ndarray) -> AuditReport:
         h0, h1 = batches[lo:hi, None], batches[None, :F]
         decision, r0_behind = h0 != h1, h0 < h1
         lag, lead = np.where(r0_behind, advance_0, advance_1), np.where(r0_behind, advance_1, advance_0)
-        lr.add((lead - lag)[decision], violations=np.count_nonzero(decision & ~(lag < lead + TOLERANCE)))
+        lr.add((lead - lag)[decision], violations=np.count_nonzero(decision & ~(lag <= lead + TOLERANCE)))
     return AuditReport(tuple(tally.check() for tally in tallies))
 
 

@@ -367,9 +367,24 @@ class TestCheckLrOptimality:
         pairs = [lag_lead(u, s, cfg) for s in decision_states(cfg)]
         lr = family(certify(cfg, values), "lr_optimality")
         assert lr.examined == len(pairs)
-        assert lr.violations == sum(not lag < lead + dp.TOLERANCE for lag, lead in pairs) == violations
+        assert lr.violations == sum(not lag <= lead + dp.TOLERANCE for lag, lead in pairs) == violations
         assert lr.worst_margin == min(lead - lag for lag, lead in pairs)
         assert (lr.worst_margin < 0) == (worse is not None)
+
+    @pytest.mark.parametrize("above", [0.0, 1.0, 2.0, np.nan])
+    @pytest.mark.parametrize("p", [1.0, 0.3])
+    def test_violations_are_the_states_the_export_serves_most(self, tmp_path, p, above):
+        # The lag successors (1, 2) and (2, 1) of the decision states (0, 2) and
+        # (2, 0) are set `above` TOLERANCEs (in ON slots) over V(0, 3), the
+        # value of both their leads: on the tie rule's boundary at 1, past it
+        # at 2.  certify fails LR exactly where the CSV export serves the
+        # receiver ahead.
+        cfg = validate_config(4, 2, 2, p)
+        values = solve_optimal(cfg)
+        values[1, 2] = values[2, 1] = values[0, 3] + above * dp.TOLERANCE / p
+        actions = exported_policy(cfg, values, tmp_path / "table.csv")
+        lr = family(certify(cfg, values), "lr_optimality")
+        assert lr.violations == np.count_nonzero(actions == Action.SERVE_MOST)
 
 
 class TestAudit:
