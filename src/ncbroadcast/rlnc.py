@@ -72,8 +72,10 @@ _from_bytes = int.from_bytes  # bound once: RankTracker.add calls it about K/2 t
 # block byte.  No result depends on either constant.
 _BATCH_CHUNK = 64
 _CHUNK_BYTES = 1 << 17
-# coefficient_rows draws up to _ROW_BLOCK rows per generator call, and at most
-# _CHUNK_BYTES of them.  The rows do not depend on it.
+# coefficient_rows draws _FIRST_ROWS rows in its first generator call and
+# doubles that per call up to _ROW_BLOCK rows, and at most _CHUNK_BYTES of
+# them.  The rows do not depend on either.
+_FIRST_ROWS = 16
 _ROW_BLOCK = 1024
 
 
@@ -117,14 +119,19 @@ def coefficient_rows(rng: np.random.Generator, window: int):
 
     A row is the first K bytes of ceil(K/4) fresh 32-bit words, low byte
     first, and an all-zero row is skipped.  This draws a block of rows in
-    one call, up to _ROW_BLOCK rows and at most _CHUNK_BYTES (at least one
-    row), and yields each nonzero row as bytes.
+    one call and yields each nonzero row as bytes.  The first block holds
+    _FIRST_ROWS rows, as a short simulated trial needs no more, and each
+    next one twice as many, up to _ROW_BLOCK rows and at most _CHUNK_BYTES
+    (at least one row).  The 32-bit words come one after another from the
+    generator whatever the block sizes, so the rows do not depend on them.
     """
-    rows = max(1, min(_ROW_BLOCK, _CHUNK_BYTES // (4 * -(-window // 4))))
+    most = max(1, min(_ROW_BLOCK, _CHUNK_BYTES // (4 * -(-window // 4))))
+    rows = min(_FIRST_ROWS, most)
     while True:
         block = _byte_rows(rng, rows, window)
         blob = block[block.any(axis=1)].tobytes()
         yield from [blob[i : i + window] for i in range(0, len(blob), window)]
+        rows = min(2 * rows, most)
 
 
 class RankTracker:
@@ -236,19 +243,24 @@ def full_rank_blocks(blocks: np.ndarray) -> np.ndarray:
     Step c takes, in every block at once, the first row at or below row c
     with a nonzero entry in column c, swaps it up to row c and scales it to
     a unit pivot, then clears column c from the rows below it only, on
-    columns c.. only.  A full-rank block ends with its K x K part upper
-    triangular with a unit diagonal, its payload columns carried along;
-    a block without a pivot in some column comes out in no particular form
-    and is only flagged.
+    columns c.. only.  When every block already has a nonzero entry at
+    (c, c), that row is the pivot row of each, so the step skips the search
+    and the swap; a random block needs neither with probability 255/256 per
+    column.  A full-rank block ends with its K x K part upper triangular
+    with a unit diagonal, its payload columns carried along; a block
+    without a pivot in some column comes out in no particular form and is
+    only flagged.
     """
     at = np.arange(blocks.shape[0])
     full = np.ones(blocks.shape[0], dtype=bool)
     for c in range(blocks.shape[1]):
-        nonzero = blocks[:, c:, c] != 0
-        full &= nonzero.any(axis=1)
-        pivot = c + nonzero.argmax(axis=1)
-        row = blocks[at, pivot, c:]
-        blocks[at, pivot, c:] = blocks[:, c, c:]
+        row = blocks[:, c, c:]
+        if not row[:, 0].all():
+            nonzero = blocks[:, c:, c] != 0
+            full &= nonzero.any(axis=1)
+            pivot = c + nonzero.argmax(axis=1)
+            row = blocks[at, pivot, c:]
+            blocks[at, pivot, c:] = blocks[:, c, c:]
         row = _mul(_INV[row[:, 0]][:, None], row)
         blocks[:, c, c:] = row
         blocks[:, c + 1 :, c:] ^= _mul(blocks[:, c + 1 :, c, None], row[:, None])

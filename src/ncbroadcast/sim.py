@@ -20,17 +20,23 @@ independent rows, so no payload is simulated.
 A codec trial first runs a held-rows pass.  Each receiver only holds the
 rows it receives for its batch, and every reception counts as progress,
 so a batch completes at its K-th reception and hands its K x K
-coefficient block to a pending list.  The list is rank-checked in
-chunks, at the end of the trial and at the slot cap, by one forward
-elimination (rlnc.full_rank_blocks).  If every completed block is full
-rank, the pass is exact: K rows of rank K were each innovative when they
+coefficient block to the cell's pool.  The pool is shared by the trials
+of a cell: it holds at most one chunk of blocks, each tagged with its
+trial, and rank-checks a full chunk by one forward elimination
+(rlnc.full_rank_blocks) whatever trials the chunk spans, and what is
+left after the cell's last pass.  If every completed block is full rank,
+the pass is exact: K rows of rank K were each innovative when they
 arrived, every received row belongs to a block that completes, and codec
 mode never jumps, so the pass is slot for slot the eager one that tracks
-each receiver's rank on an rlnc.RankTracker.  The first rank-deficient
-block (about 1 - (1 - 1/255)^(N*F/K) of trials hold one) ends the pass,
-and run_trial runs the trial again by the eager pass from fresh
-substreams, with the same result as if it had run eagerly from the
-start.  The eager pass rank-checks nothing: its trackers decide rank.
+each receiver's rank on an rlnc.RankTracker.  A trial with a
+rank-deficient block (about 1 - (1 - 1/255)^(N*F/K) of trials hold one)
+is run again by the eager pass from fresh substreams once the cell's
+last chunk is checked, with the same result as if it had run eagerly
+from the start.  A check that finds a deficient block of the trial
+running ends its pass at once, and a pass that meets MAX_SLOTS first
+checks the pool, so a trial replays rather than raising if one of its
+own blocks is deficient.  The eager pass rank-checks nothing: its
+trackers decide rank.  run_trial is the one-trial cell.
 
 Idealized mode jumps over single-batch stretches.  While every unfinished
 receiver expects one batch, no slot can be a conflict and the policy has
@@ -72,6 +78,8 @@ sizes.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -262,12 +270,33 @@ def run_trial(
     Returns slots to completion and the conflict-slot count.  A codec
     trial runs the held-rows pass first and is replayed with a RankTracker
     per receiver only if a completed block is rank-deficient (see the
-    module docstring).
+    module docstring): it is the one-trial case of a cell's trials.
     """
-    args = (config, policy, rng_spec, trial_index)
     if not codec:
-        return _run_pass(*args)
-    return _run_pass(*args, _HeldRows) or _run_pass(*args, RankTracker)
+        return _run_pass(config, policy, rng_spec, trial_index)
+    return _codec_trials(config, policy, rng_spec, [trial_index], lambda result: result)[0]
+
+
+def _codec_trials(config: SystemConfig, policy: str, rng_spec: RngSpec, indices, keep) -> list:
+    """keep(result) of each codec trial in indices, in order.
+
+    Every trial's held-rows pass hands its completed blocks to one _Pool,
+    whose last flush follows the last pass; then every trial with a
+    rank-deficient block is replayed by the eager pass.  Each trial draws
+    from its own substreams only, so neither the pooling nor the replay
+    order changes a result.
+    """
+    args = (config, policy, rng_spec)
+    kept = []  # keep(result) per trial, None for a trial to replay
+    pool = _Pool(config.K, kept)
+    for i in indices:
+        result = _run_pass(*args, i, _HeldRows, pool)
+        kept.append(result and keep(result))
+    pool.flush()
+    for n, i in enumerate(indices):
+        if kept[n] is None:
+            kept[n] = keep(_run_pass(*args, i, RankTracker))
+    return kept
 
 
 class _HeldRows:
@@ -284,20 +313,66 @@ class _HeldRows:
         return True
 
 
+class _Pool:
+    """A cell's completed held-rows blocks awaiting their rank check.
+
+    kept is the cell's list of per-trial results, so the trial running is
+    the one at position len(kept).  Each held K x K block is tagged with
+    its trial's position, and a full chunk (rlnc.batch_chunk(K, 0) blocks)
+    is rank-checked by one forward elimination (rlnc.full_rank_blocks),
+    whatever trials it spans.  A finished trial with a deficient block has
+    its entry of kept set to None, marking it for replay; a deficient block
+    of the running trial is reported to its pass instead.
+    """
+
+    __slots__ = ("window", "chunk", "kept", "rows", "held")
+
+    def __init__(self, window: int, kept: list):
+        self.window = window
+        self.chunk = batch_chunk(window, 0)
+        self.kept = kept
+        self.rows = bytearray()  # the held blocks' rows, block after block
+        self.held: list[int] = []  # the trial position of each held block
+
+    def add(self, raw: list[bytes]) -> bool:
+        """Hold one completed block of the running trial, rank-checking the pool once it
+        holds a chunk; False if a block of the running trial is found deficient."""
+        self.rows += b"".join(raw)
+        self.held.append(len(self.kept))
+        return len(self.held) < self.chunk or self.flush()
+
+    def flush(self) -> bool:
+        """Rank-check every held block and let them go; False if one of the running trial is deficient."""
+        ok = True
+        if self.held:
+            blocks = np.frombuffer(self.rows, dtype=np.uint8).reshape(len(self.held), self.window, self.window)
+            for n in compress(self.held, (~full_rank_blocks(blocks)).tolist()):
+                if n < len(self.kept):
+                    self.kept[n] = None
+                else:
+                    ok = False
+            self.rows, self.held = bytearray(), []
+        return ok
+
+
 def _run_pass(
     config: SystemConfig,
     policy: str,
     rng_spec: RngSpec,
     trial_index: int,
     tracker=None,
+    pool: _Pool | None = None,
 ) -> TrialResult | None:
     """One pass of the slot loop over a trial, drawing every substream afresh.
 
     tracker None is ideal mode.  In codec mode it is the class of each
-    receiver's per-batch tracker: _HeldRows for the held-rows pass, which
-    rank-checks its completed blocks and returns None as soon as one is
-    rank-deficient, or RankTracker (or a subclass) for the eager one, whose
-    trackers decide rank themselves, so it rank-checks nothing.
+    receiver's per-batch tracker: _HeldRows (or a subclass) for the
+    held-rows pass, which hands its completed blocks to the cell's pool and
+    returns None as soon as the pool finds one of them rank-deficient, or
+    RankTracker (or a subclass) for the eager one, whose trackers decide
+    rank themselves, so it rank-checks nothing and takes no pool.  The
+    blocks still in the pool when a held-rows pass ends are left to a
+    later flush; without a pool the pass checks none.
     """
     F, K, N, p = config.F, config.K, config.N, config.p
     codec = tracker is not None
@@ -305,9 +380,6 @@ def _run_pass(
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
         coding_rng.bit_generator.advance(2 * F)  # the outputs an F x 16-byte source took, so the rows keep their bits
         trackers = [tracker(K) for _ in range(N)]
-        held = issubclass(tracker, _HeldRows)
-        pending = []  # the K x K coefficient rows of completed held-rows batches not yet rank-checked
-        chunk = batch_chunk(K, 0)
         rows = coefficient_rows(coding_rng, K)
 
     left = [K] * N  # packets each receiver still needs of the batch it expects
@@ -335,7 +407,7 @@ def _run_pass(
         for on in steps:
             slot += 1
             if slot >= MAX_SLOTS:
-                if codec and pending and not _full_rank(pending):
+                if pool is not None and not pool.flush():
                     return None  # a rank-deficient block may have led here
                 raise SlotCapError(config)
             live = alive & on
@@ -362,18 +434,12 @@ def _run_pass(
                     left[rid] = K
                     done |= low
                     if codec:
-                        if held:
-                            pending.append(trackers[rid].raw)
-                            if len(pending) == chunk:
-                                if not _full_rank(pending):
-                                    return None
-                                pending = []
+                        if pool is not None and not pool.add(trackers[rid].raw):
+                            return None
                         trackers[rid] = tracker(K)
             if done:
                 alive ^= _move_on(members, occupied, batch_of, batch, done, F // K)
                 if not occupied:
-                    if codec and pending and not _full_rank(pending):
-                        return None
                     return TrialResult(completion_slots=slot, conflict_slots=conflicts)
                 if jumps:
                     stretch = _stretch(members, occupied, left)
@@ -464,13 +530,6 @@ def _jump(config: SystemConfig, blocks, block: _OnBlock, base: int, slot: int, i
     return block, base, slot, done
 
 
-def _full_rank(pending: list[list[bytes]]) -> bool:
-    """Whether every pending block of K K-byte coefficient rows is full rank."""
-    K = len(pending[0])
-    rows = bytearray().join(row for raw in pending for row in raw)  # writable, as the elimination needs
-    return bool(full_rank_blocks(np.frombuffer(rows, dtype=np.uint8).reshape(len(pending), K, K)).all())
-
-
 def sweep_coding_window(
     policies,
     configs,
@@ -493,10 +552,11 @@ def sweep_coding_window(
     cells = []
     for policy in policies:
         for config in configs:
-            times = np.array(
-                [run_trial(config, policy, rng_spec, i, codec).completion_slots for i in range(n_trials)],
-                dtype=float,
-            )
+            if codec:
+                slots = _codec_trials(config, policy, rng_spec, range(n_trials), attrgetter("completion_slots"))
+            else:
+                slots = [run_trial(config, policy, rng_spec, i).completion_slots for i in range(n_trials)]
+            times = np.array(slots, dtype=float)
             stddev = float(times.std(ddof=1))
             cells.append(
                 SweepCell(policy, config, n_trials, float(times.mean()), stddev, 1.96 * stddev / math.sqrt(n_trials))

@@ -578,14 +578,14 @@ def test_repeated_list_value_is_named(capsys, args, message):
 
 @pytest.mark.parametrize("mode", ["ideal", "codec"])
 def test_slot_cap_is_one_error_line_and_exit_1(monkeypatch, capsys, tmp_path, mode):
-    # the run is admitted under the real cap, then each trial meets a cap of 5 slots
-    run_trial = sim.run_trial
+    # the run is admitted under the real cap, then each pass of a trial meets a cap of 5 slots
+    run_pass = sim._run_pass
 
     def capped(*args):
         monkeypatch.setattr(sim, "MAX_SLOTS", 5)
-        return run_trial(*args)
+        return run_pass(*args)
 
-    monkeypatch.setattr(sim, "run_trial", capped)
+    monkeypatch.setattr(sim, "_run_pass", capped)
     monkeypatch.chdir(tmp_path)
     args = ["simulate", "-N", "5", "--file-size", "10", "--window", "2", "--p", "0.5", "--trials", "2"]
     assert cli.main([*args, "--mode", mode, "--out", "s.csv"]) == 1
@@ -620,7 +620,7 @@ SLOT_HUNGRY = {
 @pytest.mark.parametrize("args,F,p,N,risk", SLOT_HUNGRY.values(), ids=SLOT_HUNGRY.keys())
 def test_slot_hungry_run_refused_before_any_trial(monkeypatch, capsys, args, F, p, N, risk):
     # a trial could run for hours before failing, so none may start
-    monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
+    monkeypatch.setattr(sim, "_run_pass", lambda *args: pytest.fail("a trial ran"))
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert captured.err == (

@@ -205,7 +205,7 @@ class TestEncode:
                 self.calls += 1
                 return self.gen.integers(*args, **kwargs)
 
-        n_rows = rlnc._ROW_BLOCK + 500  # past the first block, which _CHUNK_BYTES does not cut below K=129
+        n_rows = rlnc._ROW_BLOCK + 500  # past the growing blocks into a full one, which _CHUNK_BYTES does not cut below K=129
         skipped = 0
         for seed in range(3):
             blocks, per_row = rng(seed), CountingRng(rng(seed))
@@ -217,6 +217,26 @@ class TestEncode:
             skipped += per_row.calls - n_rows  # all-zero rows per_row_coefficients redrew
         if window == 1:
             assert skipped > 0
+
+
+    @pytest.mark.parametrize("window", [1, 4, 100, 129, 1000])
+    def test_row_blocks_double_up_to_the_cap(self, window):
+        # a short trial draws a few rows, a long one soon draws _ROW_BLOCK rows per call, within _CHUNK_BYTES
+        sizes = []
+
+        class RecordingRng:
+            def integers(self, low, high, size, dtype):
+                sizes.append(size)
+                return rng(len(sizes)).integers(low, high, size, dtype)
+
+        rows = rlnc.coefficient_rows(RecordingRng(), window)
+        for _ in range(4 * rlnc._ROW_BLOCK):
+            next(rows)
+        words = -(-window // 4)
+        most = min(rlnc._ROW_BLOCK, rlnc._CHUNK_BYTES // (4 * words))
+        expected = [min(rlnc._FIRST_ROWS << n, most) for n in range(len(sizes))]
+        assert sizes == [(count, words) for count in expected]
+        assert sizes[-1][0] == most
 
 
 def assert_decodes(blocks: np.ndarray, sources: np.ndarray) -> None:
@@ -402,6 +422,32 @@ class TestFullRankBlocks:
         expected = self.assert_same_mask(coeffs)
         assert True in expected and False in expected
         assert rlnc.full_rank_blocks(encode_blocks(coeffs, sources)).tolist() == expected
+
+    def test_pivot_search_only_where_a_pivot_is_out_of_place(self):
+        # L·U, L unit lower and U upper triangular with a nonzero diagonal, keeps every pivot in place;
+        # L·P·U with P swapping rows c and c + 1 has a zero at (c, c) after c steps and a nonzero entry
+        # below it, so column c needs a search and a swap; a zero column leaves a block deficient
+        K, c, count = 8, 6, 6
+        gen = rng(11)
+        diagonal = (slice(None), range(K), range(K))
+        lower = np.tril(gen.integers(0, 256, size=(count, K, K), dtype=np.uint8), -1)
+        lower[diagonal] = 1
+        upper = np.triu(gen.integers(0, 256, size=(count, K, K), dtype=np.uint8), 1)
+        upper[diagonal] = gen.integers(1, 256, size=(count, K), dtype=np.uint8)
+        upper[4, [c, c + 1]] = upper[4, [c + 1, c]]
+        blocks = encode_blocks(lower, upper)[:, :, K:]  # the GF(256) products L·U and L·P·U
+        blocks[5, :, 3] = 0
+        assert self.assert_same_mask(blocks) == [True] * 5 + [False]
+        in_place = blocks[:4].copy()
+        assert rlnc.full_rank_blocks(in_place).all()  # no column needs the search
+        reduced = blocks.copy()
+        rlnc.full_rank_blocks(reduced)
+        assert (reduced[:4] == in_place).all()  # the same reduced form with and without the search
+        assert (np.tril(reduced[:5], -1) == 0).all()
+        assert (np.diagonal(reduced[:5], axis1=1, axis2=2) == 1).all()
+        sources = gen.integers(0, 256, size=(count, K, 3), dtype=np.uint8)
+        full, wrong = decode_blocks(encode_blocks(blocks, sources), sources)
+        assert full.tolist() == [True] * 5 + [False] and not wrong.any()
 
     def test_ends_upper_triangular_with_a_unit_diagonal(self):
         blocks = rng(3).integers(0, 256, size=(5, 6, 6), dtype=np.uint8)

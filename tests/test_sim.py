@@ -398,22 +398,35 @@ class TestCodecMode:
                 assert per_row_coefficients(replay, 4).tobytes() == row
 
 
+def record_checks(monkeypatch) -> list:
+    """Patch sim.full_rank_blocks to record a copy of each stack the simulator rank-checks."""
+    stacks = []
+    full_rank_blocks = sim.full_rank_blocks
+
+    def recording(blocks):
+        stacks.append(blocks.copy())
+        return full_rank_blocks(blocks)
+
+    monkeypatch.setattr(sim, "full_rank_blocks", recording)
+    return stacks
+
+
 class TestCodecVerification:
     def test_every_completed_batch_is_verified_in_chunks(self, monkeypatch):
-        verified = []
-        full_rank = sim._full_rank
-
-        def counting(pending):
-            verified.append(len(pending))
-            return full_rank(pending)
-
-        monkeypatch.setattr(sim, "_full_rank", counting)
+        # 3 receivers x 6 batches per trial: a cell of 4 trials holds 72 blocks, checked 5 at a time
+        # across trial boundaries and the rest at the cell's end, not [5, 5, 5, 3] per trial
+        stacks = record_checks(monkeypatch)
         monkeypatch.setattr(sim, "batch_chunk", lambda window, packet_len: 5)
-        # 3 receivers x 6 batches in the held-rows pass; the eager pass's trackers decide rank themselves
-        for kind, chunks in ((sim._HeldRows, [5, 5, 5, 3]), (RankTracker, [])):
-            verified.clear()
-            assert sim._run_pass(validate_config(24, 4, 3, 0.7), "lr", RngSpec(1), 0, kind) is not None
-            assert verified == chunks
+        config = validate_config(24, 4, 3, 0.7)
+        kinds = record_passes(monkeypatch)
+        cell = sweep_coding_window(["lr"], [config], 4, RngSpec(0), codec=True)[0]
+        assert kinds == [sim._HeldRows] * 4  # no trial replays
+        assert [len(stack) for stack in stacks] == [5] * 14 + [2]
+        assert cell.mean == trial_times(config, "lr", 4, RngSpec(0), codec=True).mean()
+        # the eager pass's trackers decide rank themselves
+        stacks.clear()
+        assert sim._run_pass(config, "lr", RngSpec(1), 0, RankTracker) is not None
+        assert stacks == []
 
     @pytest.mark.parametrize("forced", [False, True], ids=["drawn", "repeated-first-row"])
     def test_replays_complete_only_full_rank_blocks(self, monkeypatch, forced):
@@ -446,20 +459,14 @@ class TestCodecVerification:
     @pytest.mark.parametrize("K", [1, 4, 20])
     def test_rank_checked_blocks_decode_a_payload(self, monkeypatch, K):
         # the blocks an accepted held-rows pass rank-checked carry a random payload through rlnc's encoder and decoder
-        audited = []
-        full_rank = sim._full_rank
-
-        def recording(pending):
-            audited.extend(pending)
-            return full_rank(pending)
-
-        monkeypatch.setattr(sim, "_full_rank", recording)
+        stacks = record_checks(monkeypatch)
+        kinds = record_passes(monkeypatch)
         config = validate_config(40, K, 4, 0.6)
-        assert sim._run_pass(config, "rs", RngSpec(3), 1, sim._HeldRows) is not None
+        run_trial(config, "rs", RngSpec(3), 1, codec=True)
+        assert kinds == [sim._HeldRows]
+        blocks = np.concatenate(stacks)
         n_blocks = config.N * config.F // K
-        assert len(audited) == n_blocks
-        rows = b"".join(row for raw in audited for row in raw)
-        blocks = np.frombuffer(rows, dtype=np.uint8).reshape(n_blocks, K, K)
+        assert blocks.shape == (n_blocks, K, K)
         payloads = np.random.default_rng(K).integers(0, 256, size=(n_blocks, K, 16), dtype=np.uint8)
         full, wrong = rlnc.decode_blocks(rlnc.encode_blocks(blocks, payloads), payloads)
         assert full.all() and not wrong.any()
@@ -479,13 +486,13 @@ class TestCodingSkip:
 
 
 def record_passes(monkeypatch) -> list:
-    """Patch sim._run_pass to record the tracker class of each pass run_trial makes."""
+    """Patch sim._run_pass to record the tracker class of each pass a trial or cell makes."""
     kinds = []
     run_pass = sim._run_pass
 
-    def recording(config, policy, rng_spec, trial_index, tracker=None):
+    def recording(config, policy, rng_spec, trial_index, tracker=None, pool=None):
         kinds.append(tracker)
-        return run_pass(config, policy, rng_spec, trial_index, tracker)
+        return run_pass(config, policy, rng_spec, trial_index, tracker, pool)
 
     monkeypatch.setattr(sim, "_run_pass", recording)
     return kinds
@@ -529,9 +536,10 @@ class TestSpeculativePass:
             assert result == reference_trial(config, policy, seed, trial, repeat_first), (config, policy, seed, trial)
         assert replays > len(SPECULATION_CASES) // 2
 
-    def test_replays_exactly_when_some_packet_is_dependent(self):
+    def test_replays_exactly_when_some_packet_is_dependent(self, monkeypatch):
         # a full-rank block of K rows held K innovative rows, so an accepted pass is the eager pass;
         # a block that is not full rank held a row the eager pass found dependent
+        kinds = record_passes(monkeypatch)
         accepted = 0
         for config, policy, seed, trial in SPECULATION_CASES:
             flags = []
@@ -541,10 +549,12 @@ class TestSpeculativePass:
                     flags.append(super().add(coefficients))
                     return flags[-1]
 
-            speculative = sim._run_pass(config, policy, RngSpec(seed), trial, sim._HeldRows)
+            kinds.clear()
+            run_trial(config, policy, RngSpec(seed), trial, codec=True)
+            speculative = kinds == [sim._HeldRows]
             sim._run_pass(config, policy, RngSpec(seed), trial, FlagRecording)
-            assert (speculative is not None) == all(flags), (config, policy, seed, trial)
-            accepted += speculative is not None
+            assert speculative == all(flags), (config, policy, seed, trial)
+            accepted += speculative
         assert 0 < accepted < len(SPECULATION_CASES)
 
     @staticmethod
@@ -579,6 +589,85 @@ class TestSpeculativePass:
         with pytest.raises(RuntimeError, match="^no completion after 17 slots"):
             run_trial(config, "rrnc", RngSpec(12), 0, codec=True)
         assert kinds == [sim._HeldRows, RankTracker]
+
+
+def small_chunks(monkeypatch, chunk):
+    """Rank-check chunk blocks at a time, so a chunk spans trial boundaries."""
+    monkeypatch.setattr(sim, "batch_chunk", lambda window, packet_len: chunk)
+
+
+class TestPooledCell:
+    """A codec cell's held-rows passes share one pool, rank-checked a chunk at a time whatever trials it spans."""
+
+    def test_trials_match_the_eager_pass(self, monkeypatch):
+        # with the first row sent twice at p < 1 only some trials replay: some found deficient in their
+        # own pass, some by a later trial's check or the cell's last flush
+        TestSpeculativePass.repeat_first_row(monkeypatch)
+        small_chunks(monkeypatch, 3)
+        passes = []
+        run_pass = sim._run_pass
+
+        def recording(config, policy, rng_spec, trial_index, tracker=None, pool=None):
+            result = run_pass(config, policy, rng_spec, trial_index, tracker, pool)
+            passes.append((trial_index, tracker, result is None))
+            return result
+
+        monkeypatch.setattr(sim, "_run_pass", recording)
+        n_trials = 8
+        early = late = accepted = 0
+        for config in (validate_config(4, 4, 2, 0.6), validate_config(12, 4, 3, 0.6), validate_config(40, 20, 4, 0.6)):
+            for policy in POLICY_NAMES:
+                for seed in (0, 1):
+                    expected = [reference_trial(config, policy, seed, i, repeat_first) for i in range(n_trials)]
+                    passes.clear()
+                    results = sim._codec_trials(config, policy, RngSpec(seed), range(n_trials), lambda result: result)
+                    assert results == expected, (config, policy, seed)
+                    stopped = {i for i, kind, none in passes if kind is sim._HeldRows and none}
+                    replayed = {i for i, kind, _ in passes if kind is RankTracker}
+                    assert stopped <= replayed and len(passes) == n_trials + len(replayed)
+                    early += len(stopped)
+                    late += len(replayed - stopped)
+                    accepted += n_trials - len(replayed)
+                    cell = sweep_coding_window([policy], [config], n_trials, RngSpec(seed), codec=True)[0]
+                    times = np.array([result.completion_slots for result in expected], dtype=float)
+                    assert (cell.mean, cell.stddev) == (float(times.mean()), float(times.std(ddof=1)))
+        assert early > 0 and late > 0 and accepted > 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk-1", "chunk-7", "default"])
+    def test_cells_give_the_golden_means(self, monkeypatch, chunk):
+        if chunk:
+            small_chunks(monkeypatch, chunk)
+        trials = {}
+        for line in CODEC_GOLDEN_CSV.read_text().splitlines()[1:]:
+            policy, N, F, K, p, seed, trial, slots, _ = line.split(",")
+            assert int(trial) == len(trials.setdefault((policy, int(N), int(F), int(K), float(p), int(seed)), []))
+            trials[policy, int(N), int(F), int(K), float(p), int(seed)].append(float(slots))
+        for (policy, N, F, K, p, seed), slots in trials.items():
+            cell = sweep_coding_window([policy], [validate_config(F, K, N, p)], len(slots), RngSpec(seed), codec=True)
+            assert cell[0].mean == float(np.array(slots).mean()), (policy, N, F, K, p, seed)
+
+    def test_a_deficient_block_of_the_running_trial_ends_its_pass(self, monkeypatch):
+        # at p = 1 both receivers complete their first block on the repeated row at slot 4; checked one
+        # block at a time, the first is found deficient and the pass goes no further
+        TestSpeculativePass.repeat_first_row(monkeypatch)
+        small_chunks(monkeypatch, 1)
+        stacks = record_checks(monkeypatch)
+        kept = [17]  # a finished trial's result
+        pool = sim._Pool(4, kept)
+        assert sim._run_pass(validate_config(8, 4, 2, 1.0), "lr", RngSpec(0), 0, sim._HeldRows, pool) is None
+        assert len(stacks) == 1 and kept == [17]
+
+    def test_a_flush_marks_finished_trials_for_replay(self):
+        identity = [bytes([1, 0, 0]), bytes([0, 1, 0]), bytes([0, 0, 1])]
+        repeated = [bytes([1, 2, 3])] * 3
+        kept = []
+        pool = sim._Pool(3, kept)
+        assert pool.add(repeated) and pool.add(identity)  # trial 0's blocks, fewer than a chunk
+        kept.append(20)  # trial 0 ends
+        assert pool.add(identity) and pool.flush()  # trial 1's block is full rank
+        assert kept == [None]
+        assert pool.add(repeated) and not pool.flush()  # now trial 1 holds a deficient block
+        assert kept == [None]
 
 
 class TestCodecSizeGuard:
@@ -637,14 +726,14 @@ class TestCodecSizeGuard:
             assert blocks[-1].nbytes <= rlnc._CHUNK_BYTES
 
     def test_sweep_refuses_an_unknown_policy_before_any_trial(self, monkeypatch):
-        monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.setattr(sim, "_run_pass", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(ConfigError, match="^unknown policy 'bogus'; pick from lr,rrnc,rs$"):
             sweep_coding_window(["lr", "bogus"], [validate_config(8, 4, 2, 0.5)], 4, RngSpec(0))
 
     def test_sweep_refuses_the_grid_first(self, monkeypatch):
         # under this limit K=4 fits and K=8 does not
         monkeypatch.setattr(sim, "MAX_CODEC_BYTES", self.need(4, 2))
-        monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.setattr(sim, "_run_pass", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(ConfigError, match="K=8"):
             configs = [validate_config(8, K, 2, 0.5) for K in (4, 8)]
             sweep_coding_window(["lr"], configs, 4, RngSpec(0), codec=True)
@@ -719,7 +808,7 @@ class TestReceiverCap:
         assert run_trial(cfg, "rrnc", RngSpec(0), 0, codec=True).completion_slots == 2
 
     def test_above_cap_refused(self, monkeypatch):
-        monkeypatch.setattr(sim, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.setattr(sim, "_run_pass", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(ConfigError, match="receivers"):
             sweep_coding_window(["lr"], [validate_config(2, 1, MAX_RECEIVERS + 1, 1.0)], 2, RngSpec(0))
 
