@@ -150,20 +150,19 @@ def cmd_check_lr(args):
     for F in args.file_sizes:
         check_table_size(F)  # refuse the grid before any cell prints
     grid = []  # (F, K, p, config or the ConfigError refusing it)
+    groups = {}  # (K, p) -> the valid configs of that pair, in grid order
     for F, K, p in itertools.product(args.file_sizes, args.windows, args.ps):
         try:
-            grid.append((F, K, p, validate_config(F, K, 2, p)))
+            config = validate_config(F, K, 2, p)
+            groups.setdefault((config.K, config.p), []).append(config)
         except ConfigError as exc:
-            grid.append((F, K, p, exc))
-    if all(isinstance(config, ConfigError) for *_, config in grid):
+            config = exc
+        grid.append((F, K, p, config))
+    if not groups:
         raise ConfigError(
             f"no valid cell among --file-sizes {','.join(map(str, args.file_sizes))} "
             f"--windows {','.join(map(str, args.windows))} --ps {','.join(map(str, args.ps))}"
         )
-    groups = {}  # (K, p) -> the valid configs of that pair, in grid order
-    for *_, config in grid:
-        if not isinstance(config, ConfigError):
-            groups.setdefault((config.K, config.p), []).append(config)
     reports = {}
     for configs in groups.values():
         reports.update(_certify_group(configs))

@@ -179,9 +179,9 @@ class _Tally:
         self.name, self.examined, self.violations, self.worst = name, 0, 0, np.inf
 
     def add(self, margins: np.ndarray, violations: int | None = None) -> None:
-        """Violations default to the margins below -TOLERANCE."""
+        """Violations default to the margins not at least -TOLERANCE: below it, or nan."""
         self.examined += margins.size
-        self.violations += int(np.count_nonzero(margins < -TOLERANCE) if violations is None else violations)
+        self.violations += int(np.count_nonzero(~(margins >= -TOLERANCE)) if violations is None else violations)
         if margins.size:
             self.worst = np.minimum(self.worst, margins.min())
 
@@ -208,10 +208,10 @@ def certify(config: SystemConfig, values: np.ndarray) -> AuditReport:
     LR is decided on lead and lag, not on the serve-most minus serve-least
     gap of _bellman, p / (2 - p) * (lead - lag), which shrinks with p and
     falls below TOLERANCE at small p.  The other margins are slack (right
-    side minus left side); a margin below -TOLERANCE ON slots counts as a
-    violation.  The unfinished rows are walked once, in blocks of about
-    _CERTIFY_CELLS cells; each block scales its rows and the one below
-    them to ON slots and feeds every family from them.
+    side minus left side); a margin below -TOLERANCE ON slots, or a nan
+    one, counts as a violation.  The unfinished rows are walked once, in
+    blocks of about _CERTIFY_CELLS cells; each block scales its rows and
+    the one below them to ON slots and feeds every family from them.
     """
     batches = _batches(config)
     F, p = config.F, config.p

@@ -33,10 +33,10 @@ rank-deficient block (about 1 - (1 - 1/255)^(N*F/K) of trials hold one)
 is run again by the eager pass from fresh substreams once the cell's
 last chunk is checked, with the same result as if it had run eagerly
 from the start.  A check that finds a deficient block of the trial
-running ends its pass at once, and a pass that meets MAX_SLOTS first
-checks the pool, so a trial replays rather than raising if one of its
-own blocks is deficient.  The eager pass rank-checks nothing: its
-trackers decide rank.  run_trial is the one-trial cell.
+running ends its pass at once; a held-rows pass that meets MAX_SLOTS is
+replayed too, and the eager pass raises if the trial really meets it.
+The eager pass rank-checks nothing: its trackers decide rank.  run_trial
+is the one-trial cell.
 
 Idealized mode jumps over single-batch stretches.  While every unfinished
 receiver expects one batch, no slot can be a conflict and the policy has
@@ -61,7 +61,7 @@ two to model.MAX_REPEATS trials per cell (the sample stddev needs two),
 a seed >= 0, and check_run for every config, which refuses too many
 receivers, a run whose slowest receiver could pass MAX_SLOTS and a
 codec trial over rlnc.MAX_CODEC_BYTES.  run_trial does not check them again;
-a trial that meets MAX_SLOTS all the same raises SlotCapError.
+a trial that meets MAX_SLOTS all the same raises SlotCapError from _on_blocks.
 
 Reproducibility contract: a trial draws from three private substreams
 derived as SeedSequence((master_seed, trial_index, role)) with roles
@@ -133,12 +133,14 @@ class SweepCell:
 
 
 class _OnBlock:
-    """One block of slots: each slot's ON flags as a bool row (flags) and as an int (masks)."""
+    """One block of slots: each slot's ON flags as a bool row (flags) and as an
+    int (masks), and the number of slots before its first one (base)."""
 
-    __slots__ = ("flags", "masks")
+    __slots__ = ("flags", "masks", "base")
 
-    def __init__(self, flags: np.ndarray):
+    def __init__(self, flags: np.ndarray, base: int):
         self.flags = flags  # bool, one row per slot and one column per receiver
+        self.base = base
         n_slots, N = flags.shape
         n_words = -(-N // 64)
         packed = np.zeros((n_slots, 8 * n_words), dtype=np.uint8)
@@ -150,13 +152,16 @@ class _OnBlock:
         self.masks = masks
 
 
-def _on_blocks(rng: np.random.Generator, N: int, p: float):
-    """Endless blocks of _FLAG_BLOCK slots, one Bernoulli(p) ON flag per receiver and slot.
+def _on_blocks(rng: np.random.Generator, config: SystemConfig):
+    """Blocks of _FLAG_BLOCK slots, one Bernoulli(p) ON flag per receiver and
+    slot, up to slot MAX_SLOTS - 1, the last block cut short; asking for one
+    more block raises SlotCapError.
 
     The draws are row-major, one row of N per slot, so the flags of a slot
-    do not depend on _FLAG_BLOCK."""
-    while True:
-        yield _OnBlock(rng.random((_FLAG_BLOCK, N)) < p)
+    depend neither on _FLAG_BLOCK nor on the cap."""
+    for base in range(0, MAX_SLOTS - 1, _FLAG_BLOCK):
+        yield _OnBlock(rng.random((min(_FLAG_BLOCK, MAX_SLOTS - 1 - base), config.N)) < config.p, base)
+    raise SlotCapError(config)
 
 
 def check_run(config: SystemConfig, codec: bool) -> None:
@@ -282,15 +287,18 @@ def _codec_trials(config: SystemConfig, policy: str, rng_spec: RngSpec, indices,
 
     Every trial's held-rows pass hands its completed blocks to one _Pool,
     whose last flush follows the last pass; then every trial with a
-    rank-deficient block is replayed by the eager pass.  Each trial draws
-    from its own substreams only, so neither the pooling nor the replay
-    order changes a result.
+    rank-deficient block, or whose held-rows pass met MAX_SLOTS, is
+    replayed by the eager pass.  Each trial draws from its own substreams
+    only, so neither the pooling nor the replay order changes a result.
     """
     args = (config, policy, rng_spec)
     kept = []  # keep(result) per trial, None for a trial to replay
     pool = _Pool(config.K, kept)
     for i in indices:
-        result = _run_pass(*args, i, _HeldRows, pool)
+        try:
+            result = _run_pass(*args, i, _HeldRows, pool)
+        except SlotCapError:
+            result = None  # the eager replay decides whether the trial meets the cap
         kept.append(result and keep(result))
     pool.flush()
     for n, i in enumerate(indices):
@@ -372,9 +380,10 @@ def _run_pass(
     RankTracker (or a subclass) for the eager one, whose trackers decide
     rank themselves, so it rank-checks nothing and takes no pool.  The
     blocks still in the pool when a held-rows pass ends are left to a
-    later flush; without a pool the pass checks none.
+    later flush; without a pool the pass checks none.  At the cap the next
+    block of _on_blocks raises SlotCapError out of the pass.
     """
-    F, K, N, p = config.F, config.K, config.N, config.p
+    F, K, N = config.F, config.K, config.N
     codec = tracker is not None
     if codec:
         coding_rng = rng_spec.substream(trial_index, ROLE_CODING)
@@ -389,27 +398,22 @@ def _run_pass(
     occupied = [0]  # the keys of members, ascending, updated in place
     pick = conflict_rule(policy, members, occupied, batch_of, _uniforms(rng_spec, trial_index))
     slot = conflicts = 0
-    blocks = _on_blocks(rng_spec.substream(trial_index, ROLE_CONNECTIVITY), N, p)
+    blocks = _on_blocks(rng_spec.substream(trial_index, ROLE_CONNECTIVITY), config)
     block = next(blocks)
-    base = 0  # the slot number of block's first slot
     steps = iter(block.masks)
     jumps = not codec and K >= _JUMP_MIN
     stretch = list(range(N)) if jumps else []  # slot 0 opens one: all expect batch 0 and need K packets
     while True:
         while stretch:
             batch = occupied[0]
-            block, base, slot, done = _jump(config, blocks, block, base, slot, stretch, left)
+            block, slot, done = _jump(K, blocks, block, slot, stretch, left)
             alive ^= _move_on(members, occupied, batch_of, batch, done, F // K)
             if not occupied:
                 return TrialResult(completion_slots=slot, conflict_slots=conflicts)
             stretch = _stretch(members, occupied, left)
-            steps = iter(block.masks[slot - base:])
+            steps = iter(block.masks[slot - block.base:])
         for on in steps:
             slot += 1
-            if slot >= MAX_SLOTS:
-                if pool is not None and not pool.flush():
-                    return None  # a rank-deficient block may have led here
-                raise SlotCapError(config)
             live = alive & on
             if not live:
                 continue
@@ -447,7 +451,6 @@ def _run_pass(
                         break
         else:
             block = next(blocks)
-            base = slot
             steps = iter(block.masks)
 
 
@@ -491,43 +494,38 @@ def _stretch(members: dict[int, int], occupied: list[int], left: list[int]) -> l
     return ids if min(left[rid] for rid in ids) >= _JUMP_MIN else []
 
 
-def _jump(config: SystemConfig, blocks, block: _OnBlock, base: int, slot: int, ids: list[int], left: list[int]):
+def _jump(K: int, blocks, block: _OnBlock, slot: int, ids: list[int], left: list[int]):
     """Run a single-batch stretch to the first slot at which one of its receivers completes the batch.
 
     ids are the receivers expecting the batch, which alone are unfinished;
-    slot counts the slots done, and base is the slot number of block's
-    first slot.  No slot of a stretch is a conflict, so it draws no policy
-    uniform.  A running count of each receiver's ON flags from here finds
-    the event: the first slot at which some receiver's count reaches its
-    left.  Each receiver is credited with its count at the event, and one
-    that reaches the batch's last packet gets left reset to K.  A block
-    without the event is credited whole before the next block is read.  A
-    stretch still unfinished at MAX_SLOTS raises as stepping would.
-    Returns (block, base, slot, done), done being the set of receivers
-    that completed.
+    slot counts the slots done, block holds the next slot or ends at it,
+    and blocks yields the ones after it.  No slot of a stretch is a
+    conflict, so it draws no policy uniform.  A running count of each
+    receiver's ON flags from here finds the event: the first slot at which
+    some receiver's count reaches its left.  Each receiver is credited with
+    its count at the event, and one that reaches the batch's last packet
+    gets left reset to K.  A block without the event is credited whole
+    before the next block is read, so a stretch that meets the cap raises
+    SlotCapError from blocks, as stepping would.  Returns (block, slot,
+    done), done being the set of receivers that completed.
     """
     need = np.array([left[rid] for rid in ids])
     while True:
-        if slot - base == len(block.masks):
-            block, base = next(blocks), slot
-        got = block.flags[slot - base :, ids].cumsum(axis=0)  # each receiver's ON count from here, slot by slot
+        if slot - block.base == len(block.masks):
+            block = next(blocks)
+        got = block.flags[slot - block.base :, ids].cumsum(axis=0)  # each receiver's ON count from here, slot by slot
         reached = (got >= need).any(axis=1)  # some receiver has all it needs
         if reached[-1]:
             break
         need -= got[-1]
         slot += len(got)
-        if slot >= MAX_SLOTS:
-            raise SlotCapError(config)
     event = int(reached.argmax())
     done = 0
     for rid, n in zip(ids, (need - got[event]).tolist()):
-        left[rid] = n or config.K
+        left[rid] = n or K
         if not n:
             done |= 1 << rid
-    slot += event + 1
-    if slot >= MAX_SLOTS:
-        raise SlotCapError(config)
-    return block, base, slot, done
+    return block, slot + event + 1, done
 
 
 def sweep_coding_window(

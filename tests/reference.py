@@ -27,8 +27,12 @@ that share no code.
   rrnc_pick, rs_pick and their dispatch hits_rule) that the simulator's
   kernels in sim.conflict_rule, which read the trial's receiver sets, are
   held against.
+- The N-receiver process over sorted count tuples (sorted_state_value), a
+  scalar memoised recursion for the optimum or lr that holds the N=3
+  counterexample to lr's optimality and is held against dp at N=2.
 """
 
+import functools
 import itertools
 from enum import Enum, unique
 
@@ -329,3 +333,41 @@ def hits_rule(policy: str, uniforms):
 
         return pick
     raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
+
+
+def sorted_state_value(cfg: SystemConfig, policy: str) -> float:
+    """Expected slots to completion from the start, under the optimum ("optimal") or "lr".
+
+    A state is the receivers' packet counts in ascending order: receivers
+    are exchangeable, so a value depends on the counts alone.  In a slot
+    each unfinished receiver is ON with probability p, and the sender
+    serves one batch expected by some ON unfinished receiver: the one
+    whose successor has the smallest value, or under lr the earliest.
+    Every ON receiver expecting that batch gets one packet.  A slot in
+    which no unfinished receiver is ON, q^m with m of them unfinished, is a
+    self-loop, divided out of the recursion.
+    """
+    if policy not in ("optimal", "lr"):
+        raise ValueError(f"unknown policy {policy!r}; expected 'optimal' or 'lr'")
+    F, K, p = cfg.F, cfg.K, cfg.p
+    q = 1.0 - p
+
+    @functools.cache
+    def value(counts: tuple[int, ...]) -> float:
+        unfinished = [i for i, x in enumerate(counts) if x < F]
+        if not unfinished:
+            return 0.0
+        total = 1.0
+        for on in itertools.product((False, True), repeat=len(unfinished)):
+            live = [i for i, flag in zip(unfinished, on) if flag]
+            if not live:
+                continue
+            batches = sorted({counts[i] // K for i in live})
+            successors = [
+                value(tuple(sorted(x + (i in live and x // K == b) for i, x in enumerate(counts))))
+                for b in (batches[:1] if policy == "lr" else batches)
+            ]
+            total += p ** len(live) * q ** (len(unfinished) - len(live)) * min(successors)
+        return total / (1.0 - q ** len(unfinished))
+
+    return value((0,) * cfg.N)

@@ -3,10 +3,11 @@
 Each test prints `[acceptance] C<n> <label>: PASS|FAIL` before asserting,
 so `pytest -s tests/test_acceptance.py` doubles as a transcript.  All
 tolerances are fixed here; Monte Carlo criteria run on frozen master
-seeds and are therefore deterministic, with C6 additionally allowed the
-single reseed retry its statistical formulation grants.
+seeds and are therefore deterministic, with C6 and C11 additionally
+allowed the single reseed retry their statistical formulation grants.
 """
 
+import math
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ from ncbroadcast.dp import TOLERANCE, certify, enumerate_policies_oracle, solve_
 from ncbroadcast.model import validate_config
 from ncbroadcast.rlnc import _INV, _MUL, run_codec_validation
 from ncbroadcast.sim import RngSpec, run_trial, sweep_coding_window
+from reference import sorted_state_value
 
 GRID_F = (8, 12, 24)
 GRID_K = (2, 4)
@@ -173,4 +175,36 @@ def test_c10_single_receiver_sanity():
     report(
         "C10", "single receiver: mean F/p and exact F at p=1", ok,
         f"mean {stats.mean:.3f} ±{stats.ci95_half_width:.3f}",
+    )
+
+
+def test_c11_lr_is_not_optimal_for_three_receivers():
+    # the scalar recursion over sorted count tuples, held to dp at N=2 and to the closed form at K=F
+    counterexample = validate_config(12, 4, 3, 0.5)
+    optimal, lr = (sorted_state_value(counterexample, policy) for policy in ("optimal", "lr"))
+    gap = lr - optimal
+    ok = abs(optimal - 29.766743335) < 1e-9 and abs(lr - 29.768458319) < 1e-9
+    ok &= gap > 0 and abs(gap - 1.7150e-3) < 5e-8  # 1.7150e-3 to 4 digits
+    small_window = validate_config(12, 2, 3, 0.5)
+    ok &= sorted_state_value(small_window, "lr") == sorted_state_value(small_window, "optimal")
+    for p in GRID_P:
+        cfg = validate_config(12, 4, 2, p)
+        v00 = solve_optimal(cfg)[0, 0]
+        ok &= all(abs(sorted_state_value(cfg, policy) - v00) <= 1e-12 * v00 for policy in ("optimal", "lr"))
+    # K = F: each receiver finishes at its F-th ON slot, so E[T] = sum over t of 1 - P(Bin(t, p) >= F)^N
+    F, N, p = 12, 3, 0.5
+    at_least = [1 - sum(math.comb(t, k) * p**k * (1 - p) ** (t - k) for k in range(F)) for t in range(400)]
+    closed_form = sum(1 - done**N for done in at_least)
+    whole = sorted_state_value(validate_config(F, F, N, p), "lr")
+    ok &= abs(closed_form - 28.229652766051) < 1e-11 and abs(whole - closed_form) <= 1e-12 * closed_form
+    # the simulator's lr mean agrees with V_lr, one reseed retry as in C6
+    [stats] = sweep_coding_window(["lr"], [counterexample], 10_000, RngSpec(42))
+    within = abs(stats.mean - lr) <= stats.ci95_half_width
+    if not within:
+        [stats] = sweep_coding_window(["lr"], [counterexample], 10_000, RngSpec(43))
+        within = abs(stats.mean - lr) <= stats.ci95_half_width
+    ok &= within
+    report(
+        "C11", "N=3: V_lr - V* > 0 at (12, 4, 0.5)", ok,
+        f"V* {optimal:.9f}, V_lr {lr:.9f}, gap {gap:.4e}; simulated lr {stats.mean:.3f} ±{stats.ci95_half_width:.3f}",
     )

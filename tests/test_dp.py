@@ -419,6 +419,23 @@ class TestAudit:
         assert lr.examined == 0
         assert np.isnan(lr.worst_margin)
 
+    @pytest.mark.parametrize("cell,failing", [
+        ((10, 11), {"monotone_in_x0": 2, "monotone_in_x1": 2, "balance_preference": 1}),
+        ((9, 10), {"monotone_in_x0": 2, "monotone_in_x1": 2, "balance_preference": 1}),
+        ((3, 12), {"lr_optimality": 1, "edge_closed_form": 1, "monotone_in_x0": 2, "monotone_in_x1": 1,
+                   "balance_preference": 1}),
+    ])
+    def test_a_nan_value_fails_every_family_that_reads_it(self, cell, failing):
+        # nan < -TOLERANCE is False, so each margin that reads the nan must count as a violation
+        # for not being >= -TOLERANCE; (10, 11) and (9, 10) are no decision state's successor
+        cfg = validate_config(12, 4, 2, 0.5)
+        values = solve_optimal(cfg)
+        values[cell] = np.nan
+        report = certify(cfg, values)
+        assert not report.passed
+        assert {c.name: c.violations for c in report.checks if c.violations} == failing
+        assert all(np.isnan(c.worst_margin) == (c.name in failing) for c in report.checks)
+
     @pytest.mark.parametrize("cells", [1, 5, 40])
     @pytest.mark.parametrize("F,K,p,perturb", [(12, 4, 0.5, False), (24, 3, 0.3, False), (24, 3, 0.3, True)])
     def test_row_blocks_give_the_single_block_report(self, monkeypatch, F, K, p, perturb, cells):

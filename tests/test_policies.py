@@ -40,15 +40,21 @@ def kernel_pick(policy, eligible, u=0.0, rr_last=-1):
     return pick(occupied[0], live)
 
 
-def block_of(on_sets, N):
-    """A block of slots with the given ON sets, bit i of each standing for receiver i."""
-    return sim._OnBlock(np.array([[on >> i & 1 for i in range(N)] for on in on_sets], dtype=bool).reshape(-1, N))
+def block_of(on_sets, N, base):
+    """A block of slots after base others, with the given ON sets, bit i of each standing for receiver i."""
+    flags = np.array([[on >> i & 1 for i in range(N)] for on in on_sets], dtype=bool).reshape(-1, N)
+    return sim._OnBlock(flags, base)
 
 
 def scripted_trial(monkeypatch, policy, N, F, K, on_sets):
     """run_trial with the given ON sets for the first slots, all receivers ON after."""
-    script = itertools.chain([block_of(on_sets, N)], itertools.repeat(block_of([(1 << N) - 1] * sim._FLAG_BLOCK, N)))
-    monkeypatch.setattr(sim, "_on_blocks", lambda rng, n, p: script)
+
+    def script(rng, config):
+        yield block_of(on_sets, N, 0)
+        for base in itertools.count(len(on_sets), sim._FLAG_BLOCK):
+            yield block_of([(1 << N) - 1] * sim._FLAG_BLOCK, N, base)
+
+    monkeypatch.setattr(sim, "_on_blocks", script)
     return sim.run_trial(validate_config(F, K, N, 0.5), policy, sim.RngSpec(0), 0)
 
 
@@ -214,12 +220,13 @@ class TestRandomSelection:
 class TestOnMasks:
     @pytest.mark.parametrize("N", [1, 5, 63, 64, 65, 130, sim.MAX_RECEIVERS])
     def test_bit_i_is_receiver_i(self, N):
-        blocks = sim._on_blocks(rng(N), N, 0.4)
+        blocks = sim._on_blocks(rng(N), validate_config(1, 1, N, 0.4))
         reference = rng(N)
-        for _ in range(2):
+        for base in (0, sim._FLAG_BLOCK):
             flags = reference.random((sim._FLAG_BLOCK, N)) < 0.4
             expected = [sum(1 << int(i) for i in np.flatnonzero(row)) for row in flags]
-            assert next(blocks).masks == expected
+            block = next(blocks)
+            assert (block.masks, block.base) == (expected, base)
 
 
 @given(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from ncbroadcast.sim import (
     MAX_RECEIVERS,
     POLICY_NAMES,
     RngSpec,
+    SlotCapError,
     TrialResult,
     check_run,
     run_trial,
@@ -227,9 +229,9 @@ class TestStretchJumps:
         crossed = []
         jump = sim._jump
 
-        def recording(config, blocks, block, base, slot, ids, left):
-            result = jump(config, blocks, block, base, slot, ids, left)
-            crossed.append(result[1] > base)
+        def recording(K, blocks, block, slot, ids, left):
+            result = jump(K, blocks, block, slot, ids, left)
+            crossed.append(result[0] is not block)
             return result
 
         monkeypatch.setattr(sim, "_jump", recording)
@@ -336,9 +338,9 @@ class TestSlotCap:
         jump = sim._jump
 
         def recording(*args):
-            result = jump(*args)
-            jumps.append(result[2])
-            return result
+            block, slot, done = jump(*args)
+            jumps.append(slot)
+            return block, slot, done
 
         monkeypatch.setattr(sim, "_jump", recording)
         assert run_trial(config, "lr", RngSpec(2), 0).completion_slots > 589
@@ -349,6 +351,21 @@ class TestSlotCap:
             with pytest.raises(RuntimeError, match="^no completion after 589 slots"):
                 trial(config, "lr", RngSpec(2), 0)
         assert jumps == []  # the cap fell at the event, inside the first jump
+
+    def test_blocks_stop_at_the_cap(self, monkeypatch):
+        # a cap that is not a multiple of the block size cuts the last block short, and every
+        # slot below the cap keeps the flags of an uncut draw
+        size = sim._FLAG_BLOCK
+        cap = 2 * size + 77
+        config = validate_config(12, 4, 5, 0.5)
+        uncut = RngSpec(3).substream(0, sim.ROLE_CONNECTIVITY).random((3 * size, 5)) < 0.5
+        monkeypatch.setattr(sim, "MAX_SLOTS", cap)
+        blocks = sim._on_blocks(RngSpec(3).substream(0, sim.ROLE_CONNECTIVITY), config)
+        drawn = [next(blocks) for _ in range(3)]
+        assert [(block.base, len(block.masks)) for block in drawn] == [(0, size), (size, size), (2 * size, 76)]
+        assert (np.concatenate([block.flags for block in drawn]) == uncut[: cap - 1]).all()
+        with pytest.raises(SlotCapError, match=f"^no completion after {cap} slots; config "):
+            next(blocks)
 
 
 PASS_KINDS = (sim._HeldRows, RankTracker)  # the trackers of a codec trial's speculative and eager passes
@@ -589,6 +606,21 @@ class TestSpeculativePass:
         with pytest.raises(RuntimeError, match="^no completion after 17 slots"):
             run_trial(config, "rrnc", RngSpec(12), 0, codec=True)
         assert kinds == [sim._HeldRows, RankTracker]
+
+    def test_a_held_pass_at_the_cap_is_replayed(self, monkeypatch):
+        # no block of these trials is deficient, so only the cap sends the slowest one to the eager
+        # pass, which raises: the held-rows pass never decides that a trial meets the cap
+        config = validate_config(8, 4, 2, 0.5)
+        kinds = record_passes(monkeypatch)
+        slots = sim._codec_trials(config, "lr", RngSpec(0), range(4), attrgetter("completion_slots"))
+        assert kinds == [sim._HeldRows] * 4
+        cap = max(slots)
+        assert slots.count(cap) == 1
+        monkeypatch.setattr(sim, "MAX_SLOTS", cap)
+        kinds.clear()
+        with pytest.raises(SlotCapError, match=f"^no completion after {cap} slots; config "):
+            sim._codec_trials(config, "lr", RngSpec(0), range(4), attrgetter("completion_slots"))
+        assert kinds == [sim._HeldRows] * 4 + [RankTracker]
 
 
 def small_chunks(monkeypatch, chunk):

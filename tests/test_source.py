@@ -42,3 +42,15 @@ def test_every_top_level_name_is_read_in_the_package():
         if not (name.startswith("__") and name.endswith("__")) and name not in loaded
     ]
     assert unread == [], "defined in the package but read nowhere in it (a test-only helper?)"
+
+
+def test_only_the_slot_source_and_admission_read_the_cap():
+    # _on_blocks hands out every slot and stops at MAX_SLOTS; check_run admits a run under it and
+    # SlotCapError names it, so no other cap check can creep back into the slot loop
+    tree = ast.parse((PACKAGE / "sim.py").read_text(), "sim.py")
+    readers = {
+        getattr(node, "name", "<module>")  # a top-level statement outside any def reads as <module>
+        for node in tree.body
+        if "MAX_SLOTS" in loaded_names(node)
+    }
+    assert readers == {"check_run", "SlotCapError", "_on_blocks"}
