@@ -181,7 +181,7 @@ class _Tally:
     def add(self, margins: np.ndarray, violations: int | None = None) -> None:
         """Violations default to the margins not at least -TOLERANCE: below it, or nan."""
         self.examined += margins.size
-        self.violations += int(np.count_nonzero(~(margins >= -TOLERANCE)) if violations is None else violations)
+        self.violations += int(margins.size - np.count_nonzero(margins >= -TOLERANCE) if violations is None else violations)
         if margins.size:
             self.worst = np.minimum(self.worst, margins.min())
 
